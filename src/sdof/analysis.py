@@ -18,7 +18,7 @@ from .channel import (HelperModel, InterferenceModel, MacModel,
                       MacPartialModel, TAG_TRIAL, substream)
 from .errors import ParameterError
 from .pam import PamScheme, decode_indices, receive_decode_table
-from .precoding import (HelperFadingScheme, PartialCsitFadingScheme, PrecoderSet,
+from .precoding import (MixingScheme, PrecoderSet,
                         assemble_receiver_and_eve_matrices, interference_gamma,
                         interference_slots)
 
@@ -242,14 +242,7 @@ def scheme_mutual_information(scheme, P: float,
     Conditional entropies keep only the jamming part of the mixing; the
     difference of log-dets is exact at each P.
     """
-    if isinstance(scheme, HelperFadingScheme):
-        full = np.hstack([scheme.A_V, scheme.A_U])
-        legit = gaussian_entropy(full, P, sigma2) - gaussian_entropy(scheme.A_U, P, sigma2)
-        eve_full = np.hstack([scheme.B_V, scheme.B_U])
-        leak = gaussian_entropy(eve_full, P, sigma2) - gaussian_entropy(scheme.B_U, P, sigma2)
-        return MutualInformationReport(P=P, legit={1: legit}, leak=leak)
-
-    if isinstance(scheme, PartialCsitFadingScheme):
+    if isinstance(scheme, MixingScheme):
         full = np.hstack([scheme.A_V, scheme.A_U])
         legit = gaussian_entropy(full, P, sigma2) - gaussian_entropy(scheme.A_U, P, sigma2)
         eve_full = np.hstack([scheme.B_V, scheme.B_U])

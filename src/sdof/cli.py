@@ -19,7 +19,7 @@ import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Sequence, get_type_hints
 
 import numpy as np
 
@@ -72,6 +72,10 @@ class ExperimentConfig:
         return self.slope_tol if self.slope_tol > 0 else default
 
 
+# where the artifacts go; not echoed in the report, which depends only on
+# the experiment's inputs
+_OUTPUT_KEYS = ("out_json", "out_csv", "out_plot")
+
 _FIELD_HELP = {
     "experiment": "one of: " + ", ".join(sorted(
         ["helper_fading_mi", "helper_fixed_mc", "interference_fixed_verify",
@@ -110,30 +114,41 @@ out_plot = plot.csv
 """
 
 
+def _parse_int(raw: str) -> int:
+    """Integers may be written in float notation (1e4) but must be integral."""
+    value = float(raw)
+    if not value.is_integer():
+        raise ValueError(raw)
+    return int(value)
+
+
+def _parse_bool(raw: str) -> bool:
+    if raw.lower() in ("true", "1", "yes"):
+        return True
+    if raw.lower() in ("false", "0", "no"):
+        return False
+    raise ValueError(raw)
+
+
+# one parser per ExperimentConfig field type; each raises ValueError
+_PARSERS: dict[object, Callable[[str], object]] = {
+    str: str,
+    int: _parse_int,
+    float: float,
+    bool: _parse_bool,
+    tuple[float, ...]: lambda raw: tuple(float(v) for v in raw.split(",") if v.strip()),
+}
+_FIELD_TYPES = get_type_hints(ExperimentConfig)
+
+
 def _parse_value(name: str, raw: str):
-    field_types = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)}
-    if name not in field_types:
+    if name not in _FIELD_TYPES:
         raise UsageError(f"unknown config key {name!r}")
     raw = raw.strip()
-    if name == "grid":
-        try:
-            return tuple(float(v) for v in raw.split(",") if v.strip())
-        except ValueError:
-            raise UsageError(f"bad grid value {raw!r}")
-    if name == "mutate":
-        if raw.lower() in ("true", "1", "yes"):
-            return True
-        if raw.lower() in ("false", "0", "no"):
-            return False
-        raise UsageError(f"bad boolean {raw!r} for {name}")
-    if name in ("experiment", "out_json", "out_csv", "out_plot"):
-        return raw
     try:
-        if name in ("rank_tol", "slope_tol", "delta", "P"):
-            return float(raw)
-        return int(float(raw)) if float(raw) == int(float(raw)) else float(raw)
+        return _PARSERS[_FIELD_TYPES[name]](raw)
     except ValueError:
-        raise UsageError(f"bad numeric value {raw!r} for {name}")
+        raise UsageError(f"bad value {raw!r} for {name}")
 
 
 def parse_config(path: str | None, overrides: Sequence[str] = ()) -> ExperimentConfig:
@@ -194,39 +209,55 @@ def _assertion(name: str, ok: bool, detail: str = "") -> dict:
             **({"detail": detail} if detail else {})}
 
 
+def _per_realization(cfg: ExperimentConfig, one: Callable[[int], object]) -> list:
+    """one(seed) for each realization seed, in order, on worker_count() threads."""
+    seeds = range(cfg.seed, cfg.seed + cfg.realizations)
+    with concurrent.futures.ThreadPoolExecutor(max_workers=worker_count()) as pool:
+        return list(pool.map(one, seeds))
+
+
+def _slope(grid: Sequence[float], values: Sequence[float]) -> float:
+    return analysis.fit_dof_slope(*slope_fit_grid(grid, values)).slope
+
+
+def _mi_sweep(grid: Sequence[float], scheme
+              ) -> tuple[list[analysis.MutualInformationReport], float]:
+    """Scheme mutual information at every grid power, and the leakage slope."""
+    mis = [analysis.scheme_mutual_information(scheme, P) for P in grid]
+    return mis, _slope(grid, [mi.leak for mi in mis])
+
+
+def _dof_plot_rows(grid: Sequence[float], series: dict[str, Sequence[float]]
+                   ) -> list[tuple[str, float, float]]:
+    """Per grid power, one (series, half log10 P, value / (1/2) log P) row per series."""
+    return [(name, 0.5 * math.log10(P), _dof(values[k], P))
+            for k, P in enumerate(grid) for name, values in series.items()]
+
+
 def _run_helper_fading_mi(cfg: ExperimentConfig) -> ExperimentResult:
     tol = cfg.slope_tolerance(0.05)
     M = cfg.M
     target = analysis.sdof_formula(HelperModel(M))
     rows, plot, per_real, checks = [], [], [], []
 
-    def one(r: int):
+    def one(seed: int):
         realization = sample_channel(HelperModel(M), fixed=False, slots=M + 1,
-                                     seed=cfg.seed + r)
-        scheme = precoding.build_helper_fading(M, realization)
-        legit, leak = [], []
-        for P in cfg.grid:
-            mi = analysis.scheme_mutual_information(scheme, P)
-            legit.append(mi.legit[1])
-            leak.append(mi.leak)
-        return realization.seed, legit, leak
-
-    with concurrent.futures.ThreadPoolExecutor(max_workers=worker_count()) as pool:
-        results = list(pool.map(one, range(cfg.realizations)))
+                                     seed=seed)
+        return (seed, *_mi_sweep(cfg.grid, precoding.build_helper_fading(M, realization)))
 
     ok = True
-    for seed, legit, leak in results:
-        s_y = analysis.fit_dof_slope(*slope_fit_grid(cfg.grid, legit)).slope
-        s_z = analysis.fit_dof_slope(*slope_fit_grid(cfg.grid, leak)).slope
+    for seed, mis, s_z in _per_realization(cfg, one):
+        legit = [mi.legit[1] for mi in mis]
+        leak = [mi.leak for mi in mis]
+        s_y = _slope(cfg.grid, legit)
         good = abs(s_y - M) <= tol and abs(s_z) <= tol
         ok &= good
         per_real.append({"seed": seed, "legit_slope": s_y, "leak_slope": s_z,
                          "ok": good})
-        for P, ly, lz in zip(cfg.grid, legit, leak):
-            rows.append({"seed": seed, "P": P, "I_legit_nats": ly,
-                         "I_leak_nats": lz})
-            plot.append((f"legit_seed{seed}", 0.5 * math.log10(P), _dof(ly, P)))
-            plot.append((f"leak_seed{seed}", 0.5 * math.log10(P), _dof(lz, P)))
+        rows += [{"seed": seed, "P": P, "I_legit_nats": ly, "I_leak_nats": lz}
+                 for P, ly, lz in zip(cfg.grid, legit, leak)]
+        plot += _dof_plot_rows(cfg.grid, {f"legit_seed{seed}": legit,
+                                          f"leak_seed{seed}": leak})
     accounting = Fraction(M, M + 1) == target
     ok &= accounting
     checks.append(_assertion(f"slopes within {tol} of ({M}, 0) for all realizations",
@@ -313,9 +344,9 @@ def _run_interference_fading_verify(cfg: ExperimentConfig) -> ExperimentResult:
     K, n = cfg.K, cfg.n
     slots = precoding.interference_slots(K, n)
 
-    def one(r: int) -> dict:
+    def one(seed: int) -> dict:
         realization = sample_channel(InterferenceModel(K), fixed=False,
-                                     slots=slots, seed=cfg.seed + r)
+                                     slots=slots, seed=seed)
         pre = precoding.build_asymptotic_precoders(K, n, realization)
         eq_report = precoding.verify_alignment_equations(pre, tol=cfg.rank_tol)
         mats = precoding.assemble_receiver_and_eve_matrices(pre)
@@ -340,8 +371,7 @@ def _run_interference_fading_verify(cfg: ExperimentConfig) -> ExperimentResult:
             "ok": good,
         }
 
-    with concurrent.futures.ThreadPoolExecutor(max_workers=worker_count()) as pool:
-        per_real = list(pool.map(one, range(cfg.realizations)))
+    per_real = _per_realization(cfg, one)
     ok = all(r["ok"] for r in per_real)
     report = {
         "experiment": cfg.experiment, "K": K, "n": n, "M_n": slots,
@@ -361,22 +391,19 @@ def _run_interference_fading_mi(cfg: ExperimentConfig) -> ExperimentResult:
     realization = sample_channel(InterferenceModel(K), fixed=False,
                                  slots=slots, seed=cfg.seed)
     pre = precoding.build_asymptotic_precoders(K, n, realization)
-    mis = [analysis.scheme_mutual_information(pre, P) for P in cfg.grid]
-    leak_slope = analysis.fit_dof_slope(
-        *slope_fit_grid(cfg.grid, [m.leak for m in mis])).slope
+    mis, leak_slope = _mi_sweep(cfg.grid, pre)
     desired = (K - 1) * n ** precoding.interference_gamma(K)
     fraction = analysis.interference_fading_sdof(K, n)
     series = [analysis.interference_fading_sdof(K, i) for i in range(1, 7)]
     monotone = all(a < b for a, b in zip(series, series[1:])) and series[-1] < 1
 
     ok = abs(leak_slope) <= tol and monotone
-    rows, plot = [], []
-    for P, mi in zip(cfg.grid, mis):
-        rows.append({"P": P, "I_leak_nats": mi.leak,
-                     **{f"I_rx{l}_nats": v for l, v in mi.legit.items()}})
-        plot.append(("leak_dof", 0.5 * math.log10(P), _dof(mi.leak, P)))
-        for l, v in mi.legit.items():
-            plot.append((f"legit_rx{l}_dof", 0.5 * math.log10(P), _dof(v, P)))
+    rows = [{"P": P, "I_leak_nats": mi.leak,
+             **{f"I_rx{l}_nats": v for l, v in mi.legit.items()}}
+            for P, mi in zip(cfg.grid, mis)]
+    plot = _dof_plot_rows(cfg.grid, {
+        "leak_dof": [mi.leak for mi in mis],
+        **{f"legit_rx{l}_dof": [mi.legit[l] for mi in mis] for l in range(1, K + 1)}})
     report = {
         "experiment": cfg.experiment, "K": K, "n": n, "M_n": slots,
         "grid": list(cfg.grid), "leak_slope": leak_slope,
@@ -405,13 +432,11 @@ def _run_mac_partial(cfg: ExperimentConfig) -> ExperimentResult:
     v = rng.uniform(-1.0, 1.0, m * (K - 1))
     u = rng.uniform(-1.0, 1.0, K)
     y = scheme.A_V @ v + scheme.A_U @ u
-    v_hat, _ = precoding.partial_csit_decode(y, scheme)
+    v_hat, _ = precoding.zero_force_decode(y, scheme)
     decode_err = float(np.max(np.abs(v_hat - v)))
     decode_ok = decode_err <= 1e-9
 
-    mis = [analysis.scheme_mutual_information(scheme, P) for P in cfg.grid]
-    leak_slope = analysis.fit_dof_slope(
-        *slope_fit_grid(cfg.grid, [m_.leak for m_ in mis])).slope
+    mis, leak_slope = _mi_sweep(cfg.grid, scheme)
     leak_ok = abs(leak_slope) <= tol
 
     formula = analysis.sdof_formula(MacPartialModel(K, m))
@@ -425,8 +450,7 @@ def _run_mac_partial(cfg: ExperimentConfig) -> ExperimentResult:
     ok = decode_ok and leak_ok and structure_ok
     rows = [{"P": P, "I_leak_nats": mi.leak, "I_legit_nats": mi.legit[1]}
             for P, mi in zip(cfg.grid, mis)]
-    plot = [("leak_dof", 0.5 * math.log10(P), _dof(mi.leak, P))
-            for P, mi in zip(cfg.grid, mis)]
+    plot = _dof_plot_rows(cfg.grid, {"leak_dof": [mi.leak for mi in mis]})
     report = {
         "experiment": cfg.experiment, "K": K, "m_informed": m, "slots": slots,
         "decode_error": decode_err, "leak_slope": leak_slope,
@@ -559,7 +583,7 @@ def run(cfg: ExperimentConfig) -> int:
         "schema_version": SCHEMA_VERSION,
         "config": {f.name: (list(cfg.grid) if f.name == "grid"
                             else getattr(cfg, f.name))
-                   for f in dataclasses.fields(cfg)},
+                   for f in dataclasses.fields(cfg) if f.name not in _OUTPUT_KEYS},
         "ok": result.ok,
         **result.report,
     }
@@ -588,7 +612,8 @@ def print_schema(file=None) -> None:
         lines.append(f"  {f.name:<12} default={default!r:<24} {_FIELD_HELP[f.name]}")
     lines += ["",
               "Outputs: out_json is a deterministic JSON report (identical bytes",
-              "for identical config+seed; timing lives in out_json + '.meta.json'),",
+              "for identical config+seed, whatever the output paths; timing",
+              "lives in out_json + '.meta.json'),",
               "out_csv is tabular per-point data, out_plot has columns",
               "series,half_log10_P,value.",
               "Exit codes: 0 pass, 1 assertion failure (reports written), 2 usage.",

@@ -35,6 +35,11 @@ def _check_km(K: int, m: int) -> None:
         raise ParameterError(f"exponent range m must be >= 1, got {m}")
 
 
+def message_slots(K: int, tx: int) -> list[int]:
+    """Sub-message indices transmitter tx uses: 1..K+1 minus {tx, tx+1}."""
+    return [j for j in range(1, K + 2) if j not in (tx, tx + 1)]
+
+
 def exponent_slots(K: int) -> int:
     """Number of free exponents per set: K(K-1) + 2 (including the constant)."""
     return K * (K - 1) + 2
@@ -89,8 +94,7 @@ def _build_set(K: int, i: int, lo: int, hi: int, label: str) -> DimensionSet:
             idx += 1
         d[f"c_{i}"] = exps[idx]
         members.add(Monomial.from_dict(d))
-    return DimensionSet(label=label, members=frozenset(members),
-                        exponent_lo=lo, exponent_hi=hi)
+    return DimensionSet(label=label, members=frozenset(members))
 
 
 def build_base_dimension_sets(K: int, m: int) -> list[DimensionSet]:
@@ -181,10 +185,6 @@ class AlignmentReport:
         }
 
 
-def _message_slots(K: int, tx: int) -> list[int]:
-    return [j for j in range(1, K + 2) if j not in (tx, tx + 1)]
-
-
 def verify_interference_alignment(K: int, m: int,
                                   beta_override: Mapping[int, Monomial] | None = None
                                   ) -> AlignmentReport:
@@ -239,7 +239,7 @@ def verify_interference_alignment(K: int, m: int,
         for k in range(1, K + 1):
             if k == l:
                 continue
-            for j in _message_slots(K, k):
+            for j in message_slots(K, k):
                 containment(l, Monomial.gen(gain_name(k, l)), j, j,
                             f"message V{k},{j}")
         # first jamming block of every transmitter
@@ -258,8 +258,8 @@ def verify_interference_alignment(K: int, m: int,
 
         # desired sets: pairwise disjoint and clear of every extended set
         own = Monomial.gen(gain_name(l, l))
-        desired = {j: base[j].scaled(own) for j in _message_slots(K, l)}
-        slots = _message_slots(K, l)
+        desired = {j: base[j].scaled(own) for j in message_slots(K, l)}
+        slots = message_slots(K, l)
         for a_idx, ja in enumerate(slots):
             for jb in slots[a_idx + 1:]:
                 ok = not (desired[ja] & desired[jb])

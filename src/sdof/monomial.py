@@ -32,19 +32,6 @@ class Monomial:
     def gen(name: str, power: int = 1) -> "Monomial":
         return Monomial.from_dict({name: power})
 
-    def as_dict(self) -> dict[str, int]:
-        return dict(self.exponents)
-
-    def exponent(self, name: str) -> int:
-        for n, e in self.exponents:
-            if n == name:
-                return e
-        return 0
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(n for n, _ in self.exponents)
-
     def is_one(self) -> bool:
         return not self.exponents
 
@@ -82,26 +69,17 @@ class Monomial:
 
 @dataclass(frozen=True)
 class DimensionSet:
-    """A labelled family of monomials whose exponents run over {lo..hi}."""
+    """A labelled family of monomials."""
 
     label: str
     members: frozenset[Monomial]
-    exponent_lo: int
-    exponent_hi: int
 
     def __len__(self) -> int:
         return len(self.members)
 
-    def __contains__(self, monomial: Monomial) -> bool:
-        return monomial in self.members
-
     def scaled(self, factor: Monomial) -> frozenset[Monomial]:
         """Member-wise product with a fixed monomial."""
         return frozenset(factor * m for m in self.members)
-
-    def issubset(self, other: "DimensionSet | frozenset[Monomial]") -> bool:
-        target = other.members if isinstance(other, DimensionSet) else other
-        return self.members <= target
 
 
 def pairwise_disjoint(sets: Iterable[frozenset[Monomial]]) -> bool:

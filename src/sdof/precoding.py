@@ -1,13 +1,13 @@
 """Vector-space alignment schemes for fading channels.
 
-Helper scheme: over M+1 slots the legitimate transmitter mixes one jamming
-symbol with M messages so that all jamming collapses onto the all-ones
-matrix at the receiver, while the eavesdropper's jamming matrix stays full
-rank.  Interference scheme: precoder columns are products of commuting
-diagonal generator matrices raised to exponent tuples; multiplying by a
-generator shifts one exponent, which proves column-space containment
-exactly, column by column.  Ranks are certified numerically by SVD with a
-relative threshold.
+Mixing schemes (helper wiretap, partially informed MAC): every transmitter
+jams on 1/h_i(t), so all jamming collapses onto the all-ones column at the
+receiver while the eavesdropper's jamming matrix stays full rank; the
+messages fill the other receiver dimensions.  Interference scheme:
+precoder columns are products of commuting diagonal generator matrices
+raised to exponent tuples; multiplying by a generator shifts one exponent,
+which proves column-space containment exactly, column by column.  Ranks
+are certified numerically by SVD with a relative threshold.
 """
 from __future__ import annotations
 
@@ -20,7 +20,7 @@ import numpy as np
 from .channel import (ChannelRealization, HelperModel, InterferenceModel,
                       MacPartialModel, TAG_ALPHA, TAG_SEED_VECTOR, substream)
 from .errors import CapacityError, ModeError, ParameterError
-from .interference_sets import gain_name
+from .interference_sets import gain_name, message_slots
 from .monomial import Monomial
 
 DEFAULT_RANK_TOL = 1e-10
@@ -56,37 +56,58 @@ def numeric_rank(A: np.ndarray, tol: float = DEFAULT_RANK_TOL,
 
 
 # ---------------------------------------------------------------------------
-# helper wiretap channel, fading gains
+# jamming-aligned mixing schemes: helper wiretap and partially informed MAC
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class HelperFadingScheme:
-    """Mixing matrices of the (M+1)-slot helper scheme.
+class MixingScheme:
+    """Stacked per-slot coefficients of a jamming-aligned vector scheme.
 
-    A_V[i, j] = h_1(i+1) * alpha_{j+2}(i+1) carries message j at the
-    receiver, A_U is all ones (aligned jamming), B_V / B_U are the
-    eavesdropper counterparts with B_U[i, j] = g_{j+1}(i+1)/h_{j+1}(i+1).
-    T is the receiver's full mixing matrix, kept full rank by re-drawing
-    the alphas on numerical failure.
+    Every transmitter jams on 1/h_i(t), so all jamming lands on the all-ones
+    column at the receiver (A_U is all ones) and on g_i(t)/h_i(t) at the
+    eavesdropper (B_U).  A_V / B_V carry the message streams, one column
+    each, at the receiver and the eavesdropper.  Rows are slots.
     """
 
-    M: int
     realization: ChannelRealization
-    alphas: np.ndarray  # (M, M+1): alpha_k(t) for k = 2..M+1, t = 1..M+1
+    message_streams: tuple[str, ...]
     A_V: np.ndarray
     A_U: np.ndarray
     B_V: np.ndarray
     B_U: np.ndarray
-    T: np.ndarray
+
+    def __post_init__(self) -> None:
+        # stored read-only in C order: a product such as A_V @ v rounds
+        # according to memory layout, so every builder must store the same one
+        for name in ("A_V", "A_U", "B_V", "B_U"):
+            arr = np.ascontiguousarray(getattr(self, name))
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+
+    @property
+    def slots(self) -> int:
+        return self.A_V.shape[0]
 
     def receiver_system(self) -> np.ndarray:
-        """(M+1)x(M+1) system mapping (V_2..V_{M+1}, sum U) to observations."""
-        return np.hstack([self.A_V, np.ones((self.M + 1, 1))])
+        """Square system mapping (messages, jamming sum) to observations."""
+        return np.hstack([self.A_V, np.ones((self.slots, 1))])
+
+
+def _gain_tables(realization: ChannelRealization, transmitters: int,
+                 slots: int) -> tuple[np.ndarray, np.ndarray]:
+    """(slots, transmitters) tables of h_i(t) toward receiver 1 and g_i(t)."""
+    tx = range(1, transmitters + 1)
+    H = np.column_stack([realization.legit_series(i, 1)[:slots] for i in tx])
+    G = np.column_stack([realization.eve_series(i)[:slots] for i in tx])
+    return H, G
 
 
 def build_helper_fading(M: int, realization: ChannelRealization,
                         max_retries: int = 100,
-                        rank_tol: float = DEFAULT_RANK_TOL) -> HelperFadingScheme:
+                        rank_tol: float = DEFAULT_RANK_TOL) -> MixingScheme:
+    """(M+1)-slot helper scheme: the transmitter mixes message V_k on
+    h_1(t) alpha_k(t); the alphas are re-drawn until the receiver system is
+    numerically full rank."""
     if not isinstance(realization.model, HelperModel) or realization.model.M != M:
         raise ModeError(f"realization is not a helper({M}) model")
     if realization.fixed:
@@ -95,7 +116,7 @@ def build_helper_fading(M: int, realization: ChannelRealization,
         raise ModeError(f"need at least {M + 1} slots, got {realization.slots}")
 
     slots = M + 1
-    h1 = np.array([realization.h(1, 1, t) for t in range(1, slots + 1)])
+    H, G = _gain_tables(realization, M + 1, slots)
     for attempt in range(1, max_retries + 1):
         alphas = np.array([
             [float(realization.distribution.sample(
@@ -103,40 +124,59 @@ def build_helper_fading(M: int, realization: ChannelRealization,
              for t in range(1, slots + 1)]
             for k in range(2, M + 2)
         ]).reshape(M, slots)
-        # T rows: the aggregate-jamming row (all ones), then one row per message
-        T = np.vstack([np.ones(slots), alphas * h1])
-        if numeric_rank(T, rank_tol) == M + 1:
+        # rows: the aggregate-jamming row (all ones), then one row per message
+        if numeric_rank(np.vstack([np.ones(slots), alphas * H[:, 0]]),
+                        rank_tol) == M + 1:
             break
     else:
         raise RuntimeError(f"no full-rank mixing matrix after {max_retries} draws")
 
-    A_V = np.empty((slots, M))
-    B_V = np.empty((slots, M))
-    B_U = np.empty((slots, M + 1))
-    for i in range(slots):
-        t = i + 1
-        for j in range(M):
-            A_V[i, j] = realization.h(1, 1, t) * alphas[j, i]
-            B_V[i, j] = realization.g(1, t) * alphas[j, i]
-        for j in range(M + 1):
-            B_U[i, j] = realization.g(j + 1, t) / realization.h(j + 1, 1, t)
-    scheme = HelperFadingScheme(
-        M=M, realization=realization, alphas=alphas,
-        A_V=A_V, A_U=np.ones((slots, slots)), B_V=B_V, B_U=B_U, T=T,
+    return MixingScheme(
+        realization=realization,
+        message_streams=tuple(f"V{k}" for k in range(2, M + 2)),
+        A_V=H[:, :1] * alphas.T, A_U=np.ones((slots, slots)),
+        B_V=G[:, :1] * alphas.T, B_U=G / H,
     )
-    for arr in (scheme.alphas, scheme.A_V, scheme.A_U, scheme.B_V, scheme.B_U, scheme.T):
-        arr.setflags(write=False)
-    return scheme
+
+
+def build_partial_csit_fading(K: int, m_informed: int,
+                              realization: ChannelRealization) -> MixingScheme:
+    """m(K-1)+1-slot partially informed MAC scheme: informed transmitter i
+    sends V_ij on g_j(t)/(h_j(t) g_i(t)), so at the eavesdropper the column
+    of V_ij equals the column of U_j exactly."""
+    model = realization.model
+    if not isinstance(model, MacPartialModel) or (model.K, model.m_informed) != (K, m_informed):
+        raise ModeError(f"realization is not a mac_partial({K}, {m_informed}) model")
+    if realization.fixed:
+        raise ModeError("the vector scheme needs fading gains")
+    slots = m_informed * (K - 1) + 1
+    if realization.slots < slots:
+        raise ModeError(f"need at least {slots} slots, got {realization.slots}")
+
+    streams = [(i, j) for i in range(1, m_informed + 1)
+               for j in range(1, K + 1) if j != i]
+    i, j = np.array(streams, dtype=int).reshape(-1, 2).T - 1
+    H, G = _gain_tables(realization, K, slots)
+    return MixingScheme(
+        realization=realization,
+        message_streams=tuple(f"V{a}_{b}" for (a, b) in streams),
+        A_V=(H[:, i] * G[:, j]) / (H[:, j] * G[:, i]), A_U=np.ones((slots, K)),
+        B_V=G[:, j] / H[:, j], B_U=G / H,
+    )
 
 
 def zero_force_decode(observations: Sequence[float],
-                      scheme: HelperFadingScheme) -> tuple[np.ndarray, float]:
+                      scheme: MixingScheme) -> tuple[np.ndarray, float]:
     """Invert the receiver system; returns (message estimates, jamming-sum estimate)."""
     y = np.asarray(observations, dtype=float)
-    if y.shape != (scheme.M + 1,):
-        raise ParameterError(f"need {scheme.M + 1} observations, got shape {y.shape}")
+    if y.shape != (scheme.slots,):
+        raise ParameterError(f"need {scheme.slots} observations, got shape {y.shape}")
     x = np.linalg.solve(scheme.receiver_system(), y)
-    return x[:scheme.M], float(x[scheme.M])
+    return x[:-1], float(x[-1])
+
+
+# the benchmark workloads decode the partially informed MAC under this name
+partial_csit_decode = zero_force_decode
 
 
 # ---------------------------------------------------------------------------
@@ -154,9 +194,6 @@ class DiagonalChannelMatrix:
     def __post_init__(self) -> None:
         self.entries.setflags(write=False)
 
-    def apply(self, matrix: np.ndarray) -> np.ndarray:
-        return self.entries[:, None] * matrix
-
 
 def interference_gamma(K: int) -> int:
     return (K - 1) ** 2
@@ -166,11 +203,6 @@ def interference_slots(K: int, n: int) -> int:
     """Block length M_n = (K-1) n^Gamma + (K+1) (n+1)^Gamma."""
     g = interference_gamma(K)
     return (K - 1) * n ** g + (K + 1) * (n + 1) ** g
-
-
-def message_slots(K: int, tx: int) -> list[int]:
-    """Sub-message indices transmitter tx uses: 1..K+1 minus {tx, tx+1}."""
-    return [j for j in range(1, K + 2) if j not in (tx, tx + 1)]
 
 
 def _diag(realization: ChannelRealization, factors: Sequence[tuple[int, int, int]]
@@ -669,77 +701,3 @@ def export_matrices_csv(pre: PrecoderSet, path: str) -> None:
             for r in range(mat.shape[0]):
                 row = ";".join(f"{v:.17g}" for v in mat[r])
                 fh.write(f"{name},{r},{row}\n")
-
-
-# ---------------------------------------------------------------------------
-# partially informed MAC, fading gains
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class PartialCsitFadingScheme:
-    """Per-slot coefficient tables of the partially informed MAC scheme.
-
-    Over m(K-1)+1 slots, informed transmitter i sends V_ij on
-    g_j(t)/(h_j(t) g_i(t)); every transmitter jams on 1/h_i(t).  A_V/A_U are
-    the receiver-side stacked coefficients (A_U is all ones: aligned),
-    B_V/B_U the eavesdropper side, where the column of V_ij equals the
-    column of U_j exactly.
-    """
-
-    K: int
-    m_informed: int
-    slots: int
-    realization: ChannelRealization
-    message_streams: tuple[str, ...]
-    A_V: np.ndarray
-    A_U: np.ndarray
-    B_V: np.ndarray
-    B_U: np.ndarray
-
-    def receiver_system(self) -> np.ndarray:
-        return np.hstack([self.A_V, np.ones((self.slots, 1))])
-
-
-def build_partial_csit_fading(K: int, m_informed: int,
-                              realization: ChannelRealization
-                              ) -> PartialCsitFadingScheme:
-    model = realization.model
-    if not isinstance(model, MacPartialModel) or (model.K, model.m_informed) != (K, m_informed):
-        raise ModeError(f"realization is not a mac_partial({K}, {m_informed}) model")
-    if realization.fixed:
-        raise ModeError("the vector scheme needs fading gains")
-    slots = m_informed * (K - 1) + 1
-    if realization.slots < slots:
-        raise ModeError(f"need at least {slots} slots, got {realization.slots}")
-
-    streams = [(i, j) for i in range(1, m_informed + 1)
-               for j in range(1, K + 1) if j != i]
-    A_V = np.empty((slots, len(streams)))
-    B_V = np.empty((slots, len(streams)))
-    B_U = np.empty((slots, K))
-    for row in range(slots):
-        t = row + 1
-        for col, (i, j) in enumerate(streams):
-            A_V[row, col] = (realization.h(i, 1, t) * realization.g(j, t)
-                             / (realization.h(j, 1, t) * realization.g(i, t)))
-            B_V[row, col] = realization.g(j, t) / realization.h(j, 1, t)
-        for j in range(1, K + 1):
-            B_U[row, j - 1] = realization.g(j, t) / realization.h(j, 1, t)
-    scheme = PartialCsitFadingScheme(
-        K=K, m_informed=m_informed, slots=slots, realization=realization,
-        message_streams=tuple(f"V{i}_{j}" for (i, j) in streams),
-        A_V=A_V, A_U=np.ones((slots, K)), B_V=B_V, B_U=B_U,
-    )
-    for arr in (scheme.A_V, scheme.A_U, scheme.B_V, scheme.B_U):
-        arr.setflags(write=False)
-    return scheme
-
-
-def partial_csit_decode(observations: Sequence[float],
-                        scheme: PartialCsitFadingScheme) -> tuple[np.ndarray, float]:
-    """Invert the square receiver system; returns (messages, jamming sum)."""
-    y = np.asarray(observations, dtype=float)
-    if y.shape != (scheme.slots,):
-        raise ParameterError(f"need {scheme.slots} observations, got {y.shape}")
-    x = np.linalg.solve(scheme.receiver_system(), y)
-    return x[:-1], float(x[-1])

@@ -50,7 +50,7 @@ def test_criterion_1_helper_fading_sdof():
             assert abs(s_y - M) <= slope_tol, (M, seed, s_y)
             assert abs(s_z) <= slope_tol, (M, seed, s_z)
             # M message dimensions over M+1 slots: exact accounting
-            assert Fraction(M, scheme.M + 1) == target
+            assert Fraction(len(scheme.message_streams), scheme.slots) == target
     _report("1 helper fading s.d.o.f.", started, 60,
             f"worst slope deviation {worst:.4f}")
 
@@ -214,9 +214,7 @@ def test_criterion_9_experiment_determinism(tmp_path):
                     f"--out_plot={tmp_path}/{name}_{tag}_plot.csv"] + extra
             code = run(parse_config(None, args))
             assert code == 0, (name, code)
-            raw = (tmp_path / f"{name}_{tag}.json").read_bytes()
-            outputs.append(raw.replace(f"_{tag}.".encode(), b"_.")
-                           .replace(f"_{tag}_plot".encode(), b"__plot"))
+            outputs.append((tmp_path / f"{name}_{tag}.json").read_bytes())
         assert outputs[0] == outputs[1], f"{name} report not byte-stable"
         report = json.loads((tmp_path / f"{name}_x.json").read_text())
         assert report["ok"] is True

@@ -54,6 +54,19 @@ class TestConfigParsing:
         with pytest.raises(UsageError):
             parse_config("/nonexistent/path.cfg")
 
+    def test_integer_keys_accept_float_notation(self):
+        assert parse_config(None, ["--trials=1e4"]).trials == 10000
+
+    @pytest.mark.parametrize("override", ["--K=2.5", "--seed=1.7", "--K=inf"])
+    def test_non_integral_integer_is_usage_error(self, override, tmp_path, capsys):
+        path = tmp_path / "exp.cfg"
+        path.write_text("experiment = region\nseed = 1\n"
+                        f"out_json = {tmp_path}/r.json\n"
+                        f"out_csv = {tmp_path}/r.csv\n"
+                        f"out_plot = {tmp_path}/r_plot.csv\n")
+        assert main(["run", str(path), override]) == 2
+        assert "usage error" in capsys.readouterr().err
+
 
 class TestRun:
     @pytest.mark.parametrize("name", sorted(FAST_ARGS))
@@ -73,12 +86,10 @@ class TestRun:
         second = fast_config(name, tmp_path, tag="_b")
         run(first)
         run(second)
-        a = (tmp_path / f"{name}_a.json").read_bytes()
-        b = (tmp_path / f"{name}_b.json").read_bytes()
-        # reports differ only in their configured output paths
-        a = a.replace(b"_a.json", b".json").replace(b"_a.csv", b".csv").replace(b"_a_plot", b"_plot")
-        b = b.replace(b"_b.json", b".json").replace(b"_b.csv", b".csv").replace(b"_b_plot", b"_plot")
-        assert a == b
+        for suffix in (".json", ".csv", "_plot.csv"):
+            a = (tmp_path / f"{name}_a{suffix}").read_bytes()
+            b = (tmp_path / f"{name}_b{suffix}").read_bytes()
+            assert a == b, suffix
 
     def test_failing_assertion_still_writes_report(self, tmp_path):
         cfg = fast_config("helper_fading_mi", tmp_path)

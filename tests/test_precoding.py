@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from sdof.channel import (HelperModel, InterferenceModel, MacPartialModel,
-                          sample_channel)
+from sdof.channel import (TAG_ALPHA, HelperModel, InterferenceModel,
+                          MacPartialModel, sample_channel, substream)
 from sdof.errors import CapacityError, ModeError, ParameterError
 from sdof.monomial import Monomial
 from sdof.precoding import (build_asymptotic_precoders, build_cj_generators,
@@ -49,7 +49,7 @@ class TestHelperFading:
     def test_receiver_and_eve_full_rank(self, helper2):
         assert numeric_rank(np.hstack([helper2.A_V, helper2.A_U])) == 3
         assert numeric_rank(helper2.B_U) == 3
-        assert numeric_rank(helper2.T) == 3
+        assert numeric_rank(helper2.receiver_system()) == 3
 
     def test_degenerate_no_helpers(self):
         r = sample_channel(HelperModel(0), fixed=False, slots=1, seed=1)
@@ -95,8 +95,8 @@ class TestHelperFading:
         r = sample_channel(HelperModel(1), fixed=False, slots=2, seed=8)
         a = build_helper_fading(1, r)
         b = build_helper_fading(1, r)
-        assert np.array_equal(a.alphas, b.alphas)
         assert np.array_equal(a.A_V, b.A_V)
+        assert np.array_equal(a.B_V, b.B_V)
 
 
 class TestGenerators:
@@ -313,3 +313,68 @@ class TestPartialCsitFading:
         r = sample_channel(MacPartialModel(3, 2), fixed=False, slots=4, seed=4)
         with pytest.raises(ModeError):
             build_partial_csit_fading(3, 2, r)
+
+
+def _reference_helper(M, r):
+    """Per-slot loop construction of the helper matrices, the reference for
+    the array expressions of build_helper_fading."""
+    slots = M + 1
+    h1 = np.array([r.h(1, 1, t) for t in range(1, slots + 1)])
+    for attempt in range(1, 101):
+        alphas = np.array([
+            [float(r.distribution.sample(substream(r.seed, TAG_ALPHA, attempt, k, t)))
+             for t in range(1, slots + 1)]
+            for k in range(2, M + 2)
+        ]).reshape(M, slots)
+        if numeric_rank(np.vstack([np.ones(slots), alphas * h1])) == M + 1:
+            break
+    A_V = np.empty((slots, M))
+    B_V = np.empty((slots, M))
+    B_U = np.empty((slots, M + 1))
+    for i in range(slots):
+        t = i + 1
+        for j in range(M):
+            A_V[i, j] = r.h(1, 1, t) * alphas[j, i]
+            B_V[i, j] = r.g(1, t) * alphas[j, i]
+        for j in range(M + 1):
+            B_U[i, j] = r.g(j + 1, t) / r.h(j + 1, 1, t)
+    return A_V, np.ones((slots, slots)), B_V, B_U
+
+
+def _reference_partial(K, m, r):
+    """Per-slot loop construction of the partially informed MAC matrices."""
+    slots = m * (K - 1) + 1
+    streams = [(i, j) for i in range(1, m + 1) for j in range(1, K + 1) if j != i]
+    A_V = np.empty((slots, len(streams)))
+    B_V = np.empty((slots, len(streams)))
+    B_U = np.empty((slots, K))
+    for row in range(slots):
+        t = row + 1
+        for col, (i, j) in enumerate(streams):
+            A_V[row, col] = (r.h(i, 1, t) * r.g(j, t)) / (r.h(j, 1, t) * r.g(i, t))
+            B_V[row, col] = r.g(j, t) / r.h(j, 1, t)
+        for j in range(1, K + 1):
+            B_U[row, j - 1] = r.g(j, t) / r.h(j, 1, t)
+    return A_V, np.ones((slots, K)), B_V, B_U
+
+
+def _assert_bit_identical(scheme, reference):
+    for name, ref in zip(("A_V", "A_U", "B_V", "B_U"), reference):
+        got = getattr(scheme, name)
+        assert got.flags["C_CONTIGUOUS"], name
+        assert np.array_equal(got, ref), name
+
+
+@pytest.mark.parametrize("seed", [3, 11])
+@pytest.mark.parametrize("M", [0, 1, 2, 3])
+def test_helper_matrices_match_per_slot_reference(M, seed):
+    r = sample_channel(HelperModel(M), fixed=False, slots=M + 1, seed=seed)
+    _assert_bit_identical(build_helper_fading(M, r), _reference_helper(M, r))
+
+
+@pytest.mark.parametrize("seed", [3, 11])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_partial_matrices_match_per_slot_reference(m, seed):
+    r = sample_channel(MacPartialModel(3, m), fixed=False, slots=2 * m + 1, seed=seed)
+    _assert_bit_identical(build_partial_csit_fading(3, m, r),
+                          _reference_partial(3, m, r))
