@@ -10,7 +10,8 @@ transmitters.
 from .channel import (ChannelRealization, GainDistribution, HelperModel,
                       InterferenceModel, MacModel, MacPartialModel,
                       awgn_vector, sample_channel)
-from .monomial import DimensionSet, Monomial
+from .interference_sets import DimensionSet
+from .monomial import Monomial
 
 __version__ = "0.1.0"
 

@@ -122,6 +122,13 @@ def _parse_int(raw: str) -> int:
     return int(value)
 
 
+def _parse_float(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(raw)
+    return value
+
+
 def _parse_bool(raw: str) -> bool:
     if raw.lower() in ("true", "1", "yes"):
         return True
@@ -134,9 +141,10 @@ def _parse_bool(raw: str) -> bool:
 _PARSERS: dict[object, Callable[[str], object]] = {
     str: str,
     int: _parse_int,
-    float: float,
+    float: _parse_float,
     bool: _parse_bool,
-    tuple[float, ...]: lambda raw: tuple(float(v) for v in raw.split(",") if v.strip()),
+    tuple[float, ...]: lambda raw: tuple(_parse_float(v) for v in raw.split(",")
+                                         if v.strip()),
 }
 _FIELD_TYPES = get_type_hints(ExperimentConfig)
 

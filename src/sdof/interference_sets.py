@@ -9,19 +9,30 @@ T_j by a cross gain only shifts exponents by one, which lands inside T~_j,
 so all interference at a legitimate receiver collapses into the K+1
 extended sets while the K-1 desired sets stay disjoint from everything.
 All of this is checked by exact integer exponent arithmetic.
+
+A set is stored as int8 exponent rows over one generator order (the K^2
+gains h_jk, then c_1..c_{K+1}): the image of the integer box {1..top}^s
+under the set's integer pattern matrix, deduplicated and sorted by the rows'
+bytes.  Scaling by a monomial adds one row vector; containment, disjointness
+and union sizes compare whole rows as fixed-width byte strings.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .errors import ParameterError
-from .monomial import DimensionSet, Monomial
+import numpy as np
+
+from .errors import CapacityError, ParameterError
+from .monomial import Monomial
 
 # transmitters are computationally bounded well below 10 (set sizes grow as
 # m^(K(K-1)+2)), so single-digit gain names are unambiguous
 _MAX_K = 9
+
+# exponent rows the base and extended families of one (K, m) may hold; a
+# row costs K^2 + K + 1 bytes plus sorting scratch, and (4, 2) needs 24.0M
+MEMBER_ROW_BUDGET = 30_000_000
 
 
 def gain_name(tx: int, rx: int) -> str:
@@ -33,6 +44,11 @@ def _check_km(K: int, m: int) -> None:
         raise ParameterError(f"construction needs 3 <= K <= {_MAX_K}, got K={K}")
     if m < 1:
         raise ParameterError(f"exponent range m must be >= 1, got {m}")
+    rows = member_rows(K, m)
+    if rows > MEMBER_ROW_BUDGET:
+        raise CapacityError(
+            f"(K, m) = ({K}, {m}) needs {rows} exponent rows, "
+            f"over budget {MEMBER_ROW_BUDGET}")
 
 
 def message_slots(K: int, tx: int) -> list[int]:
@@ -77,36 +93,116 @@ def _set_pattern(K: int, i: int) -> tuple[list[tuple[int, int]],
     return plain, ratios
 
 
-def _build_set(K: int, i: int, lo: int, hi: int, label: str) -> DimensionSet:
+def _generator_order(K: int) -> tuple[str, ...]:
+    """Column order of the exponent rows: h_11..h_KK, then c_1..c_{K+1}."""
+    gains = tuple(gain_name(j, k) for j in range(1, K + 1) for k in range(1, K + 1))
+    return gains + tuple(f"c_{i}" for i in range(1, K + 2))
+
+
+def _pattern_matrix(K: int, i: int, column: Mapping[str, int]) -> np.ndarray:
+    """One row per free exponent of set i: the exponent change of one unit."""
     plain, ratios = _set_pattern(K, i)
-    members = set()
-    span = range(lo, hi + 1)
-    n_free = len(plain) + len(ratios) + 1
-    for exps in itertools.product(span, repeat=n_free):
-        d: dict[str, int] = {}
-        idx = 0
-        for (j, k) in plain:
-            d[gain_name(j, k)] = d.get(gain_name(j, k), 0) + exps[idx]
-            idx += 1
-        for (num, den) in ratios:
-            d[gain_name(*num)] = d.get(gain_name(*num), 0) + exps[idx]
-            d[gain_name(*den)] = d.get(gain_name(*den), 0) - exps[idx]
-            idx += 1
-        d[f"c_{i}"] = exps[idx]
-        members.add(Monomial.from_dict(d))
-    return DimensionSet(label=label, members=frozenset(members))
+    pattern = np.zeros((exponent_slots(K), len(column)), np.int8)
+    for r, (j, k) in enumerate(plain):
+        pattern[r, column[gain_name(j, k)]] += 1
+    for r, (num, den) in enumerate(ratios, start=len(plain)):
+        pattern[r, column[gain_name(*num)]] += 1
+        pattern[r, column[gain_name(*den)]] -= 1
+    pattern[-1, column[f"c_{i}"]] = 1
+    return pattern
+
+
+def _box_image(pattern: np.ndarray, top: int) -> np.ndarray:
+    """Rows e @ pattern for every e in {1..top}^s, one free exponent at a time."""
+    # int8 holds every member and its shift by one gain: the budget keeps
+    # top * (largest column weight) far below 127
+    assert np.abs(pattern).sum(axis=0).max() * top + 1 <= 127
+    values = np.arange(1, top + 1, dtype=np.int8)[:, None]
+    width = pattern.shape[1]
+    rows = np.zeros((1, width), np.int8)
+    for step in pattern:
+        rows = (rows[:, None, :] + values * step).reshape(-1, width)
+    return rows
+
+
+def _keys(rows: np.ndarray) -> np.ndarray:
+    """Each int8 row as one fixed-width byte string (a view, no copy)."""
+    rows = np.ascontiguousarray(rows)
+    return rows.view(np.dtype((np.void, rows.shape[1]))).reshape(len(rows))
+
+
+def _distinct(rows: np.ndarray) -> np.ndarray:
+    """The distinct rows, sorted by their bytes."""
+    keys = np.unique(_keys(rows))
+    return keys.view(np.int8).reshape(len(keys), rows.shape[1])
+
+
+def _isin(keys: np.ndarray, sorted_keys: np.ndarray) -> np.ndarray:
+    """Exact membership of each key in a non-empty sorted key array."""
+    idx = np.searchsorted(sorted_keys, keys)
+    idx[idx == len(sorted_keys)] = 0
+    return sorted_keys[idx] == keys
+
+
+def _count_new(keys: np.ndarray, earlier: list[np.ndarray]) -> int:
+    """How many of the distinct keys lie in none of the earlier sorted arrays."""
+    new = np.ones(len(keys), bool)
+    for other in earlier:
+        new &= ~_isin(keys, other)
+    return int(new.sum())
+
+
+@dataclass(frozen=True, eq=False)
+class DimensionSet:
+    """A labelled set of monomials: distinct int8 exponent rows over
+    `generators`, sorted by their bytes."""
+
+    label: str
+    generators: tuple[str, ...]
+    rows: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    @property
+    def keys(self) -> np.ndarray:
+        return _keys(self.rows)
+
+    @property
+    def members(self) -> frozenset[Monomial]:
+        return frozenset(Monomial.from_dict(dict(zip(self.generators, row)))
+                         for row in self.rows.tolist())
+
+    def scaled(self, factor: Monomial) -> tuple[np.ndarray, int]:
+        """Rows of factor * self that int8 holds, and how many members it
+        cannot hold.  Those, like every member when the factor names a symbol
+        outside the generator order, lie in no set built here."""
+        exponents = dict(factor.exponents)
+        if not exponents.keys() <= set(self.generators):
+            return self.rows[:0], len(self)
+        wide = self.rows + np.array([exponents.get(g, 0) for g in self.generators],
+                                    np.int64)
+        held = ((wide >= -128) & (wide <= 127)).all(axis=1)
+        return wide[held].astype(np.int8), len(self) - int(held.sum())
+
+
+def _build_family(K: int, m: int, top: int, prefix: str) -> list[DimensionSet]:
+    _check_km(K, m)
+    generators = _generator_order(K)
+    column = {g: c for c, g in enumerate(generators)}
+    return [DimensionSet(f"{prefix}_{i}", generators,
+                         _distinct(_box_image(_pattern_matrix(K, i, column), top)))
+            for i in range(1, K + 2)]
 
 
 def build_base_dimension_sets(K: int, m: int) -> list[DimensionSet]:
     """The K+1 sets T_1..T_{K+1} with exponents in {1..m}."""
-    _check_km(K, m)
-    return [_build_set(K, i, 1, m, f"T_{i}") for i in range(1, K + 2)]
+    return _build_family(K, m, m, "T")
 
 
 def build_extended_dimension_sets(K: int, m: int) -> list[DimensionSet]:
     """The K+1 sets T~_1..T~_{K+1} with exponents in {1..m+1}."""
-    _check_km(K, m)
-    return [_build_set(K, i, 1, m + 1, f"T~_{i}") for i in range(1, K + 2)]
+    return _build_family(K, m, m + 1, "T~")
 
 
 def beta_general(K: int) -> dict[int, Monomial]:
@@ -134,6 +230,11 @@ def expected_base_cardinality(K: int, m: int) -> int:
 
 def expected_extended_cardinality(K: int, m: int) -> int:
     return (m + 1) ** exponent_slots(K)
+
+
+def member_rows(K: int, m: int) -> int:
+    """Exponent rows of the base and extended families together."""
+    return (K + 1) * (expected_base_cardinality(K, m) + expected_extended_cardinality(K, m))
 
 
 def expected_span(K: int, m: int) -> int:
@@ -222,16 +323,21 @@ def verify_interference_alignment(K: int, m: int,
             f"{len(extended[i])} vs {exp_ext}"))
         checks.append(AlignmentCheck(
             None, f"{base[i].label} subset of {extended[i].label}",
-            "pass" if base[i].members <= extended[i].members else "fail"))
+            "pass" if _isin(base[i].keys, extended[i].keys).all() else "fail"))
 
     def containment(rx: int, factor: Monomial, src: int, dst: int, what: str,
                     tag: str = "") -> None:
-        scaled = base[src].scaled(factor)
-        ok = scaled <= extended[dst].members
+        rows, escaped = base[src].scaled(factor)
+        escaped += int((~_isin(_keys(rows), extended[dst].keys)).sum())
+        ok = escaped == 0
         checks.append(AlignmentCheck(
             rx, f"rx{rx}: {factor}*T_{src} within T~_{dst} ({what}){tag}",
             "pass" if ok else "fail",
-            "" if ok else f"{len(scaled - extended[dst].members)} members escape"))
+            "" if ok else f"{escaped} members escape"))
+
+    # the extended sets are common to every receiver's span
+    ext_keys = [extended[i].keys for i in range(1, K + 2)]
+    ext_union = sum(_count_new(keys, ext_keys[:n]) for n, keys in enumerate(ext_keys))
 
     receiver_span: dict[int, int] = {}
     for l in range(1, K + 1):
@@ -258,30 +364,31 @@ def verify_interference_alignment(K: int, m: int,
 
         # desired sets: pairwise disjoint and clear of every extended set
         own = Monomial.gen(gain_name(l, l))
-        desired = {j: base[j].scaled(own) for j in message_slots(K, l)}
+        # sorted, so that each can be searched
+        desired = {j: _keys(_distinct(base[j].scaled(own)[0]))
+                   for j in message_slots(K, l)}
         slots = message_slots(K, l)
         for a_idx, ja in enumerate(slots):
             for jb in slots[a_idx + 1:]:
-                ok = not (desired[ja] & desired[jb])
+                ok = not _isin(desired[ja], desired[jb]).any()
                 checks.append(AlignmentCheck(
                     l, f"rx{l}: h_{l}{l}*T_{ja} disjoint from h_{l}{l}*T_{jb}",
                     "pass" if ok else "fail"))
             for i in range(1, K + 2):
-                ok = not (desired[ja] & extended[i].members)
+                ok = not _isin(desired[ja], ext_keys[i - 1]).any()
                 checks.append(AlignmentCheck(
                     l, f"rx{l}: h_{l}{l}*T_{ja} disjoint from T~_{i}",
                     "pass" if ok else "fail"))
 
-        span: set[Monomial] = set()
-        for s in desired.values():
-            span |= s
-        for i in range(1, K + 2):
-            span |= extended[i].members
-        receiver_span[l] = len(span)
+        span, seen = ext_union, list(ext_keys)
+        for keys in desired.values():
+            span += _count_new(keys, seen)
+            seen.append(keys)
+        receiver_span[l] = span
         checks.append(AlignmentCheck(
             l, f"rx{l}: span size == {expected_span(K, m)}",
-            "pass" if len(span) == expected_span(K, m) else "fail",
-            f"got {len(span)}"))
+            "pass" if span == expected_span(K, m) else "fail",
+            f"got {span}"))
 
     return AlignmentReport(
         K=K, m=m,

@@ -10,7 +10,7 @@ the fixed-gain schemes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Mapping
 
 
 @dataclass(frozen=True)
@@ -65,27 +65,3 @@ class Monomial:
         for n, e in self.exponents:
             parts.append(n if e == 1 else f"{n}^{e}")
         return "*".join(parts)
-
-
-@dataclass(frozen=True)
-class DimensionSet:
-    """A labelled family of monomials."""
-
-    label: str
-    members: frozenset[Monomial]
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def scaled(self, factor: Monomial) -> frozenset[Monomial]:
-        """Member-wise product with a fixed monomial."""
-        return frozenset(factor * m for m in self.members)
-
-
-def pairwise_disjoint(sets: Iterable[frozenset[Monomial]]) -> bool:
-    seen: set[Monomial] = set()
-    for s in sets:
-        if seen & s:
-            return False
-        seen |= s
-    return True

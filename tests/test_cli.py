@@ -30,6 +30,15 @@ def fast_config(name, tmp_path, tag=""):
     return parse_config(None, args + FAST_ARGS[name])
 
 
+def _region_config(tmp_path, seed):
+    path = tmp_path / "exp.cfg"
+    path.write_text(f"experiment = region\nseed = {seed}\n"
+                    f"out_json = {tmp_path}/r.json\n"
+                    f"out_csv = {tmp_path}/r.csv\n"
+                    f"out_plot = {tmp_path}/r_plot.csv\n")
+    return str(path)
+
+
 class TestConfigParsing:
     def test_file_plus_overrides(self, tmp_path):
         path = tmp_path / "exp.cfg"
@@ -59,12 +68,13 @@ class TestConfigParsing:
 
     @pytest.mark.parametrize("override", ["--K=2.5", "--seed=1.7", "--K=inf"])
     def test_non_integral_integer_is_usage_error(self, override, tmp_path, capsys):
-        path = tmp_path / "exp.cfg"
-        path.write_text("experiment = region\nseed = 1\n"
-                        f"out_json = {tmp_path}/r.json\n"
-                        f"out_csv = {tmp_path}/r.csv\n"
-                        f"out_plot = {tmp_path}/r_plot.csv\n")
-        assert main(["run", str(path), override]) == 2
+        assert main(["run", _region_config(tmp_path, seed=1), override]) == 2
+        assert "usage error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("override", ["--P=nan", "--P=inf", "--rank_tol=nan",
+                                          "--grid=1e5,nan"])
+    def test_non_finite_float_is_usage_error(self, override, tmp_path, capsys):
+        assert main(["run", _region_config(tmp_path, seed=1), override]) == 2
         assert "usage error" in capsys.readouterr().err
 
 
@@ -141,17 +151,19 @@ class TestMain:
         assert "2/3" in out and "6/7" in out
 
     def test_run_command(self, tmp_path, capsys):
-        path = tmp_path / "exp.cfg"
-        path.write_text("experiment = region\nseed = 3\n"
-                        f"out_json = {tmp_path}/r.json\n"
-                        f"out_csv = {tmp_path}/r.csv\n"
-                        f"out_plot = {tmp_path}/r_plot.csv\n")
-        assert main(["run", str(path), "--K=4"]) == 0
+        assert main(["run", _region_config(tmp_path, seed=3), "--K=4"]) == 0
         report = json.loads((tmp_path / "r.json").read_text())
         assert report["config"]["K"] == 4
 
     def test_usage_error_exit_code(self, capsys):
         assert main(["run", "/definitely/not/here.cfg"]) == 2
+
+    def test_oversized_fixed_verify_is_refused(self, tmp_path, capsys):
+        config = _region_config(tmp_path, seed=1)
+        assert main(["run", config, "--experiment=interference_fixed_verify",
+                     "--K=4", "--m=3"]) == 2
+        assert "(4, 3) needs" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
 
 
 def test_worker_count_env(monkeypatch):

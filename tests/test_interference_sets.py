@@ -1,12 +1,19 @@
+import itertools
+import json
+import time
+
 import pytest
 
-from sdof.errors import ParameterError
-from sdof.interference_sets import (beta_general, beta_three_user,
+from sdof.errors import CapacityError, ParameterError
+from sdof.interference_sets import (MEMBER_ROW_BUDGET, AlignmentCheck,
+                                    AlignmentReport, _set_pattern,
+                                    beta_general, beta_three_user,
                                     build_base_dimension_sets,
                                     build_extended_dimension_sets,
                                     expected_base_cardinality,
                                     expected_extended_cardinality,
-                                    expected_span, exponent_slots,
+                                    expected_span, exponent_slots, gain_name,
+                                    member_rows, message_slots,
                                     verify_interference_alignment)
 from sdof.monomial import Monomial
 
@@ -30,9 +37,9 @@ class TestCardinalities:
         assert expected == expected_extended_cardinality(K, m)
 
     def test_exponent_slot_count(self):
-        # (4, 2) extended sets are too large to materialize; the identity
-        # (m+1)^(K(K-1)+2) follows from the slot count and injectivity,
-        # which the materialized sizes above already exercise
+        # (4, 2) extended sets hold 3^14 rows each: building them takes tens
+        # of seconds, too slow for this suite, so their size is checked here
+        # only through the slot count
         assert exponent_slots(3) == 8
         assert exponent_slots(4) == 14
         assert expected_extended_cardinality(4, 2) == 3 ** 14
@@ -118,3 +125,140 @@ def test_expected_span_formula():
     assert expected_span(3, 1) == 1026
     assert expected_span(3, 2) == 26756
     assert expected_span(4, 1) == 81923
+
+
+# ---------------------------------------------------------------------------
+# reference: the string-keyed enumerator the array engine replaced, kept as
+# the oracle for the engine's report
+# ---------------------------------------------------------------------------
+
+def _reference_set(K, i, top):
+    plain, ratios = _set_pattern(K, i)
+    members = set()
+    for exps in itertools.product(range(1, top + 1), repeat=exponent_slots(K)):
+        d = {}
+        idx = 0
+        for (j, k) in plain:
+            d[gain_name(j, k)] = d.get(gain_name(j, k), 0) + exps[idx]
+            idx += 1
+        for (num, den) in ratios:
+            d[gain_name(*num)] = d.get(gain_name(*num), 0) + exps[idx]
+            d[gain_name(*den)] = d.get(gain_name(*den), 0) - exps[idx]
+            idx += 1
+        d[f"c_{i}"] = exps[idx]
+        members.add(Monomial.from_dict(d))
+    return frozenset(members)
+
+
+def _reference_verify(K, m, beta_override=None):
+    base = {i: _reference_set(K, i, m) for i in range(1, K + 2)}
+    extended = {i: _reference_set(K, i, m + 1) for i in range(1, K + 2)}
+    betas = beta_three_user() if K == 3 else beta_general(K)
+    check_secondary = K == 3 and beta_override is None
+    if beta_override:
+        betas = {**betas, **dict(beta_override)}
+
+    cardinalities, checks = {}, []
+    exp_base = expected_base_cardinality(K, m)
+    exp_ext = expected_extended_cardinality(K, m)
+    for i in range(1, K + 2):
+        cardinalities[f"T_{i}"] = len(base[i])
+        cardinalities[f"T~_{i}"] = len(extended[i])
+        checks.append(AlignmentCheck(
+            None, f"|T_{i}| == m^{exponent_slots(K)}",
+            "pass" if len(base[i]) == exp_base else "fail",
+            f"{len(base[i])} vs {exp_base}"))
+        checks.append(AlignmentCheck(
+            None, f"|T~_{i}| == (m+1)^{exponent_slots(K)}",
+            "pass" if len(extended[i]) == exp_ext else "fail",
+            f"{len(extended[i])} vs {exp_ext}"))
+        checks.append(AlignmentCheck(
+            None, f"T_{i} subset of T~_{i}",
+            "pass" if base[i] <= extended[i] else "fail"))
+
+    def containment(rx, factor, src, dst, what, tag=""):
+        scaled = frozenset(factor * mono for mono in base[src])
+        ok = scaled <= extended[dst]
+        checks.append(AlignmentCheck(
+            rx, f"rx{rx}: {factor}*T_{src} within T~_{dst} ({what}){tag}",
+            "pass" if ok else "fail",
+            "" if ok else f"{len(scaled - extended[dst])} members escape"))
+
+    receiver_span = {}
+    for l in range(1, K + 1):
+        for k in range(1, K + 1):
+            if k == l:
+                continue
+            for j in message_slots(K, k):
+                containment(l, Monomial.gen(gain_name(k, l)), j, j,
+                            f"message V{k},{j}")
+        for k in range(1, K + 1):
+            containment(l, Monomial.gen(gain_name(k, l)), k, k, f"jamming U{k}")
+        for k in range(1, K + 1):
+            factor = Monomial.gen(gain_name(k, l)) * betas[k]
+            containment(l, factor, k + 1, k + 1, f"jamming U~{k}")
+        if check_secondary:
+            general = beta_general(K)
+            for k in range(1, K + 1):
+                factor = Monomial.gen(gain_name(k, l)) * general[k]
+                containment(l, factor, k + 1, k + 1, f"jamming U~{k}",
+                            tag=" [general beta rule]")
+
+        own = Monomial.gen(gain_name(l, l))
+        slots = message_slots(K, l)
+        desired = {j: frozenset(own * mono for mono in base[j]) for j in slots}
+        for a_idx, ja in enumerate(slots):
+            for jb in slots[a_idx + 1:]:
+                checks.append(AlignmentCheck(
+                    l, f"rx{l}: h_{l}{l}*T_{ja} disjoint from h_{l}{l}*T_{jb}",
+                    "fail" if desired[ja] & desired[jb] else "pass"))
+            for i in range(1, K + 2):
+                checks.append(AlignmentCheck(
+                    l, f"rx{l}: h_{l}{l}*T_{ja} disjoint from T~_{i}",
+                    "fail" if desired[ja] & extended[i] else "pass"))
+        span = set().union(*desired.values(), *extended.values())
+        receiver_span[l] = len(span)
+        checks.append(AlignmentCheck(
+            l, f"rx{l}: span size == {expected_span(K, m)}",
+            "pass" if len(span) == expected_span(K, m) else "fail",
+            f"got {len(span)}"))
+    return AlignmentReport(K, m, cardinalities, receiver_span,
+                           expected_span(K, m), checks)
+
+
+@pytest.mark.parametrize("K,m,override", [
+    (3, 1, None), (3, 2, None), (4, 1, None),
+    (3, 1, {1: Monomial.one()}),
+    (4, 1, {2: Monomial.one()}),
+    (3, 2, {3: Monomial.gen("h_11")}),
+    # a symbol outside the generator order: every member escapes
+    (3, 1, {1: Monomial.gen("x")}),
+    # exponents past the int8 range of the rows: those members escape
+    (3, 1, {2: Monomial.gen("h_12", 200) / Monomial.gen("h_21", 3)}),
+])
+def test_report_matches_string_keyed_reference(K, m, override):
+    got = verify_interference_alignment(K, m, beta_override=override).to_json_dict()
+    want = _reference_verify(K, m, beta_override=override).to_json_dict()
+    assert json.dumps(got) == json.dumps(want)
+
+
+@pytest.mark.parametrize("K,m", [(3, 1), (3, 2)])
+def test_set_members_match_reference(K, m):
+    for family, top in ((build_base_dimension_sets(K, m), m),
+                        (build_extended_dimension_sets(K, m), m + 1)):
+        for i, dset in enumerate(family, start=1):
+            assert dset.members == _reference_set(K, i, top)
+
+
+class TestBudget:
+    def test_four_two_fits(self):
+        assert member_rows(4, 2) == 5 * (2 ** 14 + 3 ** 14) <= MEMBER_ROW_BUDGET
+
+    @pytest.mark.parametrize("build", [verify_interference_alignment,
+                                       build_base_dimension_sets,
+                                       build_extended_dimension_sets])
+    def test_four_three_refused_before_allocation(self, build):
+        started = time.perf_counter()
+        with pytest.raises(CapacityError, match=r"\(4, 3\).*over budget"):
+            build(4, 3)
+        assert time.perf_counter() - started < 0.5

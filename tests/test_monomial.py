@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from sdof.channel import InterferenceModel, sample_channel
 from sdof.interference_sets import build_base_dimension_sets
-from sdof.monomial import Monomial, pairwise_disjoint
+from sdof.monomial import Monomial
 
 exponent_maps = st.dictionaries(
     st.sampled_from(["a", "b", "c", "d"]), st.integers(-4, 4), max_size=4)
@@ -70,9 +70,3 @@ def test_distinct_monomials_separate_numerically():
             vp, vq = p.evaluate(values), q.evaluate(values)
             assert abs(vp - vq) > 1e-12 * max(abs(vp), abs(vq))
 
-
-def test_pairwise_disjoint_helper():
-    a = frozenset({Monomial.gen("x")})
-    b = frozenset({Monomial.gen("y")})
-    assert pairwise_disjoint([a, b])
-    assert not pairwise_disjoint([a, a])
