@@ -58,7 +58,7 @@ class ExperimentConfig:
     grid: tuple[float, ...] = DEFAULT_POWER_GRID
     trials: int = 10000
     realizations: int = 10
-    rank_tol: float = 1e-10
+    rank_tol: float = precoding.DEFAULT_RANK_TOL
     slope_tol: float = 0.0      # 0 -> per-experiment default
     delta: float = 0.05
     P: float = 1e4
@@ -75,31 +75,6 @@ class ExperimentConfig:
 # where the artifacts go; not echoed in the report, which depends only on
 # the experiment's inputs
 _OUTPUT_KEYS = ("out_json", "out_csv", "out_plot")
-
-_FIELD_HELP = {
-    "experiment": "one of: " + ", ".join(sorted(
-        ["helper_fading_mi", "helper_fixed_mc", "interference_fixed_verify",
-         "interference_fading_verify", "interference_fading_mi", "mac_partial",
-         "entropy_bound", "sdof_table", "region"])),
-    "seed": "base random seed (mandatory, >= 0)",
-    "K": "number of users / transmitter-receiver pairs",
-    "M": "number of helpers",
-    "m": "exponent range of the fixed-gain dimension sets",
-    "m_informed": "how many MAC transmitters know the eavesdropper gains",
-    "n": "exponent range of the fading precoders",
-    "grid": "comma-separated power grid, e.g. 1e5,1e6,1e7,1e8",
-    "trials": "Monte Carlo trials per grid point",
-    "realizations": "number of seeded channel realizations",
-    "rank_tol": "relative singular-value threshold for rank checks",
-    "slope_tol": "slope tolerance in d.o.f. units (0 = experiment default)",
-    "delta": "PAM parameter-rule delta in (0, 1)",
-    "P": "power for single-power experiments",
-    "samples": "sampled gains for the entropy-bound sweep",
-    "mutate": "also run the adversarial mutation check (true/false)",
-    "out_json": "structured report path",
-    "out_csv": "tabular results path",
-    "out_plot": "plot-data path (x = half log10 P, y = measured value)",
-}
 
 _EXAMPLE_CONFIG = """\
 experiment = interference_fading_verify
@@ -551,6 +526,29 @@ EXPERIMENTS: dict[str, Callable[[ExperimentConfig], ExperimentResult]] = {
     "entropy_bound": _run_entropy_bound,
     "sdof_table": _run_sdof_table,
     "region": _run_region,
+}
+
+
+_FIELD_HELP = {
+    "experiment": "one of: " + ", ".join(sorted(EXPERIMENTS)),
+    "seed": "base random seed (mandatory, >= 0)",
+    "K": "number of users / transmitter-receiver pairs",
+    "M": "number of helpers",
+    "m": "exponent range of the fixed-gain dimension sets",
+    "m_informed": "how many MAC transmitters know the eavesdropper gains",
+    "n": "exponent range of the fading precoders",
+    "grid": "comma-separated power grid, e.g. 1e5,1e6,1e7,1e8",
+    "trials": "Monte Carlo trials per grid point",
+    "realizations": "number of seeded channel realizations",
+    "rank_tol": "relative singular-value threshold for rank checks",
+    "slope_tol": "slope tolerance in d.o.f. units (0 = experiment default)",
+    "delta": "PAM parameter-rule delta in (0, 1)",
+    "P": "power for single-power experiments",
+    "samples": "sampled gains for the entropy-bound sweep",
+    "mutate": "also run the adversarial mutation check (true/false)",
+    "out_json": "structured report path",
+    "out_csv": "tabular results path",
+    "out_plot": "plot-data path (x = half log10 P, y = measured value)",
 }
 
 

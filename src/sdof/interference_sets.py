@@ -14,7 +14,8 @@ A set is stored as int8 exponent rows over one generator order (the K^2
 gains h_jk, then c_1..c_{K+1}): the image of the integer box {1..top}^s
 under the set's integer pattern matrix, deduplicated and sorted by the rows'
 bytes.  Scaling by a monomial adds one row vector; containment, disjointness
-and union sizes compare whole rows as fixed-width byte strings.
+and union sizes compare whole rows as fixed-width byte strings (the row
+functions of `monomial`, which the fading precoders share).
 """
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import CapacityError, ParameterError
-from .monomial import Monomial
+from .monomial import Monomial, box_image, distinct_rows, find_rows, row_keys
 
 # transmitters are computationally bounded well below 10 (set sizes grow as
 # m^(K(K-1)+2)), so single-digit gain names are unambiguous
@@ -112,43 +113,11 @@ def _pattern_matrix(K: int, i: int, column: Mapping[str, int]) -> np.ndarray:
     return pattern
 
 
-def _box_image(pattern: np.ndarray, top: int) -> np.ndarray:
-    """Rows e @ pattern for every e in {1..top}^s, one free exponent at a time."""
-    # int8 holds every member and its shift by one gain: the budget keeps
-    # top * (largest column weight) far below 127
-    assert np.abs(pattern).sum(axis=0).max() * top + 1 <= 127
-    values = np.arange(1, top + 1, dtype=np.int8)[:, None]
-    width = pattern.shape[1]
-    rows = np.zeros((1, width), np.int8)
-    for step in pattern:
-        rows = (rows[:, None, :] + values * step).reshape(-1, width)
-    return rows
-
-
-def _keys(rows: np.ndarray) -> np.ndarray:
-    """Each int8 row as one fixed-width byte string (a view, no copy)."""
-    rows = np.ascontiguousarray(rows)
-    return rows.view(np.dtype((np.void, rows.shape[1]))).reshape(len(rows))
-
-
-def _distinct(rows: np.ndarray) -> np.ndarray:
-    """The distinct rows, sorted by their bytes."""
-    keys = np.unique(_keys(rows))
-    return keys.view(np.int8).reshape(len(keys), rows.shape[1])
-
-
-def _isin(keys: np.ndarray, sorted_keys: np.ndarray) -> np.ndarray:
-    """Exact membership of each key in a non-empty sorted key array."""
-    idx = np.searchsorted(sorted_keys, keys)
-    idx[idx == len(sorted_keys)] = 0
-    return sorted_keys[idx] == keys
-
-
 def _count_new(keys: np.ndarray, earlier: list[np.ndarray]) -> int:
     """How many of the distinct keys lie in none of the earlier sorted arrays."""
     new = np.ones(len(keys), bool)
     for other in earlier:
-        new &= ~_isin(keys, other)
+        new &= ~find_rows(keys, other)[1]
     return int(new.sum())
 
 
@@ -166,7 +135,7 @@ class DimensionSet:
 
     @property
     def keys(self) -> np.ndarray:
-        return _keys(self.rows)
+        return row_keys(self.rows)
 
     @property
     def members(self) -> frozenset[Monomial]:
@@ -191,7 +160,7 @@ def _build_family(K: int, m: int, top: int, prefix: str) -> list[DimensionSet]:
     generators = _generator_order(K)
     column = {g: c for c, g in enumerate(generators)}
     return [DimensionSet(f"{prefix}_{i}", generators,
-                         _distinct(_box_image(_pattern_matrix(K, i, column), top)))
+                         distinct_rows(box_image(_pattern_matrix(K, i, column), top)))
             for i in range(1, K + 2)]
 
 
@@ -323,12 +292,12 @@ def verify_interference_alignment(K: int, m: int,
             f"{len(extended[i])} vs {exp_ext}"))
         checks.append(AlignmentCheck(
             None, f"{base[i].label} subset of {extended[i].label}",
-            "pass" if _isin(base[i].keys, extended[i].keys).all() else "fail"))
+            "pass" if find_rows(base[i].keys, extended[i].keys)[1].all() else "fail"))
 
     def containment(rx: int, factor: Monomial, src: int, dst: int, what: str,
                     tag: str = "") -> None:
         rows, escaped = base[src].scaled(factor)
-        escaped += int((~_isin(_keys(rows), extended[dst].keys)).sum())
+        escaped += int((~find_rows(row_keys(rows), extended[dst].keys)[1]).sum())
         ok = escaped == 0
         checks.append(AlignmentCheck(
             rx, f"rx{rx}: {factor}*T_{src} within T~_{dst} ({what}){tag}",
@@ -365,17 +334,17 @@ def verify_interference_alignment(K: int, m: int,
         # desired sets: pairwise disjoint and clear of every extended set
         own = Monomial.gen(gain_name(l, l))
         # sorted, so that each can be searched
-        desired = {j: _keys(_distinct(base[j].scaled(own)[0]))
+        desired = {j: row_keys(distinct_rows(base[j].scaled(own)[0]))
                    for j in message_slots(K, l)}
         slots = message_slots(K, l)
         for a_idx, ja in enumerate(slots):
             for jb in slots[a_idx + 1:]:
-                ok = not _isin(desired[ja], desired[jb]).any()
+                ok = not find_rows(desired[ja], desired[jb])[1].any()
                 checks.append(AlignmentCheck(
                     l, f"rx{l}: h_{l}{l}*T_{ja} disjoint from h_{l}{l}*T_{jb}",
                     "pass" if ok else "fail"))
             for i in range(1, K + 2):
-                ok = not _isin(desired[ja], ext_keys[i - 1]).any()
+                ok = not find_rows(desired[ja], ext_keys[i - 1])[1].any()
                 checks.append(AlignmentCheck(
                     l, f"rx{l}: h_{l}{l}*T_{ja} disjoint from T~_{i}",
                     "pass" if ok else "fail"))

@@ -1,16 +1,23 @@
-"""Exact monomial algebra over named generators.
+"""Exact exponent-vector algebra over named generators.
 
 A monomial is a product of generator symbols (channel gains, auxiliary
-constants) raised to integer powers, stored as a canonical zero-free
-exponent map.  Two monomials with different canonical maps are rationally
-independent almost surely when the generators are drawn from continuous
-distributions, so exact map equality is the alignment test used throughout
-the fixed-gain schemes.
+constants) raised to integer powers.  Two monomials with different exponent
+vectors are rationally independent almost surely when the generators are
+drawn from continuous distributions, so exact exponent equality is the
+alignment test of both interference schemes: multiplying by a gain shifts
+the exponent vector, and the shifted set must land inside the extended set.
+
+`Monomial` is the symbolic form, a canonical zero-free exponent map.  Sets
+of monomials over one fixed generator order are int8 exponent rows, one
+row per monomial; the row functions below build them as images of integer
+boxes and compare whole rows as fixed-width byte strings.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Mapping
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -65,3 +72,38 @@ class Monomial:
         for n, e in self.exponents:
             parts.append(n if e == 1 else f"{n}^{e}")
         return "*".join(parts)
+
+
+def box_image(pattern: np.ndarray, top: int) -> np.ndarray:
+    """Rows e @ pattern for every e in {1..top}^s, one free exponent at a
+    time, the first varying slowest (itertools.product order)."""
+    # int8 holds every row and its shift by one generator: callers keep
+    # top * (largest column weight) far below 127
+    assert np.abs(pattern).sum(axis=0).max() * top + 1 <= 127
+    values = np.arange(1, top + 1, dtype=np.int8)[:, None]
+    width = pattern.shape[1]
+    rows = np.zeros((1, width), np.int8)
+    for step in pattern:
+        rows = (rows[:, None, :] + values * step).reshape(-1, width)
+    return rows
+
+
+def row_keys(rows: np.ndarray) -> np.ndarray:
+    """Each int8 row as one fixed-width byte string (a view, no copy)."""
+    rows = np.ascontiguousarray(rows)
+    return rows.view(np.dtype((np.void, rows.shape[1]))).reshape(len(rows))
+
+
+def distinct_rows(rows: np.ndarray) -> np.ndarray:
+    """The distinct rows, sorted by their bytes."""
+    keys = np.unique(row_keys(rows))
+    return keys.view(np.int8).reshape(len(keys), rows.shape[1])
+
+
+def find_rows(keys: np.ndarray, sorted_keys: np.ndarray
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """Position of each key in a non-empty sorted key array, and whether it
+    is there (where it is not, the position is meaningless)."""
+    idx = np.searchsorted(sorted_keys, keys)
+    idx[idx == len(sorted_keys)] = 0
+    return idx, sorted_keys[idx] == keys

@@ -86,6 +86,13 @@ class PamScheme:
 
 def _pam_params(P: float, receive_dim: int, delta: float,
                 peak_sums: list[float]) -> tuple[int, float, float]:
+    """Constellation parameters (Q, a, gamma).
+
+    Q = floor(P^((1-delta)/(2(receive_dim+delta)))), clamped to >= 1, and
+    gamma is the largest constant that keeps every transmitter inside
+    |X| <= sqrt(P): gamma = min over transmitters of 1/peak_sum, where a
+    peak sum adds |coefficient| over the transmitter's streams.
+    """
     if P <= 1:
         raise ParameterError(f"power must exceed 1, got {P}")
     if not (0 < delta < 1):
@@ -95,20 +102,6 @@ def _pam_params(P: float, receive_dim: int, delta: float,
     gamma = min(1.0 / s for s in peak_sums)
     a = gamma * math.sqrt(P) / Q
     return Q, a, gamma
-
-
-def select_pam_params(P: float, M: int, delta: float,
-                      realization: ChannelRealization,
-                      alphas: Mapping[int, float]) -> tuple[int, float, float]:
-    """Constellation parameters (Q, a, gamma) for the helper scheme.
-
-    Q = floor(P^((1-delta)/(2(M+1+delta)))), clamped to >= 1, and gamma is the
-    largest constant that keeps every transmitter inside |X| <= sqrt(P):
-    gamma = min{(1/|h_1| + sum_k |alpha_k|)^-1, |h_2|, ..., |h_{M+1}|}.
-    """
-    peak_sums = [1.0 / abs(realization.h(1)) + sum(abs(alphas[k]) for k in sorted(alphas))]
-    peak_sums += [1.0 / abs(realization.h(j)) for j in range(2, M + 2)]
-    return _pam_params(P, M + 1, delta, peak_sums)
 
 
 def khintchine_groshev_bound(a: float, Q: int, M: int, delta: float,
@@ -142,11 +135,9 @@ def build_helper_scheme(M: int, realization: ChannelRealization,
     for i in range(1, M + 2):
         values[f"h_{i}"] = realization.h(i)
         values[f"g_{i}"] = realization.g(i)
-    alphas: dict[int, float] = {}
     for k in range(2, M + 2):
         rng = substream(realization.seed, TAG_ALPHA, 0, k)
-        alphas[k] = float(realization.distribution.sample(rng))
-        values[f"alpha_{k}"] = alphas[k]
+        values[f"alpha_{k}"] = float(realization.distribution.sample(rng))
 
     message_streams = tuple(f"V{k}" for k in range(2, M + 2))
     jamming_streams = tuple(f"U{j}" for j in range(1, M + 2))
@@ -169,14 +160,14 @@ def build_helper_scheme(M: int, realization: ChannelRealization,
         f"V{k}": Monomial.gen("g_1") * Monomial.gen(f"alpha_{k}") for k in range(2, M + 2)
     })
 
-    Q, a, gamma = select_pam_params(P, M, delta, realization, alphas)
+    # placeholders: with_power derives (Q, a, gamma) from the coefficient tables
     return PamScheme(
         model=realization.model, realization=realization,
-        P=P, delta=delta, Q=Q, a=a, gamma=gamma,
+        P=P, delta=delta, Q=0, a=0.0, gamma=0.0,
         message_streams=message_streams, jamming_streams=jamming_streams,
         owner=owner, tx_coeffs=tx_coeffs, rx_coeffs=rx_coeffs,
         eve_coeffs=eve_coeffs, values=values,
-    )
+    ).with_power(P)
 
 
 def build_partial_csit_fixed(K: int, m_informed: int,
@@ -226,21 +217,14 @@ def build_partial_csit_fixed(K: int, m_informed: int,
             rx_coeffs[s] = tx_coeffs[s] * Monomial.gen(f"h_{i}")
             eve_coeffs[s] = tx_coeffs[s] * Monomial.gen(f"g_{i}")
 
-    dim = m_informed * (K - 1) + 1
-    peak_sums: list[float] = []
-    for tx in range(1, K + 1):
-        total = sum(abs(tx_coeffs[s].evaluate(values))
-                    for s in message_streams + jamming_streams if owner[s] == tx)
-        peak_sums.append(total)
-    Q, a, gamma = _pam_params(P, dim, delta, peak_sums)
-
+    # placeholders: with_power derives (Q, a, gamma) from the coefficient tables
     return PamScheme(
         model=model, realization=realization,
-        P=P, delta=delta, Q=Q, a=a, gamma=gamma,
+        P=P, delta=delta, Q=0, a=0.0, gamma=0.0,
         message_streams=message_streams, jamming_streams=jamming_streams,
         owner=owner, tx_coeffs=tx_coeffs, rx_coeffs=rx_coeffs,
         eve_coeffs=eve_coeffs, values=values,
-    )
+    ).with_power(P)
 
 
 def encode_pam(scheme: PamScheme, symbols: Mapping[str, int]) -> dict[int, float]:

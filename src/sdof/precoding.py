@@ -5,13 +5,13 @@ jams on 1/h_i(t), so all jamming collapses onto the all-ones column at the
 receiver while the eavesdropper's jamming matrix stays full rank; the
 messages fill the other receiver dimensions.  Interference scheme:
 precoder columns are products of commuting diagonal generator matrices
-raised to exponent tuples; multiplying by a generator shifts one exponent,
-which proves column-space containment exactly, column by column.  Ranks
+raised to the int8 exponent rows of `monomial`; multiplying by a generator
+shifts one exponent, which proves column-space containment exactly: the
+shifted rows are found among the extended rows by one key search.  Ranks
 are certified numerically by SVD with a relative threshold.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
@@ -21,7 +21,7 @@ from .channel import (ChannelRealization, HelperModel, InterferenceModel,
                       MacPartialModel, TAG_ALPHA, TAG_SEED_VECTOR, substream)
 from .errors import CapacityError, ModeError, ParameterError
 from .interference_sets import gain_name, message_slots
-from .monomial import Monomial
+from .monomial import Monomial, box_image, find_rows, row_keys
 
 DEFAULT_RANK_TOL = 1e-10
 DEFAULT_PRECODER_BUDGET = 200_000_000  # total matrix entries
@@ -187,7 +187,6 @@ partial_csit_decode = zero_force_decode
 class DiagonalChannelMatrix:
     """A diagonal matrix of per-slot gains, with its exact symbolic identity."""
 
-    label: str
     entries: np.ndarray
     symbol: Monomial
 
@@ -213,7 +212,7 @@ def _diag(realization: ChannelRealization, factors: Sequence[tuple[int, int, int
         series = realization.legit_series(j, k)
         entries = entries * series ** e
         symbol = symbol * Monomial.gen(gain_name(j, k), e)
-    return DiagonalChannelMatrix(label=str(symbol), entries=entries, symbol=symbol)
+    return DiagonalChannelMatrix(entries=entries, symbol=symbol)
 
 
 # Explicit generator table for the 3-user network (one column per alignment
@@ -299,13 +298,15 @@ def build_cj_generators(K: int, realization: ChannelRealization
 
 @dataclass(frozen=True)
 class PrecoderTarget:
-    index: int
+    """Precoders of one alignment target: column c is the target's random
+    seed vector times the product of the generators raised to exponent row
+    c; rows in lexicographic order, which is also the order of their bytes."""
+
     generators: tuple[DiagonalChannelMatrix, ...]
-    w: np.ndarray
     base: np.ndarray      # columns over exponents {1..n}^Gamma
     extended: np.ndarray  # columns over exponents {1..n+1}^Gamma
-    base_exponents: tuple[tuple[int, ...], ...]
-    extended_index: Mapping[tuple[int, ...], int]
+    base_exponents: np.ndarray      # int8, one row per base column
+    extended_exponents: np.ndarray  # int8, one row per extended column
 
 
 @dataclass(frozen=True)
@@ -335,28 +336,6 @@ class PrecoderSet:
     def block_length(self) -> int:
         return interference_slots(self.K, self.n)
 
-    def message_precoder(self, tx: int, slot: int) -> np.ndarray:
-        if slot not in message_slots(self.K, tx):
-            raise ParameterError(f"transmitter {tx} sends no sub-message {slot}")
-        return self.targets[slot].base
-
-    def summary_dict(self) -> dict:
-        return {
-            "K": self.K,
-            "n": self.n,
-            "Gamma": self.gamma,
-            "M_n": self.block_length,
-            "seed": self.seed,
-            "targets": {
-                str(i): {
-                    "generators": len(t.generators),
-                    "base_columns": t.base.shape[1],
-                    "extended_columns": t.extended.shape[1],
-                }
-                for i, t in sorted(self.targets.items())
-            },
-        }
-
 
 def _power_tables(generators: Sequence[DiagonalChannelMatrix], top: int,
                   slots: int) -> list[np.ndarray]:
@@ -371,20 +350,19 @@ def _power_tables(generators: Sequence[DiagonalChannelMatrix], top: int,
 
 
 def _columns(w: np.ndarray, tables: list[np.ndarray],
-             exponents: Sequence[tuple[int, ...]]) -> np.ndarray:
-    cols = np.empty((w.size, len(exponents)))
-    for ci, alpha in enumerate(exponents):
-        col = w.copy()
-        for gi, e in enumerate(alpha):
-            col = col * tables[gi][e]
-        cols[:, ci] = col
+             exponents: np.ndarray) -> np.ndarray:
+    """w times tables[0][e_0] times tables[1][e_1] ..., in that order, for
+    every exponent row e; one column per row."""
+    cols = np.tile(w[:, None], (1, len(exponents)))
+    for gi, table in enumerate(tables):
+        cols *= table.T[:, exponents[:, gi]]
     return cols
 
 
 def build_asymptotic_precoders(K: int, n: int, realization: ChannelRealization,
                                seed: int | None = None,
                                budget: int = DEFAULT_PRECODER_BUDGET) -> PrecoderSet:
-    """Precoder matrices over exponent tuples, columns in lexicographic order."""
+    """Precoder matrices over exponent rows, columns in lexicographic order."""
     if n < 1:
         raise ParameterError(f"n must be >= 1, got {n}")
     gamma = interference_gamma(K)
@@ -400,9 +378,10 @@ def build_asymptotic_precoders(K: int, n: int, realization: ChannelRealization,
         seed = realization.seed
 
     generators = build_cj_generators(K, realization)
-    base_exps = tuple(itertools.product(range(1, n + 1), repeat=gamma))
-    ext_exps = tuple(itertools.product(range(1, n + 2), repeat=gamma))
-    ext_index = {alpha: i for i, alpha in enumerate(ext_exps)}
+    unit = np.eye(gamma, dtype=np.int8)
+    base_exps, ext_exps = box_image(unit, n), box_image(unit, n + 1)
+    for exps in (base_exps, ext_exps):
+        exps.setflags(write=False)
 
     targets: dict[int, PrecoderTarget] = {}
     for idx in range(1, K + 2):
@@ -413,13 +392,11 @@ def build_asymptotic_precoders(K: int, n: int, realization: ChannelRealization,
         ])
         tables = _power_tables(generators[idx], n + 1, m_n)
         targets[idx] = PrecoderTarget(
-            index=idx,
             generators=generators[idx],
-            w=w,
             base=_columns(w, tables, base_exps),
             extended=_columns(w, tables, ext_exps),
             base_exponents=base_exps,
-            extended_index=ext_index,
+            extended_exponents=ext_exps,
         )
 
     qtilde: dict[int, np.ndarray] = {}
@@ -571,13 +548,16 @@ def verify_alignment_equations(pre: PrecoderSet,
 
     Exact: each left-hand column must reappear verbatim (up to float
     round-off of reordered products) among the right-hand columns at the
-    exponent-shifted index.  Numeric: rank([lhs rhs]) == rank(rhs) at tol.
+    exponent-shifted index.  Numeric: rank([lhs rhs]) == rank(rhs) at tol,
+    where rank(rhs) is the rank of the target's extended matrix: the row
+    equilibration of numeric_rank removes the diagonal channel scaling.
     Failures are report content, not exceptions.
     """
     if realization is None:
         realization = pre.realization
     K = pre.K
     equations: dict[tuple[int, Monomial], FadingEquation] = {}
+    rank_of = {idx: numeric_rank(t.extended, tol) for idx, t in pre.targets.items()}
 
     for row in _instance_table(K):
         target = pre.targets[row["target"]]
@@ -599,16 +579,13 @@ def verify_alignment_equations(pre: PrecoderSet,
 
         exact = position is not None
         if exact:
-            shift = np.zeros(len(target.generators), dtype=int)
-            shift[position] = 1
-            for ci, alpha in enumerate(target.base_exponents):
-                key = tuple(np.array(alpha) + shift)
-                qi = target.extended_index.get(key)
-                if qi is None or not np.allclose(lhs[:, ci], rhs[:, qi],
-                                                 rtol=1e-9, atol=0.0):
-                    exact = False
-                    break
-        numeric = numeric_rank(np.hstack([lhs, rhs]), tol) == numeric_rank(rhs, tol)
+            shifted = target.base_exponents.copy()
+            shifted[:, position] += 1
+            idx, found = find_rows(row_keys(shifted),
+                                   row_keys(target.extended_exponents))
+            exact = bool(found.all()) and np.allclose(lhs, rhs[:, idx],
+                                                      rtol=1e-9, atol=0.0)
+        numeric = numeric_rank(np.hstack([lhs, rhs]), tol) == rank_of[row["target"]]
 
         key = (row["target"], gen)
         eq = equations.get(key)

@@ -1,0 +1,45 @@
+"""The benchmark's pinned verdict digests, recomputed in the test suite.
+
+perfbench/verdicts.json pins one SHA-256 per workload over the verdicts of a
+reference unit.  Recomputing them here, by calling perfbench/workloads.py
+directly at full size, makes a change that alters a verdict, or renames a
+library name the workloads call, fail the suite and not only the benchmark
+run.  Nothing under perfbench/ is written.
+"""
+import importlib.util
+import json
+import os
+import sys
+
+import pytest
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                         "perfbench")
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", os.path.join(PERFBENCH, f"{name}.py"))
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
+
+
+workloads = _load("workloads")
+tracing = _load("tracing")
+
+with open(os.path.join(PERFBENCH, "verdicts.json"), encoding="utf-8") as fh:
+    PINNED = json.load(fh)
+
+
+# the seeds are the reference units the pins name: the warm-up seed of a
+# seeded workload, any seed for fixed_verify, whose inputs carry none
+@pytest.mark.parametrize("name, seed", [("fading_verify", 1), ("fixed_verify", 0),
+                                        ("slopes", 8)])
+def test_pinned_verdict_digest(name, seed):
+    workload = workloads.WORKLOADS[name]
+    assert workload.warmup_seed in (seed, None)
+    result = workload.unit(tracing.Tracer(), seed, workloads.FULL, False)
+    assert result.problems == []
+    assert workloads.verdict_sha256(result.verdict) == PINNED[name]["sha256"]

@@ -1,11 +1,13 @@
 import itertools
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sdof.channel import InterferenceModel, sample_channel
 from sdof.interference_sets import build_base_dimension_sets
-from sdof.monomial import Monomial
+from sdof.monomial import Monomial, box_image, distinct_rows, find_rows, row_keys
 
 exponent_maps = st.dictionaries(
     st.sampled_from(["a", "b", "c", "d"]), st.integers(-4, 4), max_size=4)
@@ -70,3 +72,21 @@ def test_distinct_monomials_separate_numerically():
             vp, vq = p.evaluate(values), q.evaluate(values)
             assert abs(vp - vq) > 1e-12 * max(abs(vp), abs(vq))
 
+
+
+@pytest.mark.parametrize("gamma, top", [(1, 3), (4, 3), (9, 2)])
+def test_unit_box_image_is_product_order_and_byte_sorted(gamma, top):
+    # the fading precoders rely on this order for their columns
+    rows = box_image(np.eye(gamma, dtype=np.int8), top)
+    assert rows.dtype == np.int8
+    assert [tuple(r) for r in rows.tolist()] \
+        == list(itertools.product(range(1, top + 1), repeat=gamma))
+    assert np.array_equal(distinct_rows(rows), rows)
+
+
+def test_find_rows_positions_and_membership():
+    table = distinct_rows(np.array([[1, 2], [0, 5], [1, 2], [3, -1]], np.int8))
+    probe = np.array([[3, -1], [0, 5], [9, 9], [-9, 0]], np.int8)
+    idx, found = find_rows(row_keys(probe), row_keys(table))
+    assert found.tolist() == [True, True, False, False]
+    assert table[idx[:2]].tolist() == [[3, -1], [0, 5]]

@@ -12,7 +12,7 @@ from sdof.errors import CapacityError, EncodingError, ModeError, ParameterError
 from sdof.monomial import Monomial
 from sdof.pam import (build_helper_scheme, build_partial_csit_fixed,
                       decode_nearest_point, encode_pam, khintchine_groshev_bound,
-                      receive_decode_table, receive_value, select_pam_params)
+                      receive_decode_table, receive_value)
 
 
 @pytest.fixture
@@ -59,15 +59,15 @@ class TestParameterRule:
     def test_frozen_q_value(self):
         # floor(10^(6 * 0.95 / 4.1)) = floor(24.56...) = 24
         r = sample_channel(HelperModel(1), fixed=True, seed=3)
-        alphas = {2: 0.7}
-        Q, a, gamma = select_pam_params(1e6, 1, 0.05, r, alphas)
-        assert Q == 24
-        assert a == pytest.approx(gamma * 1000.0 / 24)
+        s = build_helper_scheme(1, r, P=1e6, delta=0.05)
+        assert s.Q == 24
+        assert s.a == pytest.approx(s.gamma * 1000.0 / 24)
 
     def test_delta_near_one_clamps_q(self):
         r = sample_channel(HelperModel(1), fixed=True, seed=3)
-        Q, _, _ = select_pam_params(1e6, 1, 0.999, r, {2: 0.7})
-        assert Q == 1
+        assert build_helper_scheme(1, r, P=1e6, delta=0.999).Q == 1
+        r = sample_channel(MacPartialModel(3, 2), fixed=True, seed=6)
+        assert build_partial_csit_fixed(3, 2, r, P=1e6, delta=0.999).Q == 1
 
     def test_gamma_matches_power_rule(self, helper1):
         r = helper1.realization
@@ -85,7 +85,24 @@ class TestParameterRule:
     def test_power_must_exceed_one(self):
         r = sample_channel(HelperModel(1), fixed=True, seed=3)
         with pytest.raises(ParameterError):
-            select_pam_params(0.5, 1, 0.05, r, {2: 0.7})
+            build_helper_scheme(1, r, P=0.5, delta=0.05)
+        r = sample_channel(MacPartialModel(3, 2), fixed=True, seed=6)
+        with pytest.raises(ParameterError):
+            build_partial_csit_fixed(3, 2, r, P=0.5, delta=0.05)
+
+    @pytest.mark.parametrize("model", [HelperModel(M) for M in range(4)]
+                             + [MacPartialModel(3, m) for m in (1, 2, 3)]
+                             + [MacPartialModel(4, 2)])
+    def test_builder_parameters_equal_with_power_bitwise(self, model):
+        # one peak-power rule: what a builder picks at P is exactly what
+        # with_power re-derives at P, from any other power
+        build = (build_helper_scheme if isinstance(model, HelperModel)
+                 else build_partial_csit_fixed)
+        for seed in range(20):
+            r = sample_channel(model, fixed=True, seed=seed)
+            s = build(*model.params().values(), r, P=1e6, delta=0.05)
+            again = s.with_power(1e9).with_power(1e6)
+            assert (again.Q, again.a, again.gamma) == (s.Q, s.a, s.gamma)
 
 
 class TestMinDistanceBound:

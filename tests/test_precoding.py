@@ -1,10 +1,14 @@
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
 
+from sdof import precoding
 from sdof.channel import (TAG_ALPHA, HelperModel, InterferenceModel,
                           MacPartialModel, sample_channel, substream)
-from sdof.errors import CapacityError, ModeError, ParameterError
-from sdof.monomial import Monomial
+from sdof.errors import CapacityError, ModeError
+from sdof.monomial import Monomial, find_rows, row_keys
 from sdof.precoding import (build_asymptotic_precoders, build_cj_generators,
                             build_helper_fading, build_partial_csit_fading,
                             _general_generator_factors, _THREE_USER_GENERATORS,
@@ -139,6 +143,18 @@ class TestGenerators:
                 assert np.array_equal(a.entries * b.entries, b.entries * a.entries)
 
 
+def _shifted_columns(target, pos, n):
+    """Extended column of every base exponent row shifted by one at pos,
+    found by key search and checked against itertools.product order."""
+    shifted = target.base_exponents.copy()
+    shifted[:, pos] += 1
+    idx, found = find_rows(row_keys(shifted), row_keys(target.extended_exponents))
+    assert found.all()
+    order = list(itertools.product(range(1, n + 2), repeat=shifted.shape[1]))
+    assert [order[i] for i in idx] == [tuple(r) for r in shifted.tolist()]
+    return idx
+
+
 class TestPrecoders:
     def test_shapes_n1(self, precoders_n1):
         assert precoders_n1.gamma == 4
@@ -150,20 +166,26 @@ class TestPrecoders:
         assert interference_slots(3, 2) == 2 * 16 + 4 * 81 == 356
 
     def test_column_exponent_bijection(self, precoders_n1):
+        # one distinct int8 row per column, in itertools.product order, which
+        # is also the order of the rows' bytes
         t = precoders_n1.targets[2]
-        assert len(set(t.base_exponents)) == t.base.shape[1]
-        assert len(t.extended_index) == t.extended.shape[1] == 16
+        for rows, top, matrix in ((t.base_exponents, 1, t.base),
+                                  (t.extended_exponents, 2, t.extended)):
+            assert rows.dtype == np.int8
+            assert len(rows) == matrix.shape[1]
+            assert [tuple(r) for r in rows.tolist()] \
+                == list(itertools.product(range(1, top + 1), repeat=4))
+            keys = row_keys(rows)
+            assert np.array_equal(np.unique(keys), keys)
+        assert t.extended.shape[1] == 16
 
     def test_exponent_shift_containment_is_exact(self, precoders_n1):
         # T * (column at alpha) must equal the extended column at alpha + e_T
         for t in precoders_n1.targets.values():
             for pos, gen in enumerate(t.generators):
-                for ci, alpha in enumerate(t.base_exponents):
-                    shifted = list(alpha)
-                    shifted[pos] += 1
-                    qi = t.extended_index[tuple(shifted)]
-                    lhs = gen.entries * t.base[:, ci]
-                    assert np.allclose(lhs, t.extended[:, qi], rtol=1e-10)
+                idx = _shifted_columns(t, pos, precoders_n1.n)
+                assert np.allclose(gen.entries[:, None] * t.base, t.extended[:, idx],
+                                   rtol=1e-10)
 
     def test_slot_count_enforced(self):
         r = sample_channel(InterferenceModel(3), fixed=False, slots=10, seed=1)
@@ -175,16 +197,6 @@ class TestPrecoders:
         for i in range(1, 5):
             assert np.array_equal(again.targets[i].extended,
                                   precoders_n1.targets[i].extended)
-
-    def test_message_precoder_assignment(self, precoders_n1):
-        assert precoders_n1.message_precoder(2, 1) is precoders_n1.targets[1].base
-        with pytest.raises(ParameterError):
-            precoders_n1.message_precoder(2, 3)
-
-    def test_summary(self, precoders_n1):
-        doc = precoders_n1.summary_dict()
-        assert doc["M_n"] == 66 and doc["Gamma"] == 4
-        assert doc["targets"]["1"]["extended_columns"] == 16
 
     def test_memory_budget(self, precoders_n1):
         with pytest.raises(CapacityError):
@@ -224,6 +236,37 @@ class TestAlignmentVerification:
         assert {t for t, _ in failed} == {2}
         assert len(failed) == 3
 
+    def test_swapped_extended_columns_fail_exact_not_numeric(self):
+        # the swap keeps the span, so only the exact check can see it; at
+        # n = 2 every shift by one generator lands on exponent row (2,2,2,2)
+        slots = interference_slots(3, 2)
+        r = sample_channel(InterferenceModel(3), fixed=False, slots=slots, seed=1)
+        pre = build_asymptotic_precoders(3, 2, r)
+        t = pre.targets[2]
+        a = [tuple(e) for e in t.extended_exponents.tolist()].index((2, 2, 2, 2))
+        swapped = t.extended.copy()
+        swapped[:, [0, a]] = swapped[:, [a, 0]]
+        broken = dataclasses.replace(
+            pre, targets={**pre.targets, 2: dataclasses.replace(t, extended=swapped)})
+        assert verify_alignment_equations(pre).ok
+        report = verify_alignment_equations(broken)
+        for eq in report.equations:
+            assert eq.numeric_ok
+            assert eq.exact_ok == (eq.target != 2)
+            assert eq.target != 2 or not any(i.exact for i in eq.instances)
+
+    def test_one_rank_per_target(self, precoders_n1, monkeypatch):
+        calls = []
+
+        def counting_rank(A, *args, **kwargs):
+            calls.append(A.shape)
+            return numeric_rank(A, *args, **kwargs)
+
+        monkeypatch.setattr(precoding, "numeric_rank", counting_rank)
+        assert verify_alignment_equations(precoders_n1).ok
+        # 4 target ranks plus one rank of [lhs rhs] per instance
+        assert len(calls) == 4 + 18
+
     def test_report_serializes(self, precoders_n1):
         doc = verify_alignment_equations(precoders_n1).to_json_dict()
         assert doc["total"] == 16 and doc["pass_count"] == 16 and doc["all_pass"]
@@ -240,12 +283,9 @@ class TestGeneralK:
         assert pre.targets[1].base.shape == (2563, 1)
         assert pre.targets[1].extended.shape == (2563, 512)
         t = pre.targets[2]
-        alpha = t.base_exponents[0]
         for pos, gen in enumerate(t.generators):
-            shifted = list(alpha)
-            shifted[pos] += 1
-            qi = t.extended_index[tuple(shifted)]
-            assert np.allclose(gen.entries * t.base[:, 0], t.extended[:, qi],
+            idx = _shifted_columns(t, pos, pre.n)
+            assert np.allclose(gen.entries[:, None] * t.base, t.extended[:, idx],
                                rtol=1e-10)
 
     def test_four_user_derived_jamming_assignments(self):
