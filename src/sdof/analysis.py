@@ -15,7 +15,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .channel import (HelperModel, InterferenceModel, MacModel,
-                      MacPartialModel, TAG_TRIAL, substream)
+                      MacPartialModel, TAG_TRIAL, key_grid, keyed_states, set_stream)
 from .errors import ParameterError
 from .pam import PamScheme, decode_indices, receive_decode_table
 from .precoding import (MixingScheme, PrecoderSet,
@@ -354,9 +354,13 @@ def monte_carlo_error_rate(scheme: PamScheme, P: float | None = None,
     n_jam = len(scheme.jamming_streams)
     uniforms = np.empty((trials, n_msg + n_jam))
     noise = np.empty(trials)
-    for t in range(trials):
-        rng = substream(seed, TAG_TRIAL, t)
-        uniforms[t] = rng.random(n_msg + n_jam)
+    # one generator, put at the start of each trial's keyed stream in turn;
+    # the normal draw stays numpy's ziggurat
+    bit_generator = np.random.PCG64()
+    rng = np.random.Generator(bit_generator)
+    for t, (state, inc) in enumerate(keyed_states((seed, TAG_TRIAL), key_grid(range(trials)))):
+        set_stream(bit_generator, state, inc)
+        rng.random(out=uniforms[t])
         noise[t] = rng.standard_normal()
 
     Q = scheme.Q

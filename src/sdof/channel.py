@@ -5,15 +5,23 @@ K-user multiple access wiretap channel (optionally with a subset of
 "informed" transmitters that know the eavesdropper gains), and a K-user
 interference channel with an external eavesdropper.  Gains are drawn from a
 continuous distribution with bounded support, bounded away from zero, either
-once (fixed mode) or i.i.d. per slot (fading mode).  Every draw comes from
-its own seeded substream, so regeneration is reproducible bit-for-bit and
-independent of evaluation order.
+once (fixed mode) or i.i.d. per slot (fading mode).
+
+Every random draw in the package is keyed by an integer tuple (seed, tag,
+*indices), and one keyed schedule maps each key to its stream: the PCG64
+stream that numpy's ``PCG64(SeedSequence(key))`` starts, bit for bit.
+``keyed_states`` computes the starting states of many keys in batches (the
+SeedSequence entropy hash vectorized over the keys), ``keyed_gains`` turns
+them into gains without building a generator per draw, and ``substream`` is
+the one-key view.  Regeneration is therefore reproducible bit for bit and
+independent of evaluation order and batching.
 """
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
-from typing import Mapping, Union
+from typing import Iterator, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -29,12 +37,127 @@ TAG_SEED_VECTOR = 4
 TAG_TRIAL = 5
 TAG_SAMPLE = 6
 
+# numpy's SeedSequence: a pool of 4 uint32 words, filled by hashmix/mix and
+# read out by generate_state; then PCG64's seeding step (O'Neill's
+# pcg_setseq_128_srandom_r) and its 128-bit LCG multiplier.
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = 16
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK64, _MASK128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+# Keys hashed per batch: bounds the temporaries whatever the number of keys.
+_CHUNK = 1024
+
+
+def _key_words(k: int) -> list[int]:
+    """numpy's split of a non-negative int into little-endian uint32 words."""
+    words = []
+    while True:
+        words.append(k & _MASK32)
+        k >>= 32
+        if not k:
+            return words
+
+
+def _hash_steps(h: int, mult: int) -> Iterator[tuple[int, int]]:
+    """(xor, multiplier) of each successive hash step: the running hash
+    constant before and after its update."""
+    while True:
+        nxt = h * mult & _MASK32
+        yield h, nxt
+        h = nxt
+
+
+def _hashmix(value: np.ndarray, step: tuple[int, int]) -> np.ndarray:
+    xor, mult = step
+    value = (value ^ xor) * mult
+    return value ^ (value >> _XSHIFT)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = _MIX_MULT_L * x - _MIX_MULT_R * y
+    return result ^ (result >> _XSHIFT)
+
+
+def _seed_chunk(head: list[int], rows: np.ndarray) -> Iterator[tuple[int, int]]:
+    """PCG64 (state, inc) of the keys head + row, one per row of a uint32 chunk."""
+    n = len(rows)
+    entropy = [np.full(n, w, np.uint32) for w in head] + list(rows.T)
+    steps = _hash_steps(_INIT_A, _MULT_A)
+    zero = np.zeros(n, np.uint32)
+    pool = [_hashmix(entropy[i] if i < len(entropy) else zero, next(steps))
+            for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], next(steps)))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], _hashmix(word, next(steps)))
+    # generate_state(4, uint64): 8 words cycling over the pool, paired
+    # little-endian into (seed high, seed low, inc high, inc low)
+    steps = _hash_steps(_INIT_B, _MULT_B)
+    out = [_hashmix(pool[i % _POOL_SIZE], next(steps)).astype(np.uint64) for i in range(8)]
+    halves = [(out[2 * j] | out[2 * j + 1] << 32).tolist() for j in range(4)]
+    for seed_hi, seed_lo, seq_hi, seq_lo in zip(*halves):
+        inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK128
+        yield ((inc + (seed_hi << 64 | seed_lo)) * _PCG64_MULT + inc) & _MASK128, inc
+
+
+def keyed_states(prefix: Sequence[int], rows) -> Iterator[tuple[int, int]]:
+    """PCG64 (state, inc) of every key ``(*prefix, *row)``, in row order.
+
+    Each pair is what ``PCG64(SeedSequence((*prefix, *row)))`` holds after
+    seeding.  The shared prefix may hold any non-negative ints; ``rows`` is
+    a 2-D integer array whose entries must lie in [0, 2**32).  Keys are
+    hashed in batches of ``_CHUNK`` rows as they are consumed.
+    """
+    head = []
+    for k in prefix:
+        k = operator.index(k)
+        if k < 0:
+            raise ParameterError(f"stream key must be non-negative integers, got {tuple(prefix)}")
+        head += _key_words(k)
+    rows = np.asarray(rows)
+    if rows.ndim != 2 or rows.dtype.kind not in "iu":
+        raise ParameterError(f"stream key rows must be a 2-D integer array, got {rows.dtype} "
+                             f"of shape {rows.shape}")
+    if rows.size and (rows.min() < 0 or rows.max() > _MASK32):
+        raise ParameterError("stream key rows must lie in [0, 2**32)")
+    return (pair for start in range(0, len(rows), _CHUNK)
+            for pair in _seed_chunk(head, rows[start:start + _CHUNK].astype(np.uint32)))
+
+
+def key_grid(*axes) -> np.ndarray:
+    """Key rows of the Cartesian product of the axes, the last axis fastest."""
+    mesh = np.meshgrid(*(np.asarray(a, dtype=np.int64) for a in axes), indexing="ij", copy=False)
+    return np.stack(mesh, axis=-1).reshape(-1, len(axes))
+
+
+def _pcg64_outputs(state: int, inc: int, count: int) -> list[int]:
+    """The first ``count`` 64-bit outputs of PCG64 (step, then XSL-RR)."""
+    out = []
+    for _ in range(count):
+        state = (state * _PCG64_MULT + inc) & _MASK128
+        x, rot = ((state >> 64) ^ state) & _MASK64, state >> 122
+        out.append((x >> rot | x << (64 - rot)) & _MASK64)
+    return out
+
+
+def set_stream(bit_generator: np.random.PCG64, state: int, inc: int) -> None:
+    """Put a PCG64 bit generator at the start of the stream (state, inc)."""
+    bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                           "has_uint32": 0, "uinteger": 0}
+
 
 def substream(*key: int) -> np.random.Generator:
-    """Independent generator for an integer key tuple."""
-    if any(k < 0 for k in key):
-        raise ParameterError(f"substream key must be non-negative integers, got {key}")
-    return np.random.default_rng(np.random.SeedSequence(key))
+    """Generator at the start of the stream of one integer key."""
+    (state, inc), = keyed_states(key, np.empty((1, 0), np.int64))
+    bit_generator = np.random.PCG64()
+    set_stream(bit_generator, state, inc)
+    return np.random.Generator(bit_generator)
 
 
 @dataclass(frozen=True)
@@ -59,7 +182,10 @@ class GainDistribution:
             )
 
     def sample(self, rng: np.random.Generator, size: int | None = None):
-        """Draw gains; scalar when size is None, else an ndarray."""
+        """Draw gains; scalar when size is None, else an ndarray.
+
+        The scalar draw is the reference that ``keyed_gains`` reproduces.
+        """
         magnitude = rng.uniform(self.magnitude_low, self.magnitude_high, size)
         if not self.sign_symmetric:
             return magnitude
@@ -90,6 +216,26 @@ class GainDistribution:
             magnitude_high=float(doc["magnitude_high"]),
             sign_symmetric=bool(doc["sign_symmetric"]),
         )
+
+
+def keyed_gains(distribution: GainDistribution, prefix: Sequence[int], rows) -> np.ndarray:
+    """``float(distribution.sample(substream(*prefix, *row)))`` for every row,
+    bit for bit, as one float64 array and without a generator per draw.
+
+    ``Generator.uniform`` is ``low + (high - low) * ((r0 >> 11) * 2**-53)`` on
+    the stream's first output r0.  ``Generator.integers(0, 2)`` is Lemire's
+    method on the low 32 bits of the second output r1 with threshold 0, that
+    is bit 31 of r1; it is drawn only for a sign-symmetric law.
+    """
+    draws = 2 if distribution.sign_symmetric else 1
+    raw = np.array([_pcg64_outputs(state, inc, draws)
+                    for state, inc in keyed_states(prefix, rows)],
+                   dtype=np.uint64).reshape(-1, draws)
+    low, high = distribution.magnitude_low, distribution.magnitude_high
+    gains = low + (high - low) * ((raw[:, 0] >> 11) * 2.0 ** -53)
+    if distribution.sign_symmetric:
+        gains = np.where((raw[:, 1] >> 31 & 1).astype(bool), gains, -gains)
+    return gains
 
 
 @dataclass(frozen=True)
@@ -320,9 +466,9 @@ def sample_channel(model: Model,
     """Draw a channel realization.
 
     In fading mode every (link, t) gets an independent draw; in fixed mode a
-    single per-link draw is replicated across slots.  Each draw uses the
-    substream (seed, tag, tx, rx, t), so the result does not depend on
-    generation order.
+    single per-link draw is replicated across slots.  Each draw is keyed by
+    (seed, tag, tx, rx, t) with t = 0 in fixed mode (rx = 0 toward the
+    eavesdropper), so the result does not depend on generation order.
     """
     if distribution is None:
         distribution = GainDistribution()
@@ -333,19 +479,21 @@ def sample_channel(model: Model,
     if noise_variance <= 0:
         raise ParameterError(f"noise variance must be > 0, got {noise_variance}")
 
-    legit: dict[tuple[int, int, int], float] = {}
-    for tx, rx in legit_links(model):
-        for t in range(1, slots + 1):
-            t_key = 0 if fixed else t
-            rng = substream(seed, TAG_LEGIT, tx, rx, t_key)
-            legit[(tx, rx, t)] = float(distribution.sample(rng))
+    t_keys = [0] if fixed else range(1, slots + 1)
 
-    eve: dict[tuple[int, int], float] = {}
-    for tx in model.transmitters:
-        for t in range(1, slots + 1):
-            t_key = 0 if fixed else t
-            rng = substream(seed, TAG_EVE, tx, 0, t_key)
-            eve[(tx, t)] = float(distribution.sample(rng))
+    def per_slot(tag: int, links: list[tuple[int, int]]) -> list[list[float]]:
+        """Gains in slots 1..slots of each (tx, rx) link, keyed (seed, tag, tx, rx, t_key)."""
+        index = key_grid(range(len(links)), t_keys)
+        rows = np.column_stack([np.array(links)[index[:, 0]], index[:, 1]])
+        draws = keyed_gains(distribution, (seed, tag), rows).reshape(len(links), len(t_keys))
+        return [d * slots if fixed else d for d in draws.tolist()]
+
+    links = legit_links(model)
+    legit = {(tx, rx, t): v for (tx, rx), gains in zip(links, per_slot(TAG_LEGIT, links))
+             for t, v in enumerate(gains, 1)}
+    eve_links = [(tx, 0) for tx in model.transmitters]
+    eve = {(tx, t): v for (tx, _), gains in zip(eve_links, per_slot(TAG_EVE, eve_links))
+           for t, v in enumerate(gains, 1)}
 
     realization = ChannelRealization(
         model=model,

@@ -26,7 +26,7 @@ import numpy as np
 from . import analysis, converse, interference_sets, pam, precoding
 from .analysis import DEFAULT_POWER_GRID, slope_fit_grid
 from .channel import (GainDistribution, HelperModel, InterferenceModel,
-                      MacModel, MacPartialModel, sample_channel)
+                      MacModel, MacPartialModel, sample_channel, substream)
 from .errors import SdofError, UsageError
 from .monomial import Monomial
 
@@ -411,7 +411,7 @@ def _run_mac_partial(cfg: ExperimentConfig) -> ExperimentResult:
                             seed=cfg.seed)
     scheme = precoding.build_partial_csit_fading(K, m, fading)
 
-    rng = np.random.default_rng(cfg.seed)
+    rng = substream(cfg.seed)
     v = rng.uniform(-1.0, 1.0, m * (K - 1))
     u = rng.uniform(-1.0, 1.0, K)
     y = scheme.A_V @ v + scheme.A_U @ u

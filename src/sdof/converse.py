@@ -16,7 +16,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .channel import ChannelRealization, GainDistribution, InterferenceModel, substream, TAG_SAMPLE
+from .channel import (ChannelRealization, GainDistribution, InterferenceModel, TAG_SAMPLE,
+                      key_grid, keyed_gains)
 from .errors import CapacityError, ParameterError
 
 DEFAULT_ENUMERATION_BUDGET = 1_000_000
@@ -182,11 +183,8 @@ def floor_entropy_sweep(distribution: GainDistribution, P: float,
     per-sample bound plus the averaged one."""
     if samples < 0:
         raise ParameterError("samples must be >= 0")
-    reports: list[QuantizerEntropyReport] = []
-    for i in range(samples):
-        rng = substream(seed, TAG_SAMPLE, i)
-        h = float(distribution.sample(rng))
-        reports.append(floor_conditional_entropy(h, P, budget=budget))
+    gains = keyed_gains(distribution, (seed, TAG_SAMPLE), key_grid(range(samples)))
+    reports = [floor_conditional_entropy(h, P, budget=budget) for h in gains.tolist()]
     violations = sum(1 for r in reports if not r.ok)
     mean_entropy = (sum(r.entropy_nats for r in reports) / samples) if samples else None
     mean_bound = (sum(r.bound_nats for r in reports) / samples) if samples else None

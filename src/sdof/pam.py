@@ -16,7 +16,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .channel import ChannelRealization, HelperModel, MacPartialModel, TAG_ALPHA, substream
+from .channel import (ChannelRealization, HelperModel, MacPartialModel, TAG_ALPHA, key_grid,
+                      keyed_gains)
 from .errors import CapacityError, EncodingError, ModeError, ParameterError
 from .monomial import Monomial
 
@@ -135,9 +136,10 @@ def build_helper_scheme(M: int, realization: ChannelRealization,
     for i in range(1, M + 2):
         values[f"h_{i}"] = realization.h(i)
         values[f"g_{i}"] = realization.g(i)
-    for k in range(2, M + 2):
-        rng = substream(realization.seed, TAG_ALPHA, 0, k)
-        values[f"alpha_{k}"] = float(realization.distribution.sample(rng))
+    alphas = keyed_gains(realization.distribution, (realization.seed, TAG_ALPHA, 0),
+                         key_grid(range(2, M + 2)))
+    for k, alpha in enumerate(alphas.tolist(), 2):
+        values[f"alpha_{k}"] = alpha
 
     message_streams = tuple(f"V{k}" for k in range(2, M + 2))
     jamming_streams = tuple(f"U{j}" for j in range(1, M + 2))

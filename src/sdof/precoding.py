@@ -18,7 +18,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .channel import (ChannelRealization, HelperModel, InterferenceModel,
-                      MacPartialModel, TAG_ALPHA, TAG_SEED_VECTOR, substream)
+                      MacPartialModel, TAG_ALPHA, TAG_SEED_VECTOR, key_grid,
+                      keyed_gains, substream)
 from .errors import CapacityError, ModeError, ParameterError
 from .interference_sets import gain_name, message_slots
 from .monomial import Monomial, box_image, find_rows, row_keys
@@ -118,12 +119,8 @@ def build_helper_fading(M: int, realization: ChannelRealization,
     slots = M + 1
     H, G = _gain_tables(realization, M + 1, slots)
     for attempt in range(1, max_retries + 1):
-        alphas = np.array([
-            [float(realization.distribution.sample(
-                substream(realization.seed, TAG_ALPHA, attempt, k, t)))
-             for t in range(1, slots + 1)]
-            for k in range(2, M + 2)
-        ]).reshape(M, slots)
+        alphas = keyed_gains(realization.distribution, (realization.seed, TAG_ALPHA, attempt),
+                             key_grid(range(2, M + 2), range(1, slots + 1))).reshape(M, slots)
         # rows: the aggregate-jamming row (all ones), then one row per message
         if numeric_rank(np.vstack([np.ones(slots), alphas * H[:, 0]]),
                         rank_tol) == M + 1:
@@ -383,13 +380,10 @@ def build_asymptotic_precoders(K: int, n: int, realization: ChannelRealization,
     for exps in (base_exps, ext_exps):
         exps.setflags(write=False)
 
+    seed_vectors = keyed_gains(realization.distribution, (seed, TAG_SEED_VECTOR),
+                               key_grid(range(1, K + 2), range(1, m_n + 1))).reshape(K + 1, m_n)
     targets: dict[int, PrecoderTarget] = {}
-    for idx in range(1, K + 2):
-        w = np.array([
-            float(realization.distribution.sample(
-                substream(seed, TAG_SEED_VECTOR, idx, t)))
-            for t in range(1, m_n + 1)
-        ])
+    for idx, w in enumerate(seed_vectors, 1):
         tables = _power_tables(generators[idx], n + 1, m_n)
         targets[idx] = PrecoderTarget(
             generators=generators[idx],

@@ -174,3 +174,16 @@ def test_worker_count_env(monkeypatch):
     monkeypatch.setenv("SDOF_THREADS", "zebra")
     with pytest.raises(UsageError):
         worker_count()
+
+
+def test_fading_verify_outputs_independent_of_thread_count(tmp_path, monkeypatch):
+    name = "interference_fading_verify"
+    outputs = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("SDOF_THREADS", threads)
+        cfg = fast_config(name, tmp_path, tag=f"_t{threads}")
+        cfg.realizations = 4
+        assert run(cfg) == 0
+        outputs.append([(tmp_path / f"{name}_t{threads}{suffix}").read_bytes()
+                        for suffix in (".json", ".csv", "_plot.csv")])
+    assert outputs[0] == outputs[1]

@@ -6,7 +6,7 @@ import pytest
 
 from sdof import precoding
 from sdof.channel import (TAG_ALPHA, HelperModel, InterferenceModel,
-                          MacPartialModel, sample_channel, substream)
+                          MacPartialModel, sample_channel)
 from sdof.errors import CapacityError, ModeError
 from sdof.monomial import Monomial, find_rows, row_keys
 from sdof.precoding import (build_asymptotic_precoders, build_cj_generators,
@@ -357,12 +357,14 @@ class TestPartialCsitFading:
 
 def _reference_helper(M, r):
     """Per-slot loop construction of the helper matrices, the reference for
-    the array expressions of build_helper_fading."""
+    the array expressions of build_helper_fading; each alpha from its own
+    numpy SeedSequence generator."""
     slots = M + 1
     h1 = np.array([r.h(1, 1, t) for t in range(1, slots + 1)])
     for attempt in range(1, 101):
         alphas = np.array([
-            [float(r.distribution.sample(substream(r.seed, TAG_ALPHA, attempt, k, t)))
+            [float(r.distribution.sample(np.random.default_rng(
+                np.random.SeedSequence((r.seed, TAG_ALPHA, attempt, k, t)))))
              for t in range(1, slots + 1)]
             for k in range(2, M + 2)
         ]).reshape(M, slots)
