@@ -69,12 +69,6 @@ class SlopeReport:
             doc["target"] = str(self.target)
         return doc
 
-    def to_csv(self) -> str:
-        lines = ["P,value_nats,half_log_P"]
-        for p, v in zip(self.grid, self.values):
-            lines.append(f"{p:.17g},{v:.17g},{0.5 * math.log(p):.17g}")
-        return "\n".join(lines) + "\n"
-
 
 def fit_dof_slope(grid: Sequence[float], values: Sequence[float],
                   target: Fraction | None = None) -> SlopeReport:
@@ -235,13 +229,14 @@ class MutualInformationReport:
     leak: float               # I(all messages; eavesdropper observation), nats
 
 
-def scheme_mutual_information(scheme, P: float,
-                              sigma2: float = 1.0) -> MutualInformationReport:
-    """I(V; Y) per legitimate receiver and I(V; Z), with Gaussian inputs.
+def scheme_mutual_information(scheme, P: float) -> MutualInformationReport:
+    """I(V; Y) per legitimate receiver and I(V; Z), with Gaussian inputs and
+    the noise variance of the scheme's realization.
 
     Conditional entropies keep only the jamming part of the mixing; the
     difference of log-dets is exact at each P.
     """
+    sigma2 = scheme.realization.noise_variance
     if isinstance(scheme, MixingScheme):
         full = np.hstack([scheme.A_V, scheme.A_U])
         legit = gaussian_entropy(full, P, sigma2) - gaussian_entropy(scheme.A_U, P, sigma2)
@@ -327,29 +322,25 @@ def _stream_mutual_information(v: np.ndarray, v_hat: np.ndarray) -> float:
 
 
 def monte_carlo_error_rate(scheme: PamScheme, P: float | None = None,
-                           trials: int = 10_000, seed: int = 0,
-                           noise_variance: float | None = None,
-                           budget: int | None = None) -> ErrorRateReport:
+                           trials: int = 10_000, seed: int = 0) -> ErrorRateReport:
     """Fraction of trials in which any message symbol is misdecoded.
 
     Trials are seeded individually by (seed, trial index) and the underlying
     uniform/Gaussian draws are independent of Q, so runs at different powers
-    with the same seed are paired sample-by-sample.
+    with the same seed are paired sample-by-sample.  The noise variance is
+    the one of the scheme's realization.
     """
     if trials < 0:
         raise ParameterError("trials must be >= 0")
     if P is not None and P != scheme.P:
         scheme = scheme.with_power(P)
-    if noise_variance is None:
-        noise_variance = scheme.realization.noise_variance
     report = ErrorRateReport(P=scheme.P, Q=scheme.Q,
                              n_messages=len(scheme.message_streams),
                              trials=trials, errors=0)
     if trials == 0:
         return report
 
-    table = receive_decode_table(scheme) if budget is None \
-        else receive_decode_table(scheme, budget=budget)
+    table = receive_decode_table(scheme)
     n_msg = len(scheme.message_streams)
     n_jam = len(scheme.jamming_streams)
     uniforms = np.empty((trials, n_msg + n_jam))
@@ -367,9 +358,9 @@ def monte_carlo_error_rate(scheme: PamScheme, P: float | None = None,
     symbols = np.floor(uniforms * (2 * Q + 1)).astype(int) - Q
     v_true = symbols[:, :n_msg]
     jam_sum = symbols[:, n_msg:].sum(axis=1)
-    coeffs = np.array([scheme.coeff_value("rx", s) * scheme.a
-                       for s in scheme.message_streams])
-    y = v_true @ coeffs + scheme.a * jam_sum + math.sqrt(noise_variance) * noise
+    coeffs = np.array([scheme.rx_value(s) * scheme.a for s in scheme.message_streams])
+    noise_std = math.sqrt(scheme.realization.noise_variance)
+    y = v_true @ coeffs + scheme.a * jam_sum + noise_std * noise
 
     decoded = decode_indices(table, y)
     v_hat, _ = table.indices_to_symbols(decoded)

@@ -399,11 +399,6 @@ class ChannelRealization:
         out.setflags(write=False)
         return out
 
-    def min_abs_gain(self) -> float:
-        legit = min(abs(v) for v in self.legit_gains.values())
-        eve = min(abs(v) for v in self.eve_gains.values())
-        return min(legit, eve)
-
     def to_json_dict(self) -> dict:
         return {
             "model": {"kind": self.model.name, **self.model.params()},

@@ -254,6 +254,8 @@ def _run_helper_fading_mi(cfg: ExperimentConfig) -> ExperimentResult:
 
 
 def _run_helper_fixed_mc(cfg: ExperimentConfig) -> ExperimentResult:
+    if cfg.trials < 1:
+        raise UsageError("helper_fixed_mc needs trials >= 1")
     tol = cfg.slope_tolerance(0.1)
     M = cfg.M
     realization = sample_channel(HelperModel(M), fixed=True, seed=cfg.seed)
@@ -273,12 +275,11 @@ def _run_helper_fixed_mc(cfg: ExperimentConfig) -> ExperimentResult:
     for rep in reports:
         scheme_p = scheme.with_power(rep.P)
         point = rep.to_json_dict()
-        # minimum-distance lower bound with the k_delta existence constant
-        # defaulted to 1; no certified value exists for it
+        # minimum-distance lower bound with the uncertified existence constant
         point["min_distance_bound"] = {
             "value": pam.khintchine_groshev_bound(scheme_p.a, scheme_p.Q, M,
                                                   cfg.delta),
-            "k_delta": 1.0,
+            "k_delta": pam.K_DELTA,
             "non_certified": True,
         }
         points.append(point)

@@ -1,87 +1,22 @@
-"""Deterministic channel discretization and the floor-quantizer entropy bound.
+"""The floor-quantizer entropy bound of the converse argument.
 
-The converse argument replaces the Gaussian network by an integer-input
-integer-output surrogate: codewords are floored and reduced mod floor(sqrt(P)),
-outputs are sums of floor(gain * input).  Its one quantitative atom is the
-conditional entropy H(X | floor(h*X)) for X uniform on {0..floor(sqrt(P))},
-which enumeration shows is at most log(1 + 1/|h|) because every quantizer bin
-holds strictly fewer than 1 + 1/|h| integers.  Both facts are checked here
-exactly.
+For X uniform on {0..floor(sqrt(P))} and a nonzero gain h, the conditional
+entropy H(X | floor(h*X)) is at most log(1 + 1/|h|), because every quantizer
+bin holds strictly fewer than 1 + 1/|h| integers.  Both facts are checked
+here exactly, by enumerating the bins, for single gains and over gains
+sampled from a distribution.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
 
 import numpy as np
 
-from .channel import (ChannelRealization, GainDistribution, InterferenceModel, TAG_SAMPLE,
-                      key_grid, keyed_gains)
+from .channel import GainDistribution, TAG_SAMPLE, key_grid, keyed_gains
 from .errors import CapacityError, ParameterError
 
 DEFAULT_ENUMERATION_BUDGET = 1_000_000
-
-
-@dataclass(frozen=True)
-class DiscreteCodeword:
-    """Integer codeword with entries in {0..floor(sqrt(P))}."""
-
-    values: np.ndarray
-    P: float
-
-    def __post_init__(self) -> None:
-        self.values.setflags(write=False)
-        if np.any(self.values < 0) or np.any(self.values > self.bound):
-            raise ParameterError(f"codeword entries must lie in 0..{self.bound}")
-
-    @property
-    def bound(self) -> int:
-        return math.floor(math.sqrt(self.P))
-
-
-def discretize_codeword(x: Sequence[float], P: float) -> DiscreteCodeword:
-    """Element-wise floor, then mathematical mod floor(sqrt(P)).
-
-    Negative inputs wrap into {0..bound-1}: the mod convention is the
-    non-negative remainder.
-    """
-    if P <= 1:
-        raise ParameterError(f"power must exceed 1, got {P}")
-    bound = math.floor(math.sqrt(P))
-    values = np.floor(np.asarray(x, dtype=float)).astype(int) % bound
-    return DiscreteCodeword(values=values, P=P)
-
-
-def deterministic_outputs(codewords: Mapping[int, DiscreteCodeword],
-                          realization: ChannelRealization
-                          ) -> dict[str, np.ndarray]:
-    """Integer outputs sum_i floor(gain_i(t) * X_i(t)) per receiver and at
-    the eavesdropper."""
-    model = realization.model
-    if set(codewords) != set(model.transmitters):
-        raise ParameterError("need one codeword per transmitter")
-    lengths = {cw.values.shape for cw in codewords.values()}
-    if len(lengths) != 1:
-        raise ParameterError("codewords must share one length")
-    (n,) = lengths.pop()
-    if n > realization.slots:
-        raise ParameterError(f"codewords longer ({n}) than the realization ({realization.slots})")
-
-    out: dict[str, np.ndarray] = {}
-    for rx in model.receivers:
-        y = np.zeros(n, dtype=int)
-        for tx in model.transmitters:
-            gains = realization.legit_series(tx, rx)[:n]
-            y += np.floor(gains * codewords[tx].values).astype(int)
-        key = f"Y_{rx}" if isinstance(model, InterferenceModel) else "Y"
-        out[key] = y
-    z = np.zeros(n, dtype=int)
-    for tx in model.transmitters:
-        gains = realization.eve_series(tx)[:n]
-        z += np.floor(gains * codewords[tx].values).astype(int)
-    out["Z"] = z
-    return out
 
 
 @dataclass(frozen=True)
@@ -117,9 +52,7 @@ class QuantizerEntropyReport:
         }
 
 
-def floor_conditional_entropy(h: float, P: float,
-                              budget: int = DEFAULT_ENUMERATION_BUDGET
-                              ) -> QuantizerEntropyReport:
+def floor_conditional_entropy(h: float, P: float) -> QuantizerEntropyReport:
     """Enumerate the quantizer bins of X -> floor(hX), X uniform on
     {0..floor(sqrt(P))}, and compare H(X | floor(hX)) with log(1 + 1/|h|)."""
     if h == 0.0 or not math.isfinite(h):
@@ -127,8 +60,9 @@ def floor_conditional_entropy(h: float, P: float,
     if P <= 1:
         raise ParameterError(f"power must exceed 1, got {P}")
     top = math.floor(math.sqrt(P))
-    if top + 1 > budget:
-        raise CapacityError(f"{top + 1} values exceed the enumeration budget {budget}")
+    if top + 1 > DEFAULT_ENUMERATION_BUDGET:
+        raise CapacityError(f"{top + 1} values exceed the enumeration budget "
+                            f"{DEFAULT_ENUMERATION_BUDGET}")
     x = np.arange(top + 1)
     bins = np.floor(h * x)
     _, counts = np.unique(bins, return_counts=True)
@@ -176,15 +110,13 @@ class QuantizerSweepReport:
 
 
 def floor_entropy_sweep(distribution: GainDistribution, P: float,
-                        samples: int, seed: int = 0,
-                        budget: int = DEFAULT_ENUMERATION_BUDGET
-                        ) -> QuantizerSweepReport:
+                        samples: int, seed: int = 0) -> QuantizerSweepReport:
     """Average the exact conditional entropy over sampled h and check every
     per-sample bound plus the averaged one."""
     if samples < 0:
         raise ParameterError("samples must be >= 0")
     gains = keyed_gains(distribution, (seed, TAG_SAMPLE), key_grid(range(samples)))
-    reports = [floor_conditional_entropy(h, P, budget=budget) for h in gains.tolist()]
+    reports = [floor_conditional_entropy(h, P) for h in gains.tolist()]
     violations = sum(1 for r in reports if not r.ok)
     mean_entropy = (sum(r.entropy_nats for r in reports) / samples) if samples else None
     mean_bound = (sum(r.bound_nats for r in reports) / samples) if samples else None

@@ -13,10 +13,6 @@ class ModeError(SdofError, ValueError):
     """A realization or scheme is in the wrong mode (fixed/fading, wrong model)."""
 
 
-class EncodingError(SdofError, ValueError):
-    """A symbol assignment cannot be encoded."""
-
-
 class CapacityError(SdofError, RuntimeError):
     """An enumeration or memory budget would be exceeded."""
 

@@ -174,12 +174,19 @@ def build_extended_dimension_sets(K: int, m: int) -> list[DimensionSet]:
     return _build_family(K, m, m + 1, "T~")
 
 
+def beta_links(K: int) -> dict[int, tuple[tuple[int, int], tuple[int, int]]]:
+    """(numerator, denominator) links of beta_i = h_num / h_den in the
+    general-K rule: h_{i+2,1}/h_{i,1} for i <= K-2, then h_12/h_{K-1,2};
+    beta_K = 1 has no links."""
+    links = {i: ((i + 2, 1), (i, 1)) for i in range(1, K - 1)}
+    links[K - 1] = ((1, 2), (K - 1, 2))
+    return links
+
+
 def beta_general(K: int) -> dict[int, Monomial]:
     """Scaling beta_i of the second jamming block, general-K rule."""
-    betas: dict[int, Monomial] = {}
-    for i in range(1, K - 1):
-        betas[i] = Monomial.gen(gain_name(i + 2, 1)) / Monomial.gen(gain_name(i, 1))
-    betas[K - 1] = Monomial.gen(gain_name(1, 2)) / Monomial.gen(gain_name(K - 1, 2))
+    betas = {i: Monomial.gen(gain_name(*num)) / Monomial.gen(gain_name(*den))
+             for i, (num, den) in beta_links(K).items()}
     betas[K] = Monomial.one()
     return betas
 

@@ -39,9 +39,6 @@ class Monomial:
     def gen(name: str, power: int = 1) -> "Monomial":
         return Monomial.from_dict({name: power})
 
-    def is_one(self) -> bool:
-        return not self.exponents
-
     def __mul__(self, other: "Monomial") -> "Monomial":
         merged = dict(self.exponents)
         for n, e in other.exponents:

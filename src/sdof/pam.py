@@ -18,10 +18,13 @@ import numpy as np
 
 from .channel import (ChannelRealization, HelperModel, MacPartialModel, TAG_ALPHA, key_grid,
                       keyed_gains)
-from .errors import CapacityError, EncodingError, ModeError, ParameterError
+from .errors import CapacityError, ModeError, ParameterError
 from .monomial import Monomial
 
 DEFAULT_DECODE_BUDGET = 10_000_000
+# the existence constant of the Khintchine-Groshev minimum-distance bound; no
+# certified value is known, so outputs that use it are labelled non-certified
+K_DELTA = 1.0
 
 
 @dataclass(frozen=True)
@@ -54,24 +57,15 @@ class PamScheme:
     def streams(self) -> tuple[str, ...]:
         return self.message_streams + self.jamming_streams
 
-    def coeff_value(self, table: str, stream: str) -> float:
-        coeffs = {"tx": self.tx_coeffs, "rx": self.rx_coeffs, "eve": self.eve_coeffs}[table]
-        return coeffs[stream].evaluate(self.values)
-
-    def constellation(self) -> np.ndarray:
-        return self.a * np.arange(-self.Q, self.Q + 1)
+    def rx_value(self, stream: str) -> float:
+        """Numeric receive coefficient of one stream at the legitimate receiver."""
+        return self.rx_coeffs[stream].evaluate(self.values)
 
     def with_power(self, P: float, delta: float | None = None) -> "PamScheme":
         """Same coefficients and gains, parameters re-derived for a new power."""
         delta = self.delta if delta is None else delta
         Q, a, gamma = _pam_params(P, self._receive_dimension(), delta, self._peak_sums())
         return replace(self, P=P, delta=delta, Q=Q, a=a, gamma=gamma)
-
-    def with_constellation(self, Q: int) -> "PamScheme":
-        """Force a constellation size, rescaling a to keep the power budget."""
-        if Q < 1:
-            raise ParameterError(f"Q must be >= 1, got {Q}")
-        return replace(self, Q=Q, a=self.gamma * math.sqrt(self.P) / Q)
 
     def _receive_dimension(self) -> int:
         return len(self.message_streams) + 1
@@ -105,16 +99,11 @@ def _pam_params(P: float, receive_dim: int, delta: float,
     return Q, a, gamma
 
 
-def khintchine_groshev_bound(a: float, Q: int, M: int, delta: float,
-                             k_delta: float = 1.0) -> float:
-    """Minimum-distance lower bound k_delta * a / ((M+1)Q)^(M+delta).
-
-    k_delta is an existence constant with no certified value; outputs that
-    use the default are labelled non-certified in reports.
-    """
-    if a <= 0 or Q < 1 or M < 0 or k_delta <= 0:
+def khintchine_groshev_bound(a: float, Q: int, M: int, delta: float) -> float:
+    """Minimum-distance lower bound K_DELTA * a / ((M+1)Q)^(M+delta)."""
+    if a <= 0 or Q < 1 or M < 0:
         raise ParameterError("all arguments must be positive (M >= 0)")
-    return k_delta * a / ((M + 1) * Q) ** (M + delta)
+    return K_DELTA * a / ((M + 1) * Q) ** (M + delta)
 
 
 def build_helper_scheme(M: int, realization: ChannelRealization,
@@ -189,6 +178,8 @@ def build_partial_csit_fixed(K: int, m_informed: int,
         raise ModeError("m_informed does not match the realization model")
     if not realization.fixed:
         raise ModeError("the fixed-gain scheme requires fixed gains")
+    if m_informed * (K - 1) == 0:
+        raise ParameterError(f"mac_partial({K}, {m_informed}) has no message streams")
 
     values: dict[str, float] = {}
     for i in range(1, K + 1):
@@ -227,27 +218,6 @@ def build_partial_csit_fixed(K: int, m_informed: int,
         owner=owner, tx_coeffs=tx_coeffs, rx_coeffs=rx_coeffs,
         eve_coeffs=eve_coeffs, values=values,
     ).with_power(P)
-
-
-def encode_pam(scheme: PamScheme, symbols: Mapping[str, int]) -> dict[int, float]:
-    """Per-transmitter channel inputs for one symbol assignment."""
-    missing = set(scheme.streams) - set(symbols)
-    if missing:
-        raise EncodingError(f"missing symbols for streams {sorted(missing)}")
-    inputs: dict[int, float] = {tx: 0.0 for tx in scheme.realization.model.transmitters}
-    for s in scheme.streams:
-        sym = symbols[s]
-        if not (-scheme.Q <= sym <= scheme.Q):
-            raise EncodingError(f"symbol {sym} for {s} outside -Q..Q with Q={scheme.Q}")
-        inputs[scheme.owner[s]] += scheme.coeff_value("tx", s) * scheme.a * sym
-    return inputs
-
-
-def receive_value(scheme: PamScheme, symbols: Mapping[str, int],
-                  table: str = "rx") -> float:
-    """Noiseless receive value at the legitimate receiver (or eavesdropper)."""
-    return sum(scheme.coeff_value(table, s) * scheme.a * symbols[s]
-               for s in scheme.streams)
 
 
 @dataclass(frozen=True)
@@ -291,7 +261,7 @@ def receive_decode_table(scheme: PamScheme,
             f"receive constellation has {points} points, over the budget {budget}; "
             "shrink Q or the stream count"
         )
-    coeffs = [scheme.coeff_value("rx", s) for s in scheme.message_streams]
+    coeffs = [scheme.rx_value(s) for s in scheme.message_streams]
     axes = [np.arange(-Q, Q + 1) * (scheme.a * c) for c in coeffs]
     axes.append(np.arange(-jam_span, jam_span + 1) * scheme.a)
     values = np.zeros(shape)
@@ -319,18 +289,3 @@ def decode_indices(table: ReceiveTable, y: np.ndarray) -> np.ndarray:
     take_right = (d_right < d_left) | ((d_right == d_left) & (rep[right] < rep[left]))
     return np.where(take_right, rep[right], rep[left])
 
-
-def decode_nearest_point(y: float, scheme: PamScheme,
-                         budget: int = DEFAULT_DECODE_BUDGET
-                         ) -> tuple[dict[str, int], int]:
-    """Decode one observation at the legitimate receiver.
-
-    Returns the per-message symbol estimates and the aggregate jamming
-    estimate (the sum of all jamming symbols, which is all the receiver can
-    see since the jamming streams share one receive coefficient).
-    """
-    table = receive_decode_table(scheme, budget=budget)
-    flat = decode_indices(table, np.array([y]))
-    msgs, jam = table.indices_to_symbols(flat)
-    decoded = {s: int(msgs[0, i]) for i, s in enumerate(scheme.message_streams)}
-    return decoded, int(jam[0])

@@ -21,19 +21,19 @@ from .channel import (ChannelRealization, HelperModel, InterferenceModel,
                       MacPartialModel, TAG_ALPHA, TAG_SEED_VECTOR, key_grid,
                       keyed_gains, substream)
 from .errors import CapacityError, ModeError, ParameterError
-from .interference_sets import gain_name, message_slots
+from .interference_sets import beta_general, beta_links, gain_name, message_slots
 from .monomial import Monomial, box_image, find_rows, row_keys
 
 DEFAULT_RANK_TOL = 1e-10
 DEFAULT_PRECODER_BUDGET = 200_000_000  # total matrix entries
+ALPHA_DRAWS = 100  # mixing-coefficient draws before the helper scheme gives up
 
 
-def numeric_rank(A: np.ndarray, tol: float = DEFAULT_RANK_TOL,
-                 normalize: bool = True, sweeps: int = 4) -> int:
+def numeric_rank(A: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> int:
     """Rank by singular values above tol * sigma_max * max(shape).
 
-    By default the matrix is first equilibrated by a few alternating row and
-    column 2-norm scalings.  Scaling rows or columns by nonzero constants is
+    The matrix is first equilibrated by four alternating row and column
+    2-norm scalings.  Scaling rows or columns by nonzero constants is
     multiplication by invertible diagonals, so the true rank is untouched,
     but it stops the product-built precoder matrices (whose entries spread
     over many orders of magnitude per slot) from hiding directions below the
@@ -44,12 +44,11 @@ def numeric_rank(A: np.ndarray, tol: float = DEFAULT_RANK_TOL,
         raise ParameterError("rank needs a 2-D matrix")
     if A.size == 0:
         return 0
-    if normalize:
-        for _ in range(sweeps):
-            rn = np.linalg.norm(A, axis=1, keepdims=True)
-            A = A / np.where(rn == 0.0, 1.0, rn)
-            cn = np.linalg.norm(A, axis=0, keepdims=True)
-            A = A / np.where(cn == 0.0, 1.0, cn)
+    for _ in range(4):
+        rn = np.linalg.norm(A, axis=1, keepdims=True)
+        A = A / np.where(rn == 0.0, 1.0, rn)
+        cn = np.linalg.norm(A, axis=0, keepdims=True)
+        A = A / np.where(cn == 0.0, 1.0, cn)
     s = np.linalg.svd(A, compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0
@@ -103,9 +102,7 @@ def _gain_tables(realization: ChannelRealization, transmitters: int,
     return H, G
 
 
-def build_helper_fading(M: int, realization: ChannelRealization,
-                        max_retries: int = 100,
-                        rank_tol: float = DEFAULT_RANK_TOL) -> MixingScheme:
+def build_helper_fading(M: int, realization: ChannelRealization) -> MixingScheme:
     """(M+1)-slot helper scheme: the transmitter mixes message V_k on
     h_1(t) alpha_k(t); the alphas are re-drawn until the receiver system is
     numerically full rank."""
@@ -118,15 +115,14 @@ def build_helper_fading(M: int, realization: ChannelRealization,
 
     slots = M + 1
     H, G = _gain_tables(realization, M + 1, slots)
-    for attempt in range(1, max_retries + 1):
+    for attempt in range(1, ALPHA_DRAWS + 1):
         alphas = keyed_gains(realization.distribution, (realization.seed, TAG_ALPHA, attempt),
                              key_grid(range(2, M + 2), range(1, slots + 1))).reshape(M, slots)
         # rows: the aggregate-jamming row (all ones), then one row per message
-        if numeric_rank(np.vstack([np.ones(slots), alphas * H[:, 0]]),
-                        rank_tol) == M + 1:
+        if numeric_rank(np.vstack([np.ones(slots), alphas * H[:, 0]])) == M + 1:
             break
     else:
-        raise RuntimeError(f"no full-rank mixing matrix after {max_retries} draws")
+        raise RuntimeError(f"no full-rank mixing matrix after {ALPHA_DRAWS} draws")
 
     return MixingScheme(
         realization=realization,
@@ -146,6 +142,8 @@ def build_partial_csit_fading(K: int, m_informed: int,
         raise ModeError(f"realization is not a mac_partial({K}, {m_informed}) model")
     if realization.fixed:
         raise ModeError("the vector scheme needs fading gains")
+    if m_informed * (K - 1) == 0:
+        raise ParameterError(f"mac_partial({K}, {m_informed}) has no message streams")
     slots = m_informed * (K - 1) + 1
     if realization.slots < slots:
         raise ModeError(f"need at least {slots} slots, got {realization.slots}")
@@ -320,7 +318,6 @@ class PrecoderSet:
     K: int
     n: int
     realization: ChannelRealization
-    seed: int
     targets: Mapping[int, PrecoderTarget]
     qtilde: Mapping[int, np.ndarray]
     qtilde_scale: Mapping[int, Monomial]
@@ -357,9 +354,9 @@ def _columns(w: np.ndarray, tables: list[np.ndarray],
 
 
 def build_asymptotic_precoders(K: int, n: int, realization: ChannelRealization,
-                               seed: int | None = None,
                                budget: int = DEFAULT_PRECODER_BUDGET) -> PrecoderSet:
-    """Precoder matrices over exponent rows, columns in lexicographic order."""
+    """Precoder matrices over exponent rows, columns in lexicographic order;
+    the seed vectors are keyed by the realization's seed."""
     if n < 1:
         raise ParameterError(f"n must be >= 1, got {n}")
     gamma = interference_gamma(K)
@@ -371,8 +368,6 @@ def build_asymptotic_precoders(K: int, n: int, realization: ChannelRealization,
     if entries_needed > budget:
         raise CapacityError(
             f"precoders need {entries_needed} matrix entries, over budget {budget}")
-    if seed is None:
-        seed = realization.seed
 
     generators = build_cj_generators(K, realization)
     unit = np.eye(gamma, dtype=np.int8)
@@ -380,7 +375,7 @@ def build_asymptotic_precoders(K: int, n: int, realization: ChannelRealization,
     for exps in (base_exps, ext_exps):
         exps.setflags(write=False)
 
-    seed_vectors = keyed_gains(realization.distribution, (seed, TAG_SEED_VECTOR),
+    seed_vectors = keyed_gains(realization.distribution, (realization.seed, TAG_SEED_VECTOR),
                                key_grid(range(1, K + 2), range(1, m_n + 1))).reshape(K + 1, m_n)
     targets: dict[int, PrecoderTarget] = {}
     for idx, w in enumerate(seed_vectors, 1):
@@ -393,22 +388,15 @@ def build_asymptotic_precoders(K: int, n: int, realization: ChannelRealization,
             extended_exponents=ext_exps,
         )
 
+    # second jamming blocks: beta_k times the message precoder of slot k+1
     qtilde: dict[int, np.ndarray] = {}
-    qtilde_scale: dict[int, Monomial] = {}
-    for k in range(1, K):
-        if k <= K - 2:
-            num, den = (k + 2, 1), (k, 1)
-        else:
-            num, den = (1, 2), (K - 1, 2)
-        scale = Monomial.gen(gain_name(*num)) / Monomial.gen(gain_name(*den))
+    for k, (num, den) in beta_links(K).items():
         entries = realization.legit_series(*num) / realization.legit_series(*den)
         qtilde[k] = entries[:, None] * targets[k + 1].base
-        qtilde_scale[k] = scale
     qtilde[K] = targets[K + 1].extended
-    qtilde_scale[K] = Monomial.one()
 
-    return PrecoderSet(K=K, n=n, realization=realization, seed=seed,
-                       targets=targets, qtilde=qtilde, qtilde_scale=qtilde_scale)
+    return PrecoderSet(K=K, n=n, realization=realization, targets=targets,
+                       qtilde=qtilde, qtilde_scale=beta_general(K))
 
 
 def mutate_qtilde(pre: PrecoderSet, k: int, seed: int = 0) -> PrecoderSet:
@@ -536,7 +524,6 @@ def _instance_table(K: int) -> list[dict]:
 
 
 def verify_alignment_equations(pre: PrecoderSet,
-                               realization: ChannelRealization | None = None,
                                tol: float = DEFAULT_RANK_TOL) -> FadingAlignmentReport:
     """Check every alignment equation two independent ways.
 
@@ -547,8 +534,7 @@ def verify_alignment_equations(pre: PrecoderSet,
     equilibration of numeric_rank removes the diagonal channel scaling.
     Failures are report content, not exceptions.
     """
-    if realization is None:
-        realization = pre.realization
+    realization = pre.realization
     K = pre.K
     equations: dict[tuple[int, Monomial], FadingEquation] = {}
     rank_of = {idx: numeric_rank(t.extended, tol) for idx, t in pre.targets.items()}
@@ -616,11 +602,8 @@ class SchemeMatrices:
     aligned_jamming_columns: int
 
 
-def assemble_receiver_and_eve_matrices(pre: PrecoderSet,
-                                       realization: ChannelRealization | None = None
-                                       ) -> SchemeMatrices:
-    if realization is None:
-        realization = pre.realization
+def assemble_receiver_and_eve_matrices(pre: PrecoderSet) -> SchemeMatrices:
+    realization = pre.realization
     K, n = pre.K, pre.n
     gamma = pre.gamma
 
@@ -660,15 +643,3 @@ def assemble_receiver_and_eve_matrices(pre: PrecoderSet,
         aligned_jamming_columns=(K + 1) * (n + 1) ** gamma,
     )
 
-
-def export_matrices_csv(pre: PrecoderSet, path: str) -> None:
-    """Row-major dump of every precoder matrix, 17 significant digits."""
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("matrix,row,values\n")
-        named = [(f"P~_{i}", t.base) for i, t in sorted(pre.targets.items())]
-        named += [(f"Q_{i}", pre.targets[i].extended) for i in range(1, pre.K + 1)]
-        named += [(f"Q~_{k}", pre.qtilde[k]) for k in range(1, pre.K + 1)]
-        for name, mat in named:
-            for r in range(mat.shape[0]):
-                row = ";".join(f"{v:.17g}" for v in mat[r])
-                fh.write(f"{name},{r},{row}\n")

@@ -1,10 +1,11 @@
-"""The benchmark's pinned verdict digests, recomputed in the test suite.
+"""The benchmark's contract with the library, checked in the test suite.
 
 perfbench/verdicts.json pins one SHA-256 per workload over the verdicts of a
 reference unit.  Recomputing them here, by calling perfbench/workloads.py
 directly at full size, makes a change that alters a verdict, or renames a
 library name the workloads call, fail the suite and not only the benchmark
-run.  Nothing under perfbench/ is written.
+run.  The same goes for the library functions that perfbench/run.py patches
+with probes in traced runs.  Nothing under perfbench/ is written.
 """
 import importlib.util
 import json
@@ -43,3 +44,12 @@ def test_pinned_verdict_digest(name, seed):
     result = workload.unit(tracing.Tracer(), seed, workloads.FULL, False)
     assert result.problems == []
     assert workloads.verdict_sha256(result.verdict) == PINNED[name]["sha256"]
+
+
+def test_probe_targets_exist(monkeypatch):
+    # probe_targets imports workloads by its plain name, as run.py does
+    monkeypatch.syspath_prepend(PERFBENCH)
+    targets = _load("run").probe_targets()
+    assert targets
+    for module, attribute, span, _ in targets:
+        assert callable(getattr(module, attribute, None)), (module.__name__, attribute, span)

@@ -165,6 +165,21 @@ class TestMain:
         assert "(4, 3) needs" in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
 
+    @pytest.mark.parametrize("overrides, message", [
+        (["--experiment=helper_fixed_mc", "--trials=0"],
+         "usage error: helper_fixed_mc needs trials >= 1"),
+        (["--experiment=mac_partial", "--K=1"],
+         "error: mac_partial(1, 1) has no message streams"),
+    ])
+    def test_degenerate_experiment_is_refused(self, overrides, message, tmp_path, capsys):
+        config = _region_config(tmp_path, seed=1)
+        assert main(["run", config, *overrides]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
+    def test_experiments_without_trials_ignore_them(self, tmp_path):
+        assert main(["run", _region_config(tmp_path, seed=1), "--trials=0"]) == 0
+
 
 def test_worker_count_env(monkeypatch):
     monkeypatch.setenv("SDOF_THREADS", "2")

@@ -1,87 +1,10 @@
 import math
 
-import numpy as np
 import pytest
 
-from sdof.channel import (ChannelRealization, GainDistribution,
-                          InterferenceModel, MacModel, sample_channel)
-from sdof.converse import (DiscreteCodeword, deterministic_outputs,
-                           discretize_codeword, floor_conditional_entropy,
-                           floor_entropy_sweep)
+from sdof.channel import GainDistribution
+from sdof.converse import floor_conditional_entropy, floor_entropy_sweep
 from sdof.errors import CapacityError, ParameterError
-
-
-def realization_with_gains(model, legit, eve, slots=1):
-    """Build a realization with hand-picked gain values via the JSON schema."""
-    doc = sample_channel(model, fixed=True, slots=slots, seed=0).to_json_dict()
-    for g in doc["gains"]:
-        g["value"] = legit[(g["tx"], g["rx"])]
-    for g in doc["eve_gains"]:
-        g["value"] = eve[g["tx"]]
-    return ChannelRealization.from_json_dict(doc)
-
-
-class TestDiscretization:
-    def test_floor_then_mod(self):
-        assert list(discretize_codeword([0.7, 3.2], 16).values) == [0, 3]
-        assert list(discretize_codeword([5.9], 16).values) == [1]
-
-    def test_negative_inputs_wrap_nonnegative(self):
-        cw = discretize_codeword([-0.3], 16)
-        assert cw.values[0] == 3  # floor(-0.3) = -1, then -1 mod 4
-        assert 0 <= cw.values[0] <= cw.bound
-
-    def test_range_invariant_enforced(self):
-        with pytest.raises(ParameterError):
-            DiscreteCodeword(values=np.array([5]), P=16)
-        with pytest.raises(ParameterError):
-            discretize_codeword([1.0], 0.5)
-
-
-class TestDeterministicOutputs:
-    def test_zero_in_zero_out(self):
-        r = sample_channel(MacModel(2), fixed=True, slots=3, seed=1)
-        cws = {tx: DiscreteCodeword(np.zeros(3, dtype=int), 16) for tx in (1, 2)}
-        out = deterministic_outputs(cws, r)
-        assert np.all(out["Y"] == 0) and np.all(out["Z"] == 0)
-
-    def test_single_transmitter_floor(self):
-        r = realization_with_gains(MacModel(1), {(1, 1): 1.5}, {1: 0.9})
-        out = deterministic_outputs({1: DiscreteCodeword(np.array([2]), 16)}, r)
-        assert out["Y"][0] == 3  # floor(1.5 * 2)
-
-    def test_two_transmitters_sum_of_floors(self):
-        r = realization_with_gains(MacModel(2), {(1, 1): 1.5, (2, 1): 0.7},
-                                   {1: 0.9, 2: 1.1})
-        cws = {1: DiscreteCodeword(np.array([2]), 16),
-               2: DiscreteCodeword(np.array([3]), 16)}
-        out = deterministic_outputs(cws, r)
-        assert out["Y"][0] == 3 + 2  # floor(3.0) + floor(2.1)
-
-    def test_interference_has_per_receiver_outputs(self):
-        r = sample_channel(InterferenceModel(3), fixed=True, slots=2, seed=4)
-        cws = {tx: DiscreteCodeword(np.array([1, 2]), 100) for tx in (1, 2, 3)}
-        out = deterministic_outputs(cws, r)
-        assert set(out) == {"Y_1", "Y_2", "Y_3", "Z"}
-        assert all(v.dtype.kind == "i" for v in out.values())
-
-    def test_memoryless_in_time(self):
-        r = sample_channel(MacModel(2), fixed=True, slots=4, seed=9)
-        x = {1: np.array([3.3, 1.2, -0.4, 7.9]), 2: np.array([0.1, 5.5, 2.2, 9.0])}
-        perm = np.array([2, 0, 3, 1])
-        plain = deterministic_outputs(
-            {tx: discretize_codeword(x[tx], 100) for tx in x}, r)
-        permuted = deterministic_outputs(
-            {tx: discretize_codeword(x[tx][perm], 100) for tx in x}, r)
-        assert np.array_equal(plain["Y"][perm], permuted["Y"])
-        assert np.array_equal(plain["Z"][perm], permuted["Z"])
-
-    def test_shape_mismatch(self):
-        r = sample_channel(MacModel(2), fixed=True, slots=2, seed=1)
-        cws = {1: DiscreteCodeword(np.array([1]), 16),
-               2: DiscreteCodeword(np.array([1, 2]), 16)}
-        with pytest.raises(ParameterError):
-            deterministic_outputs(cws, r)
 
 
 class TestFloorConditionalEntropy:

@@ -161,7 +161,7 @@ def _reference_mc(scheme, P, trials, seed):
     Q = scheme.Q
     symbols = np.floor(uniforms * (2 * Q + 1)).astype(int) - Q
     v_true = symbols[:, :n_msg]
-    coeffs = np.array([scheme.coeff_value("rx", s) * scheme.a for s in scheme.message_streams])
+    coeffs = np.array([scheme.rx_value(s) * scheme.a for s in scheme.message_streams])
     y = (v_true @ coeffs + scheme.a * symbols[:, n_msg:].sum(axis=1)
          + math.sqrt(scheme.realization.noise_variance) * noise)
     table = pam.receive_decode_table(scheme)
@@ -189,15 +189,14 @@ def test_monte_carlo_rejects_negative_seed():
         analysis.monte_carlo_error_rate(scheme, trials=10, seed=-1)
 
 
-@pytest.mark.parametrize("seed, override", [(1, None), (4, 77)])
-def test_precoders_match_per_draw_seed_vectors(seed, override):
+@pytest.mark.parametrize("seed", [1, 4])
+def test_precoders_match_per_draw_seed_vectors(seed):
     K, n = 3, 1
     m_n = precoding.interference_slots(K, n)
     r = sample_channel(InterferenceModel(K), fixed=False, slots=m_n, seed=seed)
-    pre = precoding.build_asymptotic_precoders(K, n, r, seed=override)
-    key_seed = seed if override is None else override
+    pre = precoding.build_asymptotic_precoders(K, n, r)
     for idx, target in pre.targets.items():
-        w = np.array([_oracle_gain(r.distribution, key_seed, TAG_SEED_VECTOR, idx, t)
+        w = np.array([_oracle_gain(r.distribution, seed, TAG_SEED_VECTOR, idx, t)
                       for t in range(1, m_n + 1)])
         tables = precoding._power_tables(target.generators, n + 1, m_n)
         assert np.array_equal(target.base, precoding._columns(w, tables, target.base_exponents))

@@ -1,5 +1,4 @@
 import dataclasses
-import itertools
 import math
 
 import numpy as np
@@ -8,17 +7,41 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sdof.channel import HelperModel, MacPartialModel, sample_channel
-from sdof.errors import CapacityError, EncodingError, ModeError, ParameterError
+from sdof.errors import CapacityError, ModeError, ParameterError
 from sdof.monomial import Monomial
-from sdof.pam import (build_helper_scheme, build_partial_csit_fixed,
-                      decode_nearest_point, encode_pam, khintchine_groshev_bound,
-                      receive_decode_table, receive_value)
+from sdof.pam import (build_helper_scheme, build_partial_csit_fixed, decode_indices,
+                      khintchine_groshev_bound, receive_decode_table)
 
 
 @pytest.fixture
 def helper1():
     r = sample_channel(HelperModel(1), fixed=True, seed=3)
     return build_helper_scheme(1, r, P=1e6, delta=0.05)
+
+
+def _peak_inputs(scheme):
+    """Per transmitter, the largest |input| over all symbol assignments:
+    a Q times the sum of |tx coefficient| over the transmitter's streams."""
+    peak = {}
+    for s in scheme.streams:
+        tx = scheme.owner[s]
+        coeff = abs(scheme.tx_coeffs[s].evaluate(scheme.values))
+        peak[tx] = peak.get(tx, 0.0) + scheme.a * scheme.Q * coeff
+    return peak
+
+
+def _noiseless(scheme, messages, jam_sum):
+    """Receive value of message symbols and a jamming-symbol sum: every
+    jamming stream arrives on coefficient 1."""
+    return scheme.a * (sum(scheme.rx_value(s) * v
+                           for s, v in zip(scheme.message_streams, messages)) + jam_sum)
+
+
+def _decode(scheme, y):
+    """Nearest-point decode of a batch of observations through the receive
+    table: (message symbol rows, jamming sums)."""
+    table = receive_decode_table(scheme)
+    return table.indices_to_symbols(decode_indices(table, np.asarray(y, dtype=float)))
 
 
 class TestHelperScheme:
@@ -40,7 +63,7 @@ class TestHelperScheme:
         s = build_helper_scheme(2, r)
         coeffs = [s.eve_coeffs[f"U{j}"] for j in (1, 2, 3)]
         assert len(set(coeffs)) == 3
-        values = [s.coeff_value("eve", f"U{j}") for j in (1, 2, 3)]
+        values = [s.eve_coeffs[f"U{j}"].evaluate(s.values) for j in (1, 2, 3)]
         assert len(set(values)) == 3
 
     def test_degenerate_no_helpers(self):
@@ -116,53 +139,36 @@ class TestMinDistanceBound:
 
 
 class TestEncoding:
-    def test_zero_symbols_give_zero_inputs(self, helper1):
-        x = encode_pam(helper1, {"V2": 0, "U1": 0, "U2": 0})
-        assert all(v == 0.0 for v in x.values())
-
-    def test_single_symbol(self, helper1):
-        x = encode_pam(helper1, {"V2": 1, "U1": 0, "U2": 0})
-        assert x[1] == pytest.approx(helper1.values["alpha_2"] * helper1.a)
-        assert x[2] == 0.0
-
     def test_power_constraint_at_extremes(self, helper1):
         s = helper1
-        peak = {tx: 0.0 for tx in (1, 2)}
-        for signs in itertools.product((-s.Q, s.Q), repeat=3):
-            sym = dict(zip(("V2", "U1", "U2"), signs))
-            x = encode_pam(s, sym)
-            for tx in peak:
-                peak[tx] = max(peak[tx], abs(x[tx]))
         r = s.realization
-        expected = s.a * s.Q * (1.0 / abs(r.h(1)) + abs(s.values["alpha_2"]))
-        assert peak[1] == pytest.approx(expected)
+        peak = _peak_inputs(s)
+        assert set(peak) == {1, 2}
+        assert peak[1] == pytest.approx(
+            s.a * s.Q * (1.0 / abs(r.h(1)) + abs(s.values["alpha_2"])))
+        assert peak[2] == pytest.approx(s.a * s.Q / abs(r.h(2)))
         assert all(p <= math.sqrt(s.P) * (1 + 1e-12) for p in peak.values())
-
-    def test_encoding_errors(self, helper1):
-        with pytest.raises(EncodingError):
-            encode_pam(helper1, {"V2": 0, "U1": 0})
-        with pytest.raises(EncodingError):
-            encode_pam(helper1, {"V2": helper1.Q + 1, "U1": 0, "U2": 0})
 
 
 class TestDecoding:
     def test_noiseless_round_trip(self, helper1):
-        symbols = {"V2": 5, "U1": -3, "U2": 7}
-        y = receive_value(helper1, symbols)
-        decoded, jam = decode_nearest_point(y, helper1)
-        assert decoded == {"V2": 5}
-        assert jam == 4
+        # V2 = 5 under jamming U1 = -3, U2 = 7
+        msgs, jam = _decode(helper1, [_noiseless(helper1, [5], -3 + 7)])
+        assert msgs.tolist() == [[5]]
+        assert jam.tolist() == [4]
 
-    @given(data=st.data(), M=st.integers(0, 2), Q=st.integers(1, 4))
+    @given(data=st.data(), M=st.integers(0, 2),
+           P=st.sampled_from([1e2, 1e3, 1e4, 1e5]))
     @settings(max_examples=120, deadline=None)
-    def test_noiseless_recovery_property(self, data, M, Q):
+    def test_noiseless_recovery_property(self, data, M, P):
         r = sample_channel(HelperModel(M), fixed=True, seed=17)
-        scheme = build_helper_scheme(M, r).with_constellation(Q)
-        symbols = {s: data.draw(st.integers(-Q, Q)) for s in scheme.streams}
-        y = receive_value(scheme, symbols)
-        decoded, jam = decode_nearest_point(y, scheme)
-        assert decoded == {s: symbols[s] for s in scheme.message_streams}
-        assert jam == sum(symbols[s] for s in scheme.jamming_streams)
+        scheme = build_helper_scheme(M, r, P=P)
+        Q = scheme.Q
+        v = [data.draw(st.integers(-Q, Q)) for _ in scheme.message_streams]
+        u = [data.draw(st.integers(-Q, Q)) for _ in scheme.jamming_streams]
+        msgs, jam = _decode(scheme, [_noiseless(scheme, v, sum(u))])
+        assert msgs.tolist() == [v]
+        assert jam.tolist() == [sum(u)]
 
     def test_tie_breaks_toward_lexicographically_smallest(self, helper1):
         # force integer receive coefficients: points are 3 v + u with
@@ -171,10 +177,9 @@ class TestDecoding:
         rigged = dataclasses.replace(
             helper1, Q=1, a=1.0,
             values={**helper1.values, "h_1": 3.0, "alpha_2": 1.0})
-        decoded, jam = decode_nearest_point(1.0, rigged)
-        assert (decoded["V2"], jam) == (0, 1)
-        decoded, jam = decode_nearest_point(0.5, rigged)
-        assert (decoded["V2"], jam) == (0, 0)
+        msgs, jam = _decode(rigged, [1.0, 0.5])
+        assert msgs.tolist() == [[0], [0]]
+        assert jam.tolist() == [1, 0]
 
     def test_budget_errors_out(self, helper1):
         with pytest.raises(CapacityError):
@@ -213,15 +218,21 @@ class TestPartialCsitFixed:
     def test_receiver_jamming_aligned_and_power_held(self):
         r = sample_channel(MacPartialModel(3, 2), fixed=True, seed=6)
         s = build_partial_csit_fixed(3, 2, r)
-        sym = {x: s.Q for x in s.streams}
-        x = encode_pam(s, sym)
-        for tx, v in x.items():
-            assert abs(v) <= math.sqrt(s.P) * (1 + 1e-12)
+        assert all(s.rx_coeffs[f"U{j}"] == Monomial.one() for j in (1, 2, 3))
+        peak = _peak_inputs(s)
+        assert set(peak) == {1, 2, 3}
+        assert all(p <= math.sqrt(s.P) * (1 + 1e-12) for p in peak.values())
 
     def test_model_mismatch(self):
         r = sample_channel(MacPartialModel(3, 2), fixed=True, seed=6)
         with pytest.raises(ModeError):
             build_partial_csit_fixed(3, 1, r)
+
+    def test_no_message_streams_rejected(self):
+        # K = 1: the one informed transmitter has no other user to carry
+        r = sample_channel(MacPartialModel(1, 1), fixed=True, seed=6)
+        with pytest.raises(ParameterError, match="no message streams"):
+            build_partial_csit_fixed(1, 1, r)
 
 
 def test_with_power_rederives_parameters(helper1):

@@ -7,13 +7,14 @@ import pytest
 from sdof import precoding
 from sdof.channel import (TAG_ALPHA, HelperModel, InterferenceModel,
                           MacPartialModel, sample_channel)
-from sdof.errors import CapacityError, ModeError
+from sdof.errors import CapacityError, ModeError, ParameterError
+from sdof.interference_sets import beta_general
 from sdof.monomial import Monomial, find_rows, row_keys
 from sdof.precoding import (build_asymptotic_precoders, build_cj_generators,
                             build_helper_fading, build_partial_csit_fading,
                             _general_generator_factors, _THREE_USER_GENERATORS,
                             assemble_receiver_and_eve_matrices,
-                            export_matrices_csv, interference_gamma,
+                            interference_gamma,
                             interference_slots, mutate_qtilde, numeric_rank,
                             partial_csit_decode, verify_alignment_equations,
                             zero_force_decode)
@@ -30,6 +31,13 @@ def precoders_n1():
     slots = interference_slots(3, 1)
     r = sample_channel(InterferenceModel(3), fixed=False, slots=slots, seed=1)
     return build_asymptotic_precoders(3, 1, r)
+
+
+@pytest.fixture(scope="module")
+def precoders_k4():
+    slots = interference_slots(4, 1)
+    r = sample_channel(InterferenceModel(4), fixed=False, slots=slots, seed=3)
+    return build_asymptotic_precoders(4, 1, r)
 
 
 class TestNumericRank:
@@ -202,18 +210,6 @@ class TestPrecoders:
         with pytest.raises(CapacityError):
             build_asymptotic_precoders(3, 1, precoders_n1.realization, budget=10)
 
-    def test_csv_export_round_trips(self, precoders_n1, tmp_path):
-        path = tmp_path / "matrices.csv"
-        export_matrices_csv(precoders_n1, str(path))
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "matrix,row,values"
-        q1 = [l for l in lines if l.startswith("Q_1,")]
-        assert len(q1) == 66
-        name, row, values = q1[0].split(",")
-        parsed = np.array([float(v) for v in values.split(";")])
-        # 17 significant digits survive a parse round trip exactly
-        assert np.array_equal(parsed, precoders_n1.targets[1].extended[0])
-
 
 class TestAlignmentVerification:
     def test_all_sixteen_equations_pass(self, precoders_n1):
@@ -273,12 +269,10 @@ class TestAlignmentVerification:
 
 
 class TestGeneralK:
-    def test_four_user_precoders_build_and_shift(self):
+    def test_four_user_precoders_build_and_shift(self, precoders_k4):
         # general-K path: 9 generators per target, M_n = 3 + 5*2^9 slots
-        slots = interference_slots(4, 1)
-        assert slots == 3 * 1 + 5 * 512 == 2563
-        r = sample_channel(InterferenceModel(4), fixed=False, slots=slots, seed=3)
-        pre = build_asymptotic_precoders(4, 1, r)
+        assert interference_slots(4, 1) == 3 * 1 + 5 * 512 == 2563
+        pre = precoders_k4
         assert pre.gamma == 9
         assert pre.targets[1].base.shape == (2563, 1)
         assert pre.targets[1].extended.shape == (2563, 512)
@@ -288,15 +282,40 @@ class TestGeneralK:
             assert np.allclose(gen.entries[:, None] * t.base, t.extended[:, idx],
                                rtol=1e-10)
 
-    def test_four_user_derived_jamming_assignments(self):
-        slots = interference_slots(4, 1)
-        r = sample_channel(InterferenceModel(4), fixed=False, slots=slots, seed=3)
-        pre = build_asymptotic_precoders(4, 1, r)
+    def test_four_user_derived_jamming_assignments(self, precoders_k4):
+        pre = precoders_k4
+        slots = pre.block_length
         assert set(pre.qtilde) == {1, 2, 3, 4}
         assert pre.qtilde_scale[1] == Monomial.from_dict({"h_31": 1, "h_11": -1})
         assert pre.qtilde_scale[2] == Monomial.from_dict({"h_41": 1, "h_21": -1})
         assert pre.qtilde_scale[3] == Monomial.from_dict({"h_12": 1, "h_32": -1})
         assert pre.qtilde[4].shape == (slots, 512)
+
+
+@pytest.mark.parametrize("K, fixture", [(3, "precoders_n1"), (4, "precoders_k4")])
+def test_derived_jamming_is_scaled_by_general_beta(K, fixture, request):
+    # q~_k = beta_k * (message precoder of slot k+1), symbolically and per slot
+    pre = request.getfixturevalue(fixture)
+    betas = beta_general(K)
+    assert pre.qtilde_scale == betas
+    r = pre.realization
+    for k in range(1, K):
+        per_slot = np.prod([r.legit_series(int(name[2]), int(name[3])) ** e
+                            for name, e in betas[k].exponents], axis=0)
+        assert np.allclose(pre.qtilde[k], per_slot[:, None] * pre.targets[k + 1].base,
+                           rtol=1e-12)
+    assert np.array_equal(pre.qtilde[K], pre.targets[K + 1].extended)
+
+
+def test_general_beta_rule_at_five_users():
+    # the K = 5 precoders are over the entry budget, so the rule is checked
+    # on its own: h_{i+2,1}/h_{i,1} for i <= K-2, h_12/h_{K-1,2}, then 1
+    def ratio(num, den):
+        return Monomial.gen(num) / Monomial.gen(den)
+
+    assert beta_general(5) == {1: ratio("h_31", "h_11"), 2: ratio("h_41", "h_21"),
+                               3: ratio("h_51", "h_31"), 4: ratio("h_12", "h_42"),
+                               5: Monomial.one()}
 
 
 class TestStackedMatrices:
@@ -353,6 +372,12 @@ class TestPartialCsitFading:
         r = sample_channel(MacPartialModel(3, 2), fixed=False, slots=4, seed=4)
         with pytest.raises(ModeError):
             build_partial_csit_fading(3, 2, r)
+
+    def test_no_message_streams_rejected(self):
+        # K = 1: the one informed transmitter has no other user to carry
+        r = sample_channel(MacPartialModel(1, 1), fixed=False, slots=1, seed=4)
+        with pytest.raises(ParameterError, match="no message streams"):
+            build_partial_csit_fading(1, 1, r)
 
 
 def _reference_helper(M, r):
