@@ -7,7 +7,9 @@ exact rational arithmetic and never touch floating point.
 """
 from __future__ import annotations
 
+import functools
 import math
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
@@ -33,13 +35,23 @@ def gaussian_entropy(A: np.ndarray, P: float, sigma2: float = 1.0) -> float:
 
     h = (1/2) log((2 pi e)^M det(P A A^T + sigma2 I)).
     """
+    return _gram_entropy(_gram(A), P, sigma2)
+
+
+def _gram(A: np.ndarray) -> np.ndarray:
+    """A·Aᵀ, the power-independent part of gaussian_entropy."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
     if not np.all(np.isfinite(A)):
         raise ParameterError("matrix entries must be finite")
+    return A @ A.T
+
+
+def _gram_entropy(gram: np.ndarray, P: float, sigma2: float) -> float:
+    """gaussian_entropy of a matrix given by its Gram matrix A·Aᵀ."""
     if P <= 0 or sigma2 <= 0:
         raise ParameterError("P and sigma2 must be positive")
-    M = A.shape[0]
-    cov = P * (A @ A.T) + sigma2 * np.eye(M)
+    M = gram.shape[0]
+    cov = P * gram + sigma2 * np.eye(M)
     sign, logdet = np.linalg.slogdet(cov)
     if sign <= 0:
         raise ParameterError("covariance lost positive definiteness")
@@ -229,33 +241,50 @@ class MutualInformationReport:
     leak: float               # I(all messages; eavesdropper observation), nats
 
 
+GramPair = tuple[np.ndarray, np.ndarray]  # Grams of (everything received, its jamming part)
+
+# scheme -> (receiver -> GramPair, eavesdropper GramPair); an entry lives as
+# long as its scheme, whose matrices are read-only
+_SCHEME_GRAMS = weakref.WeakKeyDictionary()
+
+
+def _scheme_grams(scheme) -> tuple[dict[int, GramPair], GramPair]:
+    """Per legitimate receiver and for the eavesdropper, the Grams of the
+    received mixing and of its jamming part; computed once per scheme."""
+    if not isinstance(scheme, (MixingScheme, PrecoderSet)):
+        raise ParameterError(f"no mutual-information rule for {type(scheme).__name__}")
+    grams = _SCHEME_GRAMS.get(scheme)
+    if grams is not None:
+        return grams
+    if isinstance(scheme, MixingScheme):
+        legit = {1: (_gram(np.hstack([scheme.A_V, scheme.A_U])), _gram(scheme.A_U))}
+        leak = (_gram(np.hstack([scheme.B_V, scheme.B_U])), _gram(scheme.B_U))
+    else:
+        mats = assemble_receiver_and_eve_matrices(scheme)
+        legit = {l: (_gram(mats.receive_mixing[l]), _gram(mats.interference[l]))
+                 for l in range(1, scheme.K + 1)}
+        leak = (_gram(mats.eve_mixing), _gram(mats.eve_jamming))
+    grams = _SCHEME_GRAMS[scheme] = (legit, leak)
+    return grams
+
+
 def scheme_mutual_information(scheme, P: float) -> MutualInformationReport:
     """I(V; Y) per legitimate receiver and I(V; Z), with Gaussian inputs and
     the noise variance of the scheme's realization.
 
     Conditional entropies keep only the jamming part of the mixing; the
-    difference of log-dets is exact at each P.
+    difference of log-dets is exact at each P.  The Gram matrices do not
+    depend on P, so a power sweep over one scheme forms them once.
     """
+    legit, leak = _scheme_grams(scheme)
     sigma2 = scheme.realization.noise_variance
-    if isinstance(scheme, MixingScheme):
-        full = np.hstack([scheme.A_V, scheme.A_U])
-        legit = gaussian_entropy(full, P, sigma2) - gaussian_entropy(scheme.A_U, P, sigma2)
-        eve_full = np.hstack([scheme.B_V, scheme.B_U])
-        leak = gaussian_entropy(eve_full, P, sigma2) - gaussian_entropy(scheme.B_U, P, sigma2)
-        return MutualInformationReport(P=P, legit={1: legit}, leak=leak)
 
-    if isinstance(scheme, PrecoderSet):
-        mats = assemble_receiver_and_eve_matrices(scheme)
-        legit = {
-            l: gaussian_entropy(mats.receive_mixing[l], P, sigma2)
-            - gaussian_entropy(mats.interference[l], P, sigma2)
-            for l in range(1, scheme.K + 1)
-        }
-        leak = gaussian_entropy(mats.eve_mixing, P, sigma2) \
-            - gaussian_entropy(mats.eve_jamming, P, sigma2)
-        return MutualInformationReport(P=P, legit=legit, leak=leak)
+    def information(full: np.ndarray, jamming: np.ndarray) -> float:
+        return _gram_entropy(full, P, sigma2) - _gram_entropy(jamming, P, sigma2)
 
-    raise ParameterError(f"no mutual-information rule for {type(scheme).__name__}")
+    return MutualInformationReport(
+        P=P, legit={l: information(*pair) for l, pair in legit.items()},
+        leak=information(*leak))
 
 
 # ---------------------------------------------------------------------------
@@ -306,19 +335,45 @@ class ErrorRateReport:
 
 
 def _stream_mutual_information(v: np.ndarray, v_hat: np.ndarray) -> float:
-    """Plug-in I(V; V̂) in nats from paired samples, Miller-Madow corrected."""
+    """Plug-in I(V; V̂) in nats from paired integer samples, Miller-Madow
+    corrected.  The terms are summed in Python floats in the order in which
+    their pairs first occur."""
     n = v.size
-    joint: dict[tuple[int, int], int] = {}
-    left: dict[int, int] = {}
-    right: dict[int, int] = {}
-    for a, b in zip(v.tolist(), v_hat.tolist()):
-        joint[(a, b)] = joint.get((a, b), 0) + 1
-        left[a] = left.get(a, 0) + 1
-        right[b] = right.get(b, 0) + 1
+    lo = min(int(v.min()), int(v_hat.min()))
+    width = max(int(v.max()), int(v_hat.max())) - lo + 1
+    codes = (v - lo) * width + (v_hat - lo)
+    pairs, first, joint = np.unique(codes, return_index=True, return_counts=True)
+    order = np.argsort(first)
+    a_values, b_values = np.divmod(pairs[order], width)
+    left_values, left_counts = np.unique(v, return_counts=True)
+    right_values, right_counts = np.unique(v_hat, return_counts=True)
+    left = dict(zip(left_values.tolist(), left_counts.tolist()))
+    right = dict(zip(right_values.tolist(), right_counts.tolist()))
     mi = sum(c / n * math.log(c * n / (left[a] * right[b]))
-             for (a, b), c in joint.items())
-    correction = (len(joint) - len(left) - len(right) + 1) / (2 * n)
+             for a, b, c in zip((a_values + lo).tolist(), (b_values + lo).tolist(),
+                                joint[order].tolist()))
+    correction = (pairs.size - len(left) - len(right) + 1) / (2 * n)
     return max(0.0, mi - correction)
+
+
+@functools.lru_cache(maxsize=1)
+def _trial_draws(seed: int, trials: int, streams: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (uniforms, noise) of every trial, each trial from its own
+    keyed stream: `streams` uniforms, then one standard normal.  The last
+    key is kept, so a power sweep with one seed draws once."""
+    uniforms = np.empty((trials, streams))
+    noise = np.empty(trials)
+    # one generator, put at the start of each trial's keyed stream in turn;
+    # the normal draw stays numpy's ziggurat
+    bit_generator = np.random.PCG64()
+    rng = np.random.Generator(bit_generator)
+    for t, (state, inc) in enumerate(keyed_states((seed, TAG_TRIAL), key_grid(range(trials)))):
+        set_stream(bit_generator, state, inc)
+        rng.random(out=uniforms[t])
+        noise[t] = rng.standard_normal()
+    uniforms.setflags(write=False)
+    noise.setflags(write=False)
+    return uniforms, noise
 
 
 def monte_carlo_error_rate(scheme: PamScheme, P: float | None = None,
@@ -327,8 +382,8 @@ def monte_carlo_error_rate(scheme: PamScheme, P: float | None = None,
 
     Trials are seeded individually by (seed, trial index) and the underlying
     uniform/Gaussian draws are independent of Q, so runs at different powers
-    with the same seed are paired sample-by-sample.  The noise variance is
-    the one of the scheme's realization.
+    with the same seed are paired sample-by-sample, and share one draw.  The
+    noise variance is the one of the scheme's realization.
     """
     if trials < 0:
         raise ParameterError("trials must be >= 0")
@@ -342,17 +397,7 @@ def monte_carlo_error_rate(scheme: PamScheme, P: float | None = None,
 
     table = receive_decode_table(scheme)
     n_msg = len(scheme.message_streams)
-    n_jam = len(scheme.jamming_streams)
-    uniforms = np.empty((trials, n_msg + n_jam))
-    noise = np.empty(trials)
-    # one generator, put at the start of each trial's keyed stream in turn;
-    # the normal draw stays numpy's ziggurat
-    bit_generator = np.random.PCG64()
-    rng = np.random.Generator(bit_generator)
-    for t, (state, inc) in enumerate(keyed_states((seed, TAG_TRIAL), key_grid(range(trials)))):
-        set_stream(bit_generator, state, inc)
-        rng.random(out=uniforms[t])
-        noise[t] = rng.standard_normal()
+    uniforms, noise = _trial_draws(seed, trials, n_msg + len(scheme.jamming_streams))
 
     Q = scheme.Q
     symbols = np.floor(uniforms * (2 * Q + 1)).astype(int) - Q

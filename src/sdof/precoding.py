@@ -59,14 +59,15 @@ def numeric_rank(A: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> int:
 # jamming-aligned mixing schemes: helper wiretap and partially informed MAC
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MixingScheme:
     """Stacked per-slot coefficients of a jamming-aligned vector scheme.
 
     Every transmitter jams on 1/h_i(t), so all jamming lands on the all-ones
     column at the receiver (A_U is all ones) and on g_i(t)/h_i(t) at the
     eavesdropper (B_U).  A_V / B_V carry the message streams, one column
-    each, at the receiver and the eavesdropper.  Rows are slots.
+    each, at the receiver and the eavesdropper.  Rows are slots.  Equality
+    and hashing are by identity, so a scheme can key a weak memo.
     """
 
     realization: ChannelRealization
@@ -303,8 +304,12 @@ class PrecoderTarget:
     base_exponents: np.ndarray      # int8, one row per base column
     extended_exponents: np.ndarray  # int8, one row per extended column
 
+    def __post_init__(self) -> None:
+        self.base.setflags(write=False)
+        self.extended.setflags(write=False)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class PrecoderSet:
     """All precoding matrices of the fading interference scheme.
 
@@ -313,6 +318,10 @@ class PrecoderSet:
     K+1 supplies the second jamming block of transmitter K.  The remaining
     second jamming blocks are derived, diagonally scaled copies of message
     precoders so that they align one step ahead.
+
+    Every matrix is read-only, so what is computed from a set stays valid as
+    long as the set lives; equality and hashing are by identity, so a set
+    can key a weak memo.
     """
 
     K: int
@@ -321,6 +330,10 @@ class PrecoderSet:
     targets: Mapping[int, PrecoderTarget]
     qtilde: Mapping[int, np.ndarray]
     qtilde_scale: Mapping[int, Monomial]
+
+    def __post_init__(self) -> None:
+        for block in self.qtilde.values():
+            block.setflags(write=False)
 
     @property
     def gamma(self) -> int:
@@ -588,7 +601,13 @@ def verify_alignment_equations(pre: PrecoderSet,
 
 @dataclass(frozen=True)
 class SchemeMatrices:
-    """Stacked mixing matrices of the interference scheme over M_n slots."""
+    """Stacked mixing matrices of the interference scheme over M_n slots.
+
+    Each column block is stored once: interference[l] is the column suffix
+    of receive_mixing[l] after the desired blocks, and eve_jamming the
+    suffix of eve_mixing after the message blocks.  Every array is
+    read-only.
+    """
 
     K: int
     n: int
@@ -600,6 +619,17 @@ class SchemeMatrices:
     eve_mixing: np.ndarray                   # every block arriving at the eavesdropper
     desired_columns: int
     aligned_jamming_columns: int
+
+    def __post_init__(self) -> None:
+        for group in (self.decoders, self.interference, self.receive_mixing):
+            for matrix in group.values():
+                matrix.setflags(write=False)
+        self.eve_jamming.setflags(write=False)
+        self.eve_mixing.setflags(write=False)
+
+
+def _width(blocks: Sequence[np.ndarray]) -> int:
+    return sum(block.shape[1] for block in blocks)
 
 
 def assemble_receiver_and_eve_matrices(pre: PrecoderSet) -> SchemeMatrices:
@@ -620,26 +650,24 @@ def assemble_receiver_and_eve_matrices(pre: PrecoderSet) -> SchemeMatrices:
                       for j in message_slots(K, k)]
         jamming = [hseries(k, l) * pre.targets[k].extended for k in range(1, K + 1)]
         jamming += [hseries(k, l) * pre.qtilde[k] for k in range(1, K + 1)]
-        aligned = [hseries(k, l) * pre.targets[k].extended for k in range(1, K + 1)]
-        aligned.append(hseries(K, l) * pre.qtilde[K])
-        decoders[l] = np.hstack(desired + aligned)
-        interference[l] = np.hstack(unintended + jamming)
+        # aligned jamming: every Q_k, then Q~_K
+        decoders[l] = np.hstack(desired + jamming[:K] + jamming[-1:])
         receive_mixing[l] = np.hstack(desired + unintended + jamming)
+        interference[l] = receive_mixing[l][:, _width(desired):]
 
     gseries = {k: realization.eve_series(k)[:, None] for k in range(1, K + 1)}
     eve_jam = [gseries[k] * pre.targets[k].extended for k in range(1, K + 1)]
     eve_jam += [gseries[k] * pre.qtilde[k] for k in range(1, K + 1)]
     eve_msg = [gseries[k] * pre.targets[j].base
                for k in range(1, K + 1) for j in message_slots(K, k)]
-    eve_jamming = np.hstack(eve_jam)
+    eve_mixing = np.hstack(eve_msg + eve_jam)
 
     return SchemeMatrices(
         K=K, n=n, block_length=pre.block_length,
         decoders=decoders, interference=interference,
-        eve_jamming=eve_jamming,
+        eve_jamming=eve_mixing[:, _width(eve_msg):],
         receive_mixing=receive_mixing,
-        eve_mixing=np.hstack(eve_msg + eve_jam),
+        eve_mixing=eve_mixing,
         desired_columns=(K - 1) * n ** gamma,
         aligned_jamming_columns=(K + 1) * (n + 1) ** gamma,
     )
-

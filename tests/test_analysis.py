@@ -1,18 +1,22 @@
+import gc
 import math
+import weakref
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from sdof.analysis import (fit_dof_slope, gaussian_entropy,
+from sdof import analysis
+from sdof.analysis import (_stream_mutual_information, fit_dof_slope, gaussian_entropy,
                            interference_fading_sdof, mac_sdof_region,
                            monte_carlo_error_rate, scheme_mutual_information,
                            sdof_formula, sdof_formula_with_csit, slope_fit_grid)
-from sdof.channel import (HelperModel, InterferenceModel, MacModel,
+from sdof.channel import (TAG_TRIAL, HelperModel, InterferenceModel, MacModel,
                           MacPartialModel, sample_channel)
 from sdof.errors import ParameterError
 from sdof.pam import build_helper_scheme
-from sdof.precoding import (build_asymptotic_precoders, build_helper_fading,
+from sdof.precoding import (assemble_receiver_and_eve_matrices,
+                            build_asymptotic_precoders, build_helper_fading,
                             build_partial_csit_fading, interference_slots)
 
 GRID = (1e5, 1e6, 1e7, 1e8)
@@ -216,3 +220,167 @@ class TestMonteCarlo:
         assert scheme.Q == 4
         rep = monte_carlo_error_rate(scheme, trials=10_000, seed=3)
         assert rep.rate < 1e-2
+
+
+def _dict_stream_mutual_information(v: np.ndarray, v_hat: np.ndarray) -> float:
+    """Dict-counting form of _stream_mutual_information, its oracle."""
+    n = v.size
+    joint: dict[tuple[int, int], int] = {}
+    left: dict[int, int] = {}
+    right: dict[int, int] = {}
+    for a, b in zip(v.tolist(), v_hat.tolist()):
+        joint[(a, b)] = joint.get((a, b), 0) + 1
+        left[a] = left.get(a, 0) + 1
+        right[b] = right.get(b, 0) + 1
+    mi = sum(c / n * math.log(c * n / (left[a] * right[b]))
+             for (a, b), c in joint.items())
+    correction = (len(joint) - len(left) - len(right) + 1) / (2 * n)
+    return max(0.0, mi - correction)
+
+
+def test_stream_mutual_information_matches_dict_oracle():
+    rng = np.random.default_rng(20)
+    for _ in range(300):
+        Q = int(rng.integers(1, 60))
+        n = int(rng.integers(1, 3000))
+        error_rate = float(rng.uniform(0.0, 1.0))
+        v = rng.integers(-Q, Q + 1, n)
+        # near misses, which may leave [-Q, Q], and uniform misdecodes
+        miss = np.where(rng.random(n) < 0.5, v + rng.choice([-1, 1], n),
+                        rng.integers(-Q, Q + 1, n))
+        v_hat = np.where(rng.random(n) < error_rate, miss, v)
+        assert _stream_mutual_information(v, v_hat) == _dict_stream_mutual_information(v, v_hat)
+
+
+# ---------------------------------------------------------------------------
+# a power sweep computes the power-independent work once
+# ---------------------------------------------------------------------------
+
+SWEEP = (1e4, 1e5, 1e6, 1e7)
+
+
+def _sweep_orders(items):
+    """(item, P) call sequences: forward, reversed, repeated, and interleaved
+    across the items."""
+    forward = [(x, P) for x in items for P in SWEEP]
+    backward = [(x, P) for x in items for P in reversed(SWEEP)]
+    repeated = [(x, P) for x in items for P in SWEEP + SWEEP[::2]]
+    interleaved = [(x, P) for P in SWEEP for x in items]
+    return [forward, backward, repeated, interleaved]
+
+
+def _cold_caches():
+    analysis._SCHEME_GRAMS.clear()
+    analysis._trial_draws.cache_clear()
+
+
+def _mi_doc(report):
+    return repr((report.P, report.legit, report.leak))
+
+
+@pytest.fixture(scope="module")
+def sweep_schemes():
+    """Two seeds of two scheme types."""
+    schemes = []
+    for seed in (1, 2):
+        r = sample_channel(InterferenceModel(3), fixed=False,
+                           slots=interference_slots(3, 1), seed=seed)
+        schemes.append(build_asymptotic_precoders(3, 1, r))
+        r = sample_channel(HelperModel(2), fixed=False, slots=3, seed=seed)
+        schemes.append(build_helper_fading(2, r))
+    return schemes
+
+
+def test_mi_sweep_matches_cold_computation_in_any_order(sweep_schemes):
+    cold = {}
+    for i, scheme in enumerate(sweep_schemes):
+        for P in SWEEP:
+            _cold_caches()
+            cold[i, P] = _mi_doc(scheme_mutual_information(scheme, P))
+    for order in _sweep_orders(range(len(sweep_schemes))):
+        _cold_caches()
+        for i, P in order:
+            assert _mi_doc(scheme_mutual_information(sweep_schemes[i], P)) == cold[i, P]
+
+
+def test_mi_matches_entropies_of_the_assembled_matrices(sweep_schemes):
+    pre = sweep_schemes[0]
+    mats = assemble_receiver_and_eve_matrices(pre)
+    for P in SWEEP:
+        mi = scheme_mutual_information(pre, P)
+        for l in (1, 2, 3):
+            assert mi.legit[l] == (gaussian_entropy(mats.receive_mixing[l], P)
+                                   - gaussian_entropy(mats.interference[l], P))
+        assert mi.leak == (gaussian_entropy(mats.eve_mixing, P)
+                           - gaussian_entropy(mats.eve_jamming, P))
+
+
+def test_mc_sweep_matches_cold_computation_in_any_order():
+    schemes = [build_helper_scheme(M, sample_channel(HelperModel(M), fixed=True, seed=8),
+                                   P=1e4, delta=0.05) for M in (1, 2)]
+    runs = [(scheme, seed) for scheme in schemes for seed in (5, 9)]
+
+    def doc(i, P):
+        scheme, seed = runs[i]
+        rep = monte_carlo_error_rate(scheme, P=P, trials=600, seed=seed)
+        return repr((rep.to_json_dict(), rep.mutual_information_nats))
+
+    cold = {}
+    for i in range(len(runs)):
+        for P in SWEEP:
+            _cold_caches()
+            cold[i, P] = doc(i, P)
+    for order in _sweep_orders(range(len(runs))):
+        _cold_caches()
+        for i, P in order:
+            assert doc(i, P) == cold[i, P]
+
+
+def test_mc_sweep_draws_its_trials_once(monkeypatch, mc_scheme):
+    drawn = []
+    keyed_states = analysis.keyed_states
+
+    def counting(prefix, rows):
+        drawn.append(tuple(prefix))
+        return keyed_states(prefix, rows)
+
+    monkeypatch.setattr(analysis, "keyed_states", counting)
+    _cold_caches()
+    for seed in (5, 9):
+        for P in SWEEP:
+            monte_carlo_error_rate(mc_scheme, P=P, trials=300, seed=seed)
+    assert drawn == [(5, TAG_TRIAL), (9, TAG_TRIAL)]
+    uniforms, noise = analysis._trial_draws(9, 300, 2)
+    for a in (uniforms, noise):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.5
+
+
+def test_mi_sweep_assembles_once_per_scheme(monkeypatch, sweep_schemes):
+    assembled = []
+    assemble = analysis.assemble_receiver_and_eve_matrices
+
+    def counting(pre):
+        assembled.append(pre)
+        return assemble(pre)
+
+    monkeypatch.setattr(analysis, "assemble_receiver_and_eve_matrices", counting)
+    _cold_caches()
+    for order in _sweep_orders(range(len(sweep_schemes))):
+        for i, P in order:
+            scheme_mutual_information(sweep_schemes[i], P)
+    assert assembled == [sweep_schemes[0], sweep_schemes[2]]
+
+
+def test_dropped_scheme_releases_its_grams():
+    r = sample_channel(InterferenceModel(3), fixed=False,
+                       slots=interference_slots(3, 1), seed=3)
+    pre = build_asymptotic_precoders(3, 1, r)
+    scheme_mutual_information(pre, 1e5)
+    legit, leak = analysis._scheme_grams(pre)
+    grams = [weakref.ref(g) for pair in (*legit.values(), leak) for g in pair]
+    scheme = weakref.ref(pre)
+    del pre, legit, leak
+    gc.collect()
+    assert scheme() is None
+    assert all(g() is None for g in grams)

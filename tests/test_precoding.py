@@ -8,7 +8,7 @@ from sdof import precoding
 from sdof.channel import (TAG_ALPHA, HelperModel, InterferenceModel,
                           MacPartialModel, sample_channel)
 from sdof.errors import CapacityError, ModeError, ParameterError
-from sdof.interference_sets import beta_general
+from sdof.interference_sets import beta_general, message_slots
 from sdof.monomial import Monomial, find_rows, row_keys
 from sdof.precoding import (build_asymptotic_precoders, build_cj_generators,
                             build_helper_fading, build_partial_csit_fading,
@@ -329,6 +329,48 @@ class TestStackedMatrices:
         assert numeric_rank(mats.eve_jamming) == 66
         assert mats.desired_columns == 2
         assert mats.aligned_jamming_columns == 64
+
+    @pytest.mark.parametrize("K", [3, 4])
+    def test_column_blocks_match_separate_stacks(self, precoders_n1, precoders_k4, K):
+        # the construction that stacked every matrix from its own products:
+        # the stored views and the decoder built from shared blocks hold the
+        # same numbers, and the views share memory with the full stacks
+        pre = precoders_n1 if K == 3 else precoders_k4
+        mats = assemble_receiver_and_eve_matrices(pre)
+        r = pre.realization
+        for l in range(1, K + 1):
+            h = {k: r.legit_series(k, l)[:, None] for k in range(1, K + 1)}
+            unintended = [h[k] * pre.targets[j].base for k in range(1, K + 1) if k != l
+                          for j in message_slots(K, k)]
+            jamming = [h[k] * pre.targets[k].extended for k in range(1, K + 1)]
+            jamming += [h[k] * pre.qtilde[k] for k in range(1, K + 1)]
+            aligned = [h[k] * pre.targets[k].extended for k in range(1, K + 1)]
+            aligned.append(h[K] * pre.qtilde[K])
+            desired = [h[l] * pre.targets[j].base for j in message_slots(K, l)]
+            assert np.array_equal(mats.interference[l], np.hstack(unintended + jamming))
+            assert np.array_equal(mats.decoders[l], np.hstack(desired + aligned))
+            assert np.shares_memory(mats.interference[l], mats.receive_mixing[l])
+        g = {k: r.eve_series(k)[:, None] for k in range(1, K + 1)}
+        eve_jam = [g[k] * pre.targets[k].extended for k in range(1, K + 1)]
+        eve_jam += [g[k] * pre.qtilde[k] for k in range(1, K + 1)]
+        assert np.array_equal(mats.eve_jamming, np.hstack(eve_jam))
+        assert np.shares_memory(mats.eve_jamming, mats.eve_mixing)
+
+    def test_stored_matrices_are_read_only(self, precoders_n1):
+        pre = precoders_n1
+        mats = assemble_receiver_and_eve_matrices(pre)
+        arrays = [t.base for t in pre.targets.values()]
+        arrays += [t.extended for t in pre.targets.values()]
+        arrays += list(pre.qtilde.values())
+        arrays += list(mutate_qtilde(pre, 1).qtilde.values())
+        for group in (mats.decoders, mats.interference, mats.receive_mixing):
+            arrays += list(group.values())
+        arrays += [mats.eve_jamming, mats.eve_mixing]
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a[0, 0] = 1.0
+            with pytest.raises(ValueError, match="read-only"):
+                a *= 2.0
 
     def test_full_rank_over_realizations(self):
         slots = interference_slots(3, 1)
