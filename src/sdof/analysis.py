@@ -17,8 +17,8 @@ from typing import Sequence, Union
 import numpy as np
 
 from .channel import (HelperModel, InterferenceModel, MacModel,
-                      MacPartialModel, TAG_TRIAL, key_grid, keyed_states, set_stream)
-from .errors import ParameterError
+                      MacPartialModel, TAG_TRIAL, key_grid, keyed_streams, standard_normals)
+from .errors import CapacityError, ParameterError
 from .pam import PamScheme, decode_indices, receive_decode_table
 from .precoding import (MixingScheme, PrecoderSet,
                         assemble_receiver_and_eve_matrices, interference_gamma,
@@ -28,6 +28,9 @@ SdofQuery = Union[HelperModel, MacModel, MacPartialModel, InterferenceModel]
 
 DEFAULT_POWER_GRID = tuple(10.0 ** e for e in range(2, 9))
 SLOPE_FIT_POINTS = 4  # fit on the top grid points to suppress o(log P) transients
+# Monte Carlo trials one call may draw; a million trials of a three-stream
+# scheme peak near 170 MB of arrays (tracemalloc).
+MC_TRIAL_BUDGET = 1_000_000
 
 
 def gaussian_entropy(A: np.ndarray, P: float, sigma2: float = 1.0) -> float:
@@ -361,16 +364,13 @@ def _trial_draws(seed: int, trials: int, streams: int) -> tuple[np.ndarray, np.n
     """Read-only (uniforms, noise) of every trial, each trial from its own
     keyed stream: `streams` uniforms, then one standard normal.  The last
     key is kept, so a power sweep with one seed draws once."""
-    uniforms = np.empty((trials, streams))
-    noise = np.empty(trials)
-    # one generator, put at the start of each trial's keyed stream in turn;
-    # the normal draw stays numpy's ziggurat
-    bit_generator = np.random.PCG64()
-    rng = np.random.Generator(bit_generator)
-    for t, (state, inc) in enumerate(keyed_states((seed, TAG_TRIAL), key_grid(range(trials)))):
-        set_stream(bit_generator, state, inc)
-        rng.random(out=uniforms[t])
-        noise[t] = rng.standard_normal()
+    raw, states = keyed_streams((seed, TAG_TRIAL), key_grid(range(trials)), streams)
+    noise = standard_normals(states)
+    # Generator.random's doubles (r >> 11) * 2**-53, written over their raw
+    # outputs so that no second (trials, streams) array is live
+    raw >>= np.uint64(11)
+    uniforms = raw.view(np.float64)
+    np.multiply(raw, 2.0 ** -53, out=uniforms)
     uniforms.setflags(write=False)
     noise.setflags(write=False)
     return uniforms, noise
@@ -387,6 +387,8 @@ def monte_carlo_error_rate(scheme: PamScheme, P: float | None = None,
     """
     if trials < 0:
         raise ParameterError("trials must be >= 0")
+    if trials > MC_TRIAL_BUDGET:
+        raise CapacityError(f"{trials} Monte Carlo trials exceed the budget {MC_TRIAL_BUDGET}")
     if P is not None and P != scheme.P:
         scheme = scheme.with_power(P)
     report = ErrorRateReport(P=scheme.P, Q=scheme.Q,

@@ -10,18 +10,24 @@ once (fixed mode) or i.i.d. per slot (fading mode).
 Every random draw in the package is keyed by an integer tuple (seed, tag,
 *indices), and one keyed schedule maps each key to its stream: the PCG64
 stream that numpy's ``PCG64(SeedSequence(key))`` starts, bit for bit.
-``keyed_states`` computes the starting states of many keys in batches (the
-SeedSequence entropy hash vectorized over the keys), ``keyed_gains`` turns
-them into gains without building a generator per draw, and ``substream`` is
-the one-key view.  Regeneration is therefore reproducible bit for bit and
+``keyed_streams`` is the one array kernel behind it: numpy's SeedSequence
+entropy hash, PCG64's seeding, its 128-bit LCG step and its XSL-RR output
+(O'Neill 2014), all run on uint64 arrays over many keys at once.
+``keyed_gains`` turns the raw outputs into gains and ``standard_normals``
+into numpy's ziggurat normals, without a generator per draw;
+``keyed_states`` and ``substream`` are views of the kernel for one stream
+at a time.  Regeneration is therefore reproducible bit for bit and
 independent of evaluation order and batching.
 """
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import operator
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Sequence, Union
+from typing import Union
 
 import numpy as np
 
@@ -81,8 +87,9 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return result ^ (result >> _XSHIFT)
 
 
-def _seed_chunk(head: list[int], rows: np.ndarray) -> Iterator[tuple[int, int]]:
-    """PCG64 (state, inc) of the keys head + row, one per row of a uint32 chunk."""
+def _hash_chunk(head: list[int], rows: np.ndarray) -> list[np.ndarray]:
+    """SeedSequence(head + row).generate_state(4, uint64) of each row of a
+    uint32 chunk, as 4 uint64 arrays (seed high, seed low, inc high, inc low)."""
     n = len(rows)
     entropy = [np.full(n, w, np.uint32) for w in head] + list(rows.T)
     steps = _hash_steps(_INIT_A, _MULT_A)
@@ -97,22 +104,74 @@ def _seed_chunk(head: list[int], rows: np.ndarray) -> Iterator[tuple[int, int]]:
         for dst in range(_POOL_SIZE):
             pool[dst] = _mix(pool[dst], _hashmix(word, next(steps)))
     # generate_state(4, uint64): 8 words cycling over the pool, paired
-    # little-endian into (seed high, seed low, inc high, inc low)
+    # little-endian into 64-bit halves
     steps = _hash_steps(_INIT_B, _MULT_B)
     out = [_hashmix(pool[i % _POOL_SIZE], next(steps)).astype(np.uint64) for i in range(8)]
-    halves = [(out[2 * j] | out[2 * j + 1] << 32).tolist() for j in range(4)]
-    for seed_hi, seed_lo, seq_hi, seq_lo in zip(*halves):
-        inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK128
-        yield ((inc + (seed_hi << 64 | seed_lo)) * _PCG64_MULT + inc) & _MASK128, inc
+    return [out[2 * j] | out[2 * j + 1] << _U32 for j in range(4)]
 
 
-def keyed_states(prefix: Sequence[int], rows) -> Iterator[tuple[int, int]]:
-    """PCG64 (state, inc) of every key ``(*prefix, *row)``, in row order.
+# The 128-bit PCG64 arithmetic runs on uint64 (high, low) halves; numpy
+# wraps uint64 products and sums mod 2**64.
+_U1, _U8, _U9, _U32, _U58, _U63 = (np.uint64(s) for s in (1, 8, 9, 32, 58, 63))
+_LOW32 = np.uint64(_MASK32)
+_MULT_HI, _MULT_LO = np.uint64(_PCG64_MULT >> 64), np.uint64(_PCG64_MULT & _MASK64)
+_MULT_LIMBS = np.uint64(_PCG64_MULT & _MASK32), np.uint64(_PCG64_MULT >> 32 & _MASK32)
 
-    Each pair is what ``PCG64(SeedSequence((*prefix, *row)))`` holds after
-    seeding.  The shared prefix may hold any non-negative ints; ``rows`` is
-    a 2-D integer array whose entries must lie in [0, 2**32).  Keys are
-    hashed in batches of ``_CHUNK`` rows as they are consumed.
+
+def _lcg(hi: np.ndarray, lo: np.ndarray, inc_hi: np.ndarray, inc_lo: np.ndarray
+         ) -> tuple[np.ndarray, np.ndarray]:
+    """(hi, lo) * MULT + (inc_hi, inc_lo) mod 2**128.  The low halves'
+    full 128-bit product is formed from 32-bit limbs."""
+    m0, m1 = _MULT_LIMBS
+    x0, x1 = lo & _LOW32, lo >> _U32
+    p00, p01, p10 = x0 * m0, x0 * m1, x1 * m0
+    mid = (p00 >> _U32) + (p01 & _LOW32) + (p10 & _LOW32)
+    prod_lo = mid << _U32 | p00 & _LOW32
+    prod_hi = (x1 * m1 + (p01 >> _U32) + (p10 >> _U32) + (mid >> _U32)
+               + hi * _MULT_LO + lo * _MULT_HI)
+    new_lo = prod_lo + inc_lo
+    return prod_hi + inc_hi + (new_lo < inc_lo), new_lo
+
+
+def _xsl_rr(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """PCG64's output of a state: high ^ low, rotated right by the top 6 bits."""
+    x, rot = hi ^ lo, hi >> _U58
+    return x >> rot | x << (-rot & _U63)
+
+
+def _seed_chunk(head: list[int], rows: np.ndarray, states: np.ndarray) -> None:
+    """Write into ``states`` (n, 4) the PCG64 (state high, state low, inc
+    high, inc low) of the keys head + row, one per row of a uint32 chunk:
+    inc = seq << 1 | 1 and state = (inc + seed) * MULT + inc (O'Neill's
+    pcg_setseq_128_srandom_r)."""
+    seed_hi, seed_lo, seq_hi, seq_lo = _hash_chunk(head, rows)
+    inc_hi, inc_lo = seq_hi << _U1 | seq_lo >> _U63, seq_lo << _U1 | _U1
+    lo = inc_lo + seed_lo
+    hi = inc_hi + seed_hi + (lo < seed_lo)
+    states[:, 0], states[:, 1] = _lcg(hi, lo, inc_hi, inc_lo)
+    states[:, 2], states[:, 3] = inc_hi, inc_lo
+
+
+def _draw(states: np.ndarray, out: np.ndarray) -> None:
+    """Advance the (n, 4) streams ``states`` in place by one output per
+    column of ``out`` (n, draws), writing the outputs there."""
+    hi, lo, inc_hi, inc_lo = states.T
+    for d in range(out.shape[1]):
+        hi, lo = _lcg(hi, lo, inc_hi, inc_lo)
+        out[:, d] = _xsl_rr(hi, lo)
+    states[:, 0], states[:, 1] = hi, lo
+
+
+def keyed_streams(prefix: Sequence[int], rows, draws: int) -> tuple[np.ndarray, np.ndarray]:
+    """The first ``draws`` raw 64-bit outputs of the stream of every key
+    ``(*prefix, *row)``, and the stream's state after them.
+
+    Returns ``(outputs, states)``: ``outputs[i]`` is what
+    ``PCG64(SeedSequence((*prefix, *rows[i]))).random_raw(draws)`` gives, and
+    ``states[i]`` the uint64 (state high, state low, inc high, inc low) that
+    generator then holds.  The shared prefix may hold any non-negative ints;
+    ``rows`` is a 2-D integer array whose entries must lie in [0, 2**32).
+    Keys are hashed, seeded and stepped as arrays, ``_CHUNK`` rows at a time.
     """
     head = []
     for k in prefix:
@@ -126,24 +185,31 @@ def keyed_states(prefix: Sequence[int], rows) -> Iterator[tuple[int, int]]:
                              f"of shape {rows.shape}")
     if rows.size and (rows.min() < 0 or rows.max() > _MASK32):
         raise ParameterError("stream key rows must lie in [0, 2**32)")
-    return (pair for start in range(0, len(rows), _CHUNK)
-            for pair in _seed_chunk(head, rows[start:start + _CHUNK].astype(np.uint32)))
+    outputs = np.empty((len(rows), draws), np.uint64)
+    states = np.empty((len(rows), 4), np.uint64)
+    for start in range(0, len(rows), _CHUNK):
+        chunk = slice(start, start + _CHUNK)
+        _seed_chunk(head, rows[chunk].astype(np.uint32), states[chunk])
+        _draw(states[chunk], outputs[chunk])
+    return outputs, states
+
+
+def _stream(row) -> tuple[int, int]:
+    """(state, inc) as ints, from one row of a ``keyed_streams`` state array."""
+    state_hi, state_lo, inc_hi, inc_lo = (int(w) for w in row)
+    return state_hi << 64 | state_lo, inc_hi << 64 | inc_lo
+
+
+def keyed_states(prefix: Sequence[int], rows) -> list[tuple[int, int]]:
+    """PCG64 (state, inc) of every key ``(*prefix, *row)``, in row order:
+    what ``PCG64(SeedSequence((*prefix, *row)))`` holds after seeding."""
+    return [_stream(row) for row in keyed_streams(prefix, rows, 0)[1]]
 
 
 def key_grid(*axes) -> np.ndarray:
     """Key rows of the Cartesian product of the axes, the last axis fastest."""
     mesh = np.meshgrid(*(np.asarray(a, dtype=np.int64) for a in axes), indexing="ij", copy=False)
     return np.stack(mesh, axis=-1).reshape(-1, len(axes))
-
-
-def _pcg64_outputs(state: int, inc: int, count: int) -> list[int]:
-    """The first ``count`` 64-bit outputs of PCG64 (step, then XSL-RR)."""
-    out = []
-    for _ in range(count):
-        state = (state * _PCG64_MULT + inc) & _MASK128
-        x, rot = ((state >> 64) ^ state) & _MASK64, state >> 122
-        out.append((x >> rot | x << (64 - rot)) & _MASK64)
-    return out
 
 
 def set_stream(bit_generator: np.random.PCG64, state: int, inc: int) -> None:
@@ -158,6 +224,100 @@ def substream(*key: int) -> np.random.Generator:
     bit_generator = np.random.PCG64()
     set_stream(bit_generator, state, inc)
     return np.random.Generator(bit_generator)
+
+
+# ---------------------------------------------------------------------------
+# numpy's ziggurat standard normal (Marsaglia & Tsang 2000) on raw outputs
+# ---------------------------------------------------------------------------
+
+_MASK52 = np.uint64((1 << 52) - 1)
+_PCG64_MULT_INV = pow(_PCG64_MULT, -1, 1 << 128)
+
+
+def _ziggurat_threshold(fast, guess: int) -> int:
+    """The smallest x in [0, 2**52] with ``fast(x)`` false, for a ``fast``
+    that holds exactly below it: gallop out from the guess until the answer
+    is bracketed, then bisect.  Two probes when the guess is right."""
+    top = 1 << 52
+    near = min(max(guess, 0), top - 1)
+    up, step = fast(near), 1
+    while True:
+        far = near + step if up else near - step
+        if not 0 <= far < top or fast(far) != up:
+            break
+        near, step = far, 2 * step
+    lo, hi = (near, min(far, top)) if up else (max(far, -1), near)
+    while hi - lo > 1:   # fast at lo (or lo = -1), not at hi
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if fast(mid) else (lo, mid)
+    return hi
+
+
+@functools.cache
+def _ziggurat_tables() -> tuple[np.ndarray, np.ndarray]:
+    """numpy's ziggurat tables ``(ki, wi)``, read back from numpy itself.
+
+    ``Generator.standard_normal`` takes one raw output r and splits it into
+    idx = r & 0xff, a sign bit (r >> 8) & 1 and rabs = (r >> 9) & (2**52 - 1).
+    When rabs < ki[idx] it returns ±rabs·wi[idx] and has used r alone; else
+    it takes the slow path, which draws more.  Each probe puts a PCG64 where
+    its next two outputs are chosen (r, then 0 or 1, so the slow path's next
+    uniform is 0) and records the value and whether r alone was used.
+    rabs = 1 gives wi[idx] (for idx = 1, where ki is 0, a slow-path value
+    that only serves as a guess); ki[idx] is then the first rabs off the
+    fast path, searched from the guess 2**52·wi[idx−1]/wi[idx] (the layer
+    ratio of the ziggurat's construction; wi[255]/wi[0] for idx = 0).
+    """
+    bit_generator = np.random.PCG64()
+    rng = np.random.Generator(bit_generator)
+
+    def probe(idx: int, rabs: int) -> tuple[float, bool]:
+        r = rabs << 9 | idx
+        # states below 2**64 output themselves (rotation 0); inc makes the
+        # state r step to (r + 1) & 1, whose output makes the next uniform 0,
+        # and is odd as PCG64 requires
+        inc = ((r + 1 & 1) - r * _PCG64_MULT) & _MASK128
+        set_stream(bit_generator, (r - inc) * _PCG64_MULT_INV & _MASK128, inc)
+        value = rng.standard_normal()
+        return value, bit_generator.state["state"]["state"] == r
+
+    wi, fast_at_one = (np.array(column) for column in zip(*(probe(idx, 1) for idx in range(256))))
+    guesses = np.where(fast_at_one, 2.0 ** 52 * np.roll(wi, 1) / wi, 0.0)
+    ki = np.array([_ziggurat_threshold(lambda rabs: probe(idx, rabs)[1], int(guesses[idx]))
+                   for idx in range(256)], np.uint64)
+    ki.setflags(write=False)
+    wi.setflags(write=False)
+    return ki, wi
+
+
+def standard_normals(states: np.ndarray) -> np.ndarray:
+    """``Generator.standard_normal()`` of the PCG64 stream at each row of the
+    (n, 4) uint64 ``states`` (as ``keyed_streams`` returns them), bit for bit.
+
+    The ziggurat's fast path runs on the raw outputs as arrays.  The rows
+    that leave it (about 1.2 %, and every idx = 1) are put one by one into a
+    numpy generator at their state, which draws the normal itself.
+    """
+    ki, wi = _ziggurat_tables()
+    normals = np.empty(len(states))
+    slow = []
+    for start in range(0, len(states), _CHUNK):
+        chunk = states[start:start + _CHUNK]
+        raw = np.empty((len(chunk), 1), np.uint64)
+        _draw(chunk.copy(), raw)
+        r = raw[:, 0]
+        idx = (r & np.uint64(0xFF)).astype(np.intp)
+        rabs = r >> _U9 & _MASK52
+        x = rabs * wi[idx]
+        normals[start:start + len(chunk)] = np.where((r >> _U8 & _U1).astype(bool), -x, x)
+        slow += (start + np.flatnonzero(rabs >= ki[idx])).tolist()
+    if slow:
+        bit_generator = np.random.PCG64()
+        rng = np.random.Generator(bit_generator)
+        for i in slow:
+            set_stream(bit_generator, *_stream(states[i]))
+            normals[i] = rng.standard_normal()
+    return normals
 
 
 @dataclass(frozen=True)
@@ -228,9 +388,7 @@ def keyed_gains(distribution: GainDistribution, prefix: Sequence[int], rows) -> 
     is bit 31 of r1; it is drawn only for a sign-symmetric law.
     """
     draws = 2 if distribution.sign_symmetric else 1
-    raw = np.array([_pcg64_outputs(state, inc, draws)
-                    for state, inc in keyed_states(prefix, rows)],
-                   dtype=np.uint64).reshape(-1, draws)
+    raw, _ = keyed_streams(prefix, rows, draws)
     low, high = distribution.magnitude_low, distribution.magnitude_high
     gains = low + (high - low) * ((raw[:, 0] >> 11) * 2.0 ** -53)
     if distribution.sign_symmetric:
@@ -358,19 +516,50 @@ def model_from_json_dict(doc: Mapping) -> Model:
 
 
 def legit_links(model: Model) -> list[tuple[int, int]]:
-    """All (tx, rx) pairs with a legitimate-side gain."""
-    return [(tx, rx) for rx in model.receivers for tx in model.transmitters]
+    """All (tx, rx) pairs with a legitimate-side gain, transmitter-major."""
+    return list(itertools.product(model.transmitters, model.receivers))
 
 
-@dataclass(frozen=True)
+def _position(index: int, count: int) -> int:
+    """0-based position of a 1-based index; KeyError outside 1..count."""
+    if not 1 <= index <= count:
+        raise KeyError(index)
+    return index - 1
+
+
+def _indices(shape: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """1-based index tuples of an array of this shape, in C order."""
+    return itertools.product(*(range(1, n + 1) for n in shape))
+
+
+class _GainView(Mapping):
+    """Read-only mapping from 1-based index tuples to a gain array's entries."""
+
+    def __init__(self, gains: np.ndarray):
+        self._gains = gains
+
+    def __getitem__(self, key) -> float:
+        if not isinstance(key, tuple) or len(key) != self._gains.ndim:
+            raise KeyError(key)
+        return float(self._gains[tuple(map(_position, key, self._gains.shape))])
+
+    def __iter__(self) -> Iterator[tuple[int, ...]]:
+        return _indices(self._gains.shape)
+
+    def __len__(self) -> int:
+        return self._gains.size
+
+
+@dataclass(frozen=True, eq=False)
 class ChannelRealization:
     """All channel gains of one network draw, plus the noise variance.
 
-    ``legit_gains`` maps (tx, rx, t) to the gain from transmitter ``tx`` to
-    legitimate receiver ``rx`` in slot ``t`` (slots are 1-based); ``eve_gains``
-    maps (tx, t) to the gain toward the eavesdropper.  In fixed mode the gains
-    are constant in t but stored per slot so fixed and fading realizations
-    share one shape.
+    ``legit[tx - 1, rx - 1, t - 1]`` is the gain from transmitter ``tx`` to
+    legitimate receiver ``rx`` in slot ``t`` (all 1-based) and
+    ``eve[tx - 1, t - 1]`` the gain toward the eavesdropper; both arrays are
+    read-only.  ``legit_gains`` and ``eve_gains`` are read-only mappings of
+    the same gains, keyed (tx, rx, t) and (tx, t).  In fixed mode the gains are constant in
+    t but stored per slot so fixed and fading realizations share one shape.
     """
 
     model: Model
@@ -379,8 +568,16 @@ class ChannelRealization:
     distribution: GainDistribution
     seed: int
     noise_variance: float
-    legit_gains: Mapping[tuple[int, int, int], float] = field(repr=False)
-    eve_gains: Mapping[tuple[int, int], float] = field(repr=False)
+    legit: np.ndarray = field(repr=False)
+    eve: np.ndarray = field(repr=False)
+
+    @property
+    def legit_gains(self) -> Mapping[tuple[int, int, int], float]:
+        return _GainView(self.legit)
+
+    @property
+    def eve_gains(self) -> Mapping[tuple[int, int], float]:
+        return _GainView(self.eve)
 
     def h(self, tx: int, rx: int = 1, t: int = 1) -> float:
         return self.legit_gains[(tx, rx, t)]
@@ -390,14 +587,11 @@ class ChannelRealization:
 
     def legit_series(self, tx: int, rx: int = 1) -> np.ndarray:
         """Per-slot gains of one legitimate link as a read-only vector."""
-        out = np.array([self.legit_gains[(tx, rx, t)] for t in range(1, self.slots + 1)])
-        out.setflags(write=False)
-        return out
+        transmitters, receivers, _ = self.legit.shape
+        return self.legit[_position(tx, transmitters), _position(rx, receivers)]
 
     def eve_series(self, tx: int) -> np.ndarray:
-        out = np.array([self.eve_gains[(tx, t)] for t in range(1, self.slots + 1)])
-        out.setflags(write=False)
-        return out
+        return self.eve[_position(tx, len(self.eve))]
 
     def to_json_dict(self) -> dict:
         return {
@@ -409,47 +603,54 @@ class ChannelRealization:
             "distribution": self.distribution.to_json_dict(),
             "gains": [
                 {"tx": tx, "rx": rx, "t": t, "value": v}
-                for (tx, rx, t), v in sorted(self.legit_gains.items())
+                for (tx, rx, t), v in zip(_indices(self.legit.shape), self.legit.ravel().tolist())
             ],
             "eve_gains": [
                 {"tx": tx, "t": t, "value": v}
-                for (tx, t), v in sorted(self.eve_gains.items())
+                for (tx, t), v in zip(_indices(self.eve.shape), self.eve.ravel().tolist())
             ],
         }
 
     @staticmethod
     def from_json_dict(doc: Mapping) -> "ChannelRealization":
         model = model_from_json_dict(doc["model"])
+        slots = int(doc["slots"])
         legit = {(int(g["tx"]), int(g["rx"]), int(g["t"])): float(g["value"])
                  for g in doc["gains"]}
         eve = {(int(g["tx"]), int(g["t"])): float(g["value"])
                for g in doc["eve_gains"]}
-        realization = ChannelRealization(
+        transmitters = len(model.transmitters)
+        legit_keys = list(_indices((transmitters, len(model.receivers), slots)))
+        eve_keys = list(_indices((transmitters, slots)))
+        if set(legit) != set(legit_keys):
+            raise ParameterError("legit gain index set does not match the model")
+        if set(eve) != set(eve_keys):
+            raise ParameterError("eve gain index set does not match the model")
+        return _realization(
             model=model,
-            slots=int(doc["slots"]),
+            slots=slots,
             fixed=bool(doc["fixed"]),
             distribution=GainDistribution.from_json_dict(doc["distribution"]),
             seed=int(doc["seed"]),
             noise_variance=float(doc["noise_variance"]),
-            legit_gains=legit,
-            eve_gains=eve,
+            legit=np.array([legit[k] for k in legit_keys]),
+            eve=np.array([eve[k] for k in eve_keys]),
         )
-        _validate_realization(realization)
-        return realization
 
 
-def _validate_realization(r: ChannelRealization) -> None:
-    expected = {(tx, rx, t) for (tx, rx) in legit_links(r.model)
-                for t in range(1, r.slots + 1)}
-    if set(r.legit_gains) != expected:
-        raise ParameterError("legit gain index set does not match the model")
-    expected_eve = {(tx, t) for tx in r.model.transmitters
-                    for t in range(1, r.slots + 1)}
-    if set(r.eve_gains) != expected_eve:
-        raise ParameterError("eve gain index set does not match the model")
-    for v in list(r.legit_gains.values()) + list(r.eve_gains.values()):
-        if v == 0.0 or not math.isfinite(v):
+def _realization(legit: np.ndarray, eve: np.ndarray, **fields) -> ChannelRealization:
+    """A ChannelRealization over read-only C-ordered copies of the gains, in
+    the (tx, rx, t) and (tx, t) shapes of its model; every gain must be
+    nonzero and finite."""
+    model, slots = fields["model"], fields["slots"]
+    legit = np.array(legit, dtype=float, order="C").reshape(
+        len(model.transmitters), len(model.receivers), slots)
+    eve = np.array(eve, dtype=float, order="C").reshape(len(model.transmitters), slots)
+    for gains in (legit, eve):
+        if not np.all(np.isfinite(gains) & (gains != 0.0)):
             raise ParameterError("all gains must be nonzero and finite")
+        gains.setflags(write=False)
+    return ChannelRealization(legit=legit, eve=eve, **fields)
 
 
 def sample_channel(model: Model,
@@ -476,32 +677,23 @@ def sample_channel(model: Model,
 
     t_keys = [0] if fixed else range(1, slots + 1)
 
-    def per_slot(tag: int, links: list[tuple[int, int]]) -> list[list[float]]:
+    def per_slot(tag: int, links: list[tuple[int, int]]) -> np.ndarray:
         """Gains in slots 1..slots of each (tx, rx) link, keyed (seed, tag, tx, rx, t_key)."""
         index = key_grid(range(len(links)), t_keys)
         rows = np.column_stack([np.array(links)[index[:, 0]], index[:, 1]])
         draws = keyed_gains(distribution, (seed, tag), rows).reshape(len(links), len(t_keys))
-        return [d * slots if fixed else d for d in draws.tolist()]
+        return np.repeat(draws, slots, axis=1) if fixed else draws
 
-    links = legit_links(model)
-    legit = {(tx, rx, t): v for (tx, rx), gains in zip(links, per_slot(TAG_LEGIT, links))
-             for t, v in enumerate(gains, 1)}
-    eve_links = [(tx, 0) for tx in model.transmitters]
-    eve = {(tx, t): v for (tx, _), gains in zip(eve_links, per_slot(TAG_EVE, eve_links))
-           for t, v in enumerate(gains, 1)}
-
-    realization = ChannelRealization(
+    return _realization(
         model=model,
         slots=slots,
         fixed=fixed,
         distribution=distribution,
         seed=seed,
         noise_variance=noise_variance,
-        legit_gains=legit,
-        eve_gains=eve,
+        legit=per_slot(TAG_LEGIT, legit_links(model)),
+        eve=per_slot(TAG_EVE, [(tx, 0) for tx in model.transmitters]),
     )
-    _validate_realization(realization)
-    return realization
 
 
 def awgn_vector(length: int, variance: float = 1.0, seed: int = 0) -> np.ndarray:

@@ -13,7 +13,7 @@ from sdof.analysis import (_stream_mutual_information, fit_dof_slope, gaussian_e
                            sdof_formula, sdof_formula_with_csit, slope_fit_grid)
 from sdof.channel import (TAG_TRIAL, HelperModel, InterferenceModel, MacModel,
                           MacPartialModel, sample_channel)
-from sdof.errors import ParameterError
+from sdof.errors import CapacityError, ParameterError
 from sdof.pam import build_helper_scheme
 from sdof.precoding import (assemble_receiver_and_eve_matrices,
                             build_asymptotic_precoders, build_helper_fading,
@@ -338,13 +338,13 @@ def test_mc_sweep_matches_cold_computation_in_any_order():
 
 def test_mc_sweep_draws_its_trials_once(monkeypatch, mc_scheme):
     drawn = []
-    keyed_states = analysis.keyed_states
+    keyed_streams = analysis.keyed_streams
 
-    def counting(prefix, rows):
+    def counting(prefix, rows, draws):
         drawn.append(tuple(prefix))
-        return keyed_states(prefix, rows)
+        return keyed_streams(prefix, rows, draws)
 
-    monkeypatch.setattr(analysis, "keyed_states", counting)
+    monkeypatch.setattr(analysis, "keyed_streams", counting)
     _cold_caches()
     for seed in (5, 9):
         for P in SWEEP:
@@ -354,6 +354,16 @@ def test_mc_sweep_draws_its_trials_once(monkeypatch, mc_scheme):
     for a in (uniforms, noise):
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 0.5
+
+
+def test_trials_over_budget_are_refused_before_drawing(monkeypatch, mc_scheme):
+    def draw(*args):
+        raise AssertionError("drew trials over the budget")
+
+    monkeypatch.setattr(analysis, "_trial_draws", draw)
+    monkeypatch.setattr(analysis, "key_grid", draw)
+    with pytest.raises(CapacityError, match="exceed the budget"):
+        monte_carlo_error_rate(mc_scheme, trials=analysis.MC_TRIAL_BUDGET + 1, seed=1)
 
 
 def test_mi_sweep_assembles_once_per_scheme(monkeypatch, sweep_schemes):

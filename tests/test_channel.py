@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -73,6 +74,62 @@ class TestSampleChannel:
         assert dict(back.legit_gains) == dict(r.legit_gains)
         assert dict(back.eve_gains) == dict(r.eve_gains)
         assert back.model == r.model and back.slots == r.slots
+
+    @pytest.mark.parametrize("model", [HelperModel(2), MacPartialModel(3, 2), InterferenceModel(3)],
+                             ids=lambda m: m.name)
+    def test_gain_arrays_and_their_views(self, model):
+        r = sample_channel(model, fixed=False, slots=4, seed=3)
+        T, R = len(model.transmitters), len(model.receivers)
+        assert r.legit.shape == (T, R, 4) and r.eve.shape == (T, 4)
+        legit, eve = r.legit_gains, r.eve_gains
+        assert list(legit) == sorted(legit) and len(legit) == T * R * 4
+        assert list(eve) == sorted(eve) and len(eve) == T * 4
+        assert (1, 1, 1) in legit and (0, 1, 1) not in legit and (1, 1) not in legit
+        assert 1 not in eve and (T, 4) in eve and (T + 1, 4) not in eve
+        for (tx, rx, t), v in legit.items():
+            assert r.legit[tx - 1, rx - 1, t - 1] == v == r.h(tx, rx, t)
+        for (tx, t), v in eve.items():
+            assert r.eve[tx - 1, t - 1] == v == r.g(tx, t)
+        for tx, rx in itertools.product(model.transmitters, model.receivers):
+            series = r.legit_series(tx, rx)
+            assert series.tolist() == [legit[(tx, rx, t)] for t in range(1, 5)]
+            assert np.shares_memory(series, r.legit) and not series.flags.writeable
+        for tx in model.transmitters:
+            series = r.eve_series(tx)
+            assert series.tolist() == [eve[(tx, t)] for t in range(1, 5)]
+            assert np.shares_memory(series, r.eve) and not series.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            r.legit[0, 0, 0] = 1.0
+
+    @pytest.mark.parametrize("call", [
+        lambda r: r.h(0), lambda r: r.h(4), lambda r: r.h(1, 2), lambda r: r.h(1, 1, 3),
+        lambda r: r.h(1, 1, 0), lambda r: r.g(0), lambda r: r.g(1, 3),
+        lambda r: r.legit_series(1, 0), lambda r: r.eve_series(-1),
+    ])
+    def test_out_of_range_index_is_a_key_error(self, call):
+        r = sample_channel(MacModel(3), fixed=False, slots=2, seed=1)
+        with pytest.raises(KeyError):
+            call(r)
+
+    def test_json_lists_gains_in_key_order(self):
+        r = sample_channel(InterferenceModel(3), fixed=True, slots=3, seed=4)
+        doc = r.to_json_dict()
+        assert doc["gains"] == [{"tx": tx, "rx": rx, "t": t, "value": v}
+                                for (tx, rx, t), v in sorted(r.legit_gains.items())]
+        assert doc["eve_gains"] == [{"tx": tx, "t": t, "value": v}
+                                    for (tx, t), v in sorted(r.eve_gains.items())]
+
+    @pytest.mark.parametrize("edit", [
+        lambda doc: doc["gains"].pop(),
+        lambda doc: doc["eve_gains"].append({"tx": 9, "t": 1, "value": 1.0}),
+        lambda doc: doc["gains"][0].update(value=0.0),
+        lambda doc: doc["eve_gains"][1].update(value=math.inf),
+    ])
+    def test_json_with_bad_gains_is_rejected(self, edit):
+        doc = sample_channel(MacModel(2), fixed=False, slots=2, seed=6).to_json_dict()
+        edit(doc)
+        with pytest.raises(ParameterError):
+            ChannelRealization.from_json_dict(doc)
 
     def test_bad_parameters(self):
         with pytest.raises(ParameterError):

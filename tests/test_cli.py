@@ -4,6 +4,7 @@ import re
 
 import pytest
 
+from sdof.analysis import MC_TRIAL_BUDGET
 from sdof.cli import (ExperimentConfig, main, parse_config, print_schema, run,
                       worker_count)
 from sdof.errors import UsageError
@@ -163,6 +164,13 @@ class TestMain:
         assert main(["run", config, "--experiment=interference_fixed_verify",
                      "--K=4", "--m=3"]) == 2
         assert "(4, 3) needs" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
+    def test_oversized_monte_carlo_is_refused(self, tmp_path, capsys):
+        config = _region_config(tmp_path, seed=1)
+        assert main(["run", config, "--experiment=helper_fixed_mc",
+                     f"--trials={MC_TRIAL_BUDGET + 1}"]) == 2
+        assert "Monte Carlo trials exceed the budget" in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
 
     @pytest.mark.parametrize("overrides, message", [

@@ -11,13 +11,20 @@ import math
 import numpy as np
 import pytest
 
-from sdof import analysis, converse, pam, precoding
+from sdof import analysis, channel, converse, pam, precoding
 from sdof.channel import (TAG_ALPHA, TAG_EVE, TAG_LEGIT, TAG_SAMPLE, TAG_SEED_VECTOR,
                           TAG_TRIAL, GainDistribution, HelperModel, InterferenceModel,
                           MacModel, MacPartialModel, key_grid, keyed_gains, keyed_states,
-                          legit_links, sample_channel, substream)
+                          keyed_streams, legit_links, sample_channel, standard_normals,
+                          substream)
 from sdof.channel import _CHUNK
 from sdof.errors import ParameterError
+
+# PCG64's 128-bit LCG multiplier, written out here so the tests do not take
+# it from the code under test
+MULT = 0x2360ED051FC65DA44385DF649FCCF645
+MASK128 = (1 << 128) - 1
+MULT_INV = pow(MULT, -1, 1 << 128)
 
 DISTRIBUTIONS = [GainDistribution(), GainDistribution(sign_symmetric=False),
                  GainDistribution(0.1, 7.3), GainDistribution(0.25, 3.0, sign_symmetric=False)]
@@ -34,6 +41,43 @@ def _oracle_state(*key):
 
 def _oracle_gain(distribution, *key):
     return float(distribution.sample(_oracle(*key)))
+
+
+def _numpy_at(state, inc):
+    """numpy's PCG64 generator put at the stream (state, inc)."""
+    bit_generator = np.random.PCG64()
+    bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                           "has_uint32": 0, "uinteger": 0}
+    return np.random.Generator(bit_generator)
+
+
+def _state_rows(streams):
+    """(n, 4) uint64 kernel states (state high, state low, inc high, inc low)."""
+    return np.array([[s >> 64, s & (2 ** 64 - 1), i >> 64, i & (2 ** 64 - 1)] for s, i in streams],
+                    dtype=np.uint64)
+
+
+def _before(state, inc):
+    """The state whose LCG step lands on ``state``."""
+    return (state - inc) * MULT_INV & MASK128
+
+
+# streams (state, inc) whose steps exercise every carry of the 128-bit
+# arithmetic and both ends of the XSL-RR rotation
+CARRY_STREAMS = [
+    (2 ** 64 - 1, 1),                                   # low word all ones
+    (2 ** 64, 2 ** 64 - 1),                             # just past 2**64
+    (2 ** 128 - 1, 2 ** 128 - 1),                       # near 2**128
+    (0, 2 ** 128 - 1),
+    (_before(2 ** 64 - 1, 1), 1),                       # step lands on 2**64 - 1
+    (_before(0, 2 ** 64 + 1), 2 ** 64 + 1),             # step wraps to 0
+    # product low word all ones plus inc low word 1: the sum carries into the high word
+    ((3 << 64 | 2 ** 64 - 1) * MULT_INV & MASK128, 5 << 64 | 1),
+    (_before(2 ** 58 - 1 << 64 | 12345, 7), 7),         # rotation 0, high word nonzero
+    (_before(5, 9), 9),                                 # rotation 0, high word zero
+    (_before(2 ** 128 - 1, 2 ** 127 + 1), 2 ** 127 + 1),  # rotation 63
+    (_before(63 << 122 | 1, 3), 3),                     # rotation 63, low bit only
+]
 
 
 class TestKeyedStates:
@@ -117,6 +161,117 @@ class TestSubstream:
     def test_negative_key_rejected(self):
         with pytest.raises(ParameterError):
             substream(4, -1)
+
+
+class TestKernel:
+    @pytest.mark.parametrize("stream", CARRY_STREAMS)
+    def test_carries_and_rotations_match_numpy(self, stream):
+        states = _state_rows([stream])
+        out = np.empty((1, 4), np.uint64)
+        channel._draw(states, out)
+        bit_generator = _numpy_at(*stream).bit_generator
+        assert out[0].tolist() == bit_generator.random_raw(4).tolist()
+        want = bit_generator.state["state"]
+        assert channel._stream(states[0]) == (want["state"], want["inc"])
+
+    def test_streams_match_random_raw(self):
+        rows = key_grid(range(_CHUNK + 3), [1])
+        outputs, states = keyed_streams((4, 2 ** 33), rows, 3)
+        assert outputs.shape == (len(rows), 3) and states.shape == (len(rows), 4)
+        for i in (0, 7, _CHUNK - 1, _CHUNK, len(rows) - 1):
+            bit_generator = _oracle(4, 2 ** 33, i, 1).bit_generator
+            assert outputs[i].tolist() == bit_generator.random_raw(3).tolist()
+            want = bit_generator.state["state"]
+            assert channel._stream(states[i]) == (want["state"], want["inc"])
+
+
+def _ziggurat_probe_states(idx, rabs, sign):
+    """Streams whose next output is rabs << 9 | sign << 8 | idx (rotation 0)."""
+    inc = 2 ** 64 + 2 * idx + 1
+    return [(_before(r << 9 | s << 8 | idx, inc), inc) for r, s in zip(rabs, sign)]
+
+
+def _numpy_normals(streams):
+    """numpy's standard_normal() at each stream, and whether it used one output."""
+    values, one_output = [], []
+    for state, inc in streams:
+        rng = _numpy_at(state, inc)
+        values.append(rng.standard_normal())
+        after = rng.bit_generator.state["state"]["state"]
+        one_output.append(after == state * MULT + inc & MASK128)
+    return values, one_output
+
+
+class TestZiggurat:
+    def test_every_fast_path_entry_against_numpy(self):
+        ki, wi = channel._ziggurat_tables()
+        assert ki[1] == 0 and np.all(ki[2:] > ki[1])
+        rng = np.random.default_rng(2024)
+        streams, cases = [], []
+        for idx in range(256):
+            k = int(ki[idx])
+            rabs = sorted({0, 1, max(k - 1, 0), k, 2 ** 52 - 1,
+                           int(rng.integers(0, max(k, 1))), int(rng.integers(k, 2 ** 52))})
+            for sign in (0, 1):
+                streams += _ziggurat_probe_states(idx, rabs, [sign] * len(rabs))
+                cases += [(idx, r, sign) for r in rabs]
+        got = standard_normals(_state_rows(streams))
+        values, one_output = _numpy_normals(streams)
+        assert got.tolist() == values
+        for (idx, r, sign), fast, value in zip(cases, one_output, values):
+            # numpy leaves its fast path exactly at rabs = ki[idx] ...
+            assert fast == (r < ki[idx]), (idx, r)
+            # ... and on it returns ±rabs·wi[idx]
+            if fast:
+                assert value == (-1) ** sign * (r * wi[idx])
+
+    def test_slow_path_rows_at_every_kind_of_idx(self):
+        ki, _ = channel._ziggurat_tables()
+        idx = [0, 0, 1, 1, 2, 128, 255]
+        rabs = [int(ki[0]), 2 ** 52 - 1, 0, 2 ** 51, int(ki[2]), 2 ** 52 - 1, int(ki[255])]
+        streams = _ziggurat_probe_states(0, [], [])
+        for i, r in zip(idx, rabs):
+            streams += _ziggurat_probe_states(i, [r], [i % 2])
+        got = standard_normals(_state_rows(streams))
+        values, one_output = _numpy_normals(streams)
+        assert not any(one_output)
+        assert got.tolist() == values
+
+    @pytest.mark.parametrize("seed", [3, 2 ** 40 + 1])
+    def test_keyed_normals_with_slow_paths_match_oracle(self, seed):
+        ki, _ = channel._ziggurat_tables()
+        trials = 20 * _CHUNK
+        outputs, states = keyed_streams((seed, TAG_TRIAL), key_grid(range(trials)), 2)
+        got = standard_normals(states)
+        # the kernel's next output of each stream, to see which path each takes
+        raw = np.empty((trials, 1), np.uint64)
+        channel._draw(states.copy(), raw)
+        idx = (raw[:, 0] & np.uint64(0xFF)).astype(int)
+        slow = (raw[:, 0] >> np.uint64(9) & np.uint64(2 ** 52 - 1)) >= ki[idx]
+        picked = [np.flatnonzero(slow & (idx == 0))[:5], np.flatnonzero(idx == 1)[:5],
+                  np.flatnonzero(slow & (idx > 1))[:20], np.arange(_CHUNK - 40, _CHUNK + 40)]
+        assert all(len(p) for p in picked)
+        for t in np.concatenate(picked).tolist():
+            rng = _oracle(seed, TAG_TRIAL, t)
+            assert outputs[t].tolist() == rng.bit_generator.random_raw(2).tolist()
+            assert got[t] == rng.standard_normal(), t
+
+    def test_tables_are_read_only(self):
+        for table in channel._ziggurat_tables():
+            with pytest.raises(ValueError, match="read-only"):
+                table[3] = 0
+
+
+@pytest.mark.parametrize("streams", [3, 4, 5])
+def test_trial_draws_across_a_chunk_edge(streams):
+    seed, trials = 12, _CHUNK + 4
+    analysis._trial_draws.cache_clear()
+    uniforms, noise = analysis._trial_draws(seed, trials, streams)
+    assert uniforms.shape == (trials, streams)
+    for t in range(trials):
+        rng = _oracle(seed, TAG_TRIAL, t)
+        assert uniforms[t].tolist() == rng.random(streams).tolist()
+        assert noise[t] == rng.standard_normal()
 
 
 # ---------------------------------------------------------------------------
