@@ -17,5 +17,9 @@ class CapacityError(SdofError, RuntimeError):
     """An enumeration or memory budget would be exceeded."""
 
 
+class CertificateError(SdofError, RuntimeError):
+    """An exact certificate does not apply to its input, so no verdict is given."""
+
+
 class UsageError(SdofError, ValueError):
     """Invalid CLI configuration."""

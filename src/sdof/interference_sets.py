@@ -8,32 +8,59 @@ transmitters; jamming rides on T_i and beta_i * T_{i+1}.  Multiplying any
 T_j by a cross gain only shifts exponents by one, which lands inside T~_j,
 so all interference at a legitimate receiver collapses into the K+1
 extended sets while the K-1 desired sets stay disjoint from everything.
-All of this is checked by exact integer exponent arithmetic.
 
-A set is stored as int8 exponent rows over one generator order (the K^2
-gains h_jk, then c_1..c_{K+1}): the image of the integer box {1..top}^s
-under the set's integer pattern matrix, deduplicated and sorted by the rows'
-bytes.  Scaling by a monomial adds one row vector; containment, disjointness
-and union sizes compare whole rows as fixed-width byte strings (the row
-functions of `monomial`, which the fading precoders share).
+As in real interference alignment, a set is the image of the integer box
+{1..top}^s, s = K(K-1) + 2, under the set's integer pattern matrix P: one
+row per free exponent, one column per generator (the K^2 gains h_jk, then
+c_1..c_{K+1}).  Every row of P has a pivot, a column that is nonzero in
+that row only and holds +1 or -1.  The pivots make P injective on Z^s, so
+the set has exactly top^s members, and they give the lattice coordinates
+of an exponent vector f: d = sign * f[pivots], accepted only when
+d @ P == f.  Every check is decided from the patterns in exact integer
+arithmetic, without enumerating a member:
+
+- f * T_j meets T~_j in the members whose box coordinates stay in the box
+  after the shift by d, a product of one interval length per row; when f
+  is not in the lattice, or names a symbol outside the generator order,
+  they share nothing;
+- sets of different patterns share nothing when some generator's exponent
+  ranges over disjoint intervals in the two; when none does, the verifier
+  raises instead of guessing;
+- the receiver span is the sum of the set sizes minus those overlaps, and
+  the verifier raises when a set meets more than one earlier set.
+
+`DimensionSet.rows` still enumerates the members as distinct int8 exponent
+rows (the row functions of `monomial`); the tests keep it as the oracle of
+the closed form.
 """
 from __future__ import annotations
 
+import functools
+import sys
 from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
 
-from .errors import CapacityError, ParameterError
-from .monomial import Monomial, box_image, distinct_rows, find_rows, row_keys
+from .errors import CapacityError, CertificateError, ParameterError
+from .monomial import Monomial, box_image, distinct_rows
 
-# transmitters are computationally bounded well below 10 (set sizes grow as
-# m^(K(K-1)+2)), so single-digit gain names are unambiguous
+# transmitters are computationally bounded well below 10, so single-digit
+# gain names are unambiguous
 _MAX_K = 9
 
-# exponent rows the base and extended families of one (K, m) may hold; a
-# row costs K^2 + K + 1 bytes plus sorting scratch, and (4, 2) needs 24.0M
+# exponent rows one set may enumerate; a row costs K^2 + K + 1 bytes plus
+# sorting scratch, and the largest set of (4, 2) holds 4.8M
 MEMBER_ROW_BUDGET = 30_000_000
+
+# Set labels, each format stated here only: T_i names a base set and T~_i
+# an extended one.  The builders, the cardinalities and the claims of every
+# report share these strings.
+BASE_LABELS = {i: f"T_{i}" for i in range(1, _MAX_K + 2)}
+EXTENDED_LABELS = {i: f"T~_{i}" for i in range(1, _MAX_K + 2)}
+
+# an exponent vector as {generator column: exponent}, without zeros
+Shift = dict[int, int]
 
 
 def gain_name(tx: int, rx: int) -> str:
@@ -45,11 +72,6 @@ def _check_km(K: int, m: int) -> None:
         raise ParameterError(f"construction needs 3 <= K <= {_MAX_K}, got K={K}")
     if m < 1:
         raise ParameterError(f"exponent range m must be >= 1, got {m}")
-    rows = member_rows(K, m)
-    if rows > MEMBER_ROW_BUDGET:
-        raise CapacityError(
-            f"(K, m) = ({K}, {m}) needs {rows} exponent rows, "
-            f"over budget {MEMBER_ROW_BUDGET}")
 
 
 def message_slots(K: int, tx: int) -> list[int]:
@@ -113,65 +135,164 @@ def _pattern_matrix(K: int, i: int, column: Mapping[str, int]) -> np.ndarray:
     return pattern
 
 
-def _count_new(keys: np.ndarray, earlier: list[np.ndarray]) -> int:
-    """How many of the distinct keys lie in none of the earlier sorted arrays."""
-    new = np.ones(len(keys), bool)
-    for other in earlier:
-        new &= ~find_rows(keys, other)[1]
-    return int(new.sum())
-
-
 @dataclass(frozen=True, eq=False)
 class DimensionSet:
-    """A labelled set of monomials: distinct int8 exponent rows over
-    `generators`, sorted by their bytes."""
+    """The monomials e @ pattern for e in {1..top}^s, over `generators`.
+
+    The pattern's pivots are found when the set is built, and a pattern with
+    a row that has none is refused: its size and lattice would be unproven.
+    """
 
     label: str
     generators: tuple[str, ...]
-    rows: np.ndarray
+    pattern: np.ndarray
+    top: int
+    # the nonzero (column, entry) pairs of each pattern row
+    _support: tuple[tuple[tuple[int, int], ...], ...] = field(init=False, repr=False)
+    # pivot column -> (its row, its entry)
+    _pivots: dict[int, tuple[int, int]] = field(init=False, repr=False)
+    # least and greatest exponent of each generator over the set
+    _low: np.ndarray = field(init=False, repr=False)
+    _high: np.ndarray = field(init=False, repr=False)
 
-    def __len__(self) -> int:
-        return len(self.rows)
+    def __post_init__(self) -> None:
+        rows, cols = np.nonzero(self.pattern)
+        support: list[list[tuple[int, int]]] = [[] for _ in self.pattern]
+        for r, c, v in zip(rows.tolist(), cols.tolist(),
+                           self.pattern[rows, cols].tolist()):
+            support[r].append((c, v))
+        weight = np.count_nonzero(self.pattern, axis=0).tolist()
+        pivots = {}
+        for r, entries in enumerate(support):
+            pivot = next(((c, v) for c, v in entries
+                          if weight[c] == 1 and abs(v) == 1), None)
+            if pivot is None:
+                raise CertificateError(f"{self.label}: pattern row {r} has no pivot column")
+            pivots[pivot[0]] = (r, pivot[1])
+        wide = self.pattern.astype(np.int64)
+        object.__setattr__(self, "_support", tuple(map(tuple, support)))
+        object.__setattr__(self, "_pivots", pivots)
+        object.__setattr__(self, "_low", np.minimum(wide, self.top * wide).sum(axis=0))
+        object.__setattr__(self, "_high", np.maximum(wide, self.top * wide).sum(axis=0))
 
     @property
-    def keys(self) -> np.ndarray:
-        return row_keys(self.rows)
+    def size(self) -> int:
+        """Number of members, top^s: exact at any size, unlike len()."""
+        return _one_copy(self.top ** len(self.pattern))
+
+    @property
+    def rows(self) -> np.ndarray:
+        """The members as distinct int8 exponent rows sorted by their bytes,
+        enumerated on every call and refused above MEMBER_ROW_BUDGET."""
+        if self.size > MEMBER_ROW_BUDGET:
+            raise CapacityError(f"{self.label} has {self.size} members, over budget "
+                                f"{MEMBER_ROW_BUDGET} exponent rows")
+        return distinct_rows(box_image(self.pattern, self.top))
 
     @property
     def members(self) -> frozenset[Monomial]:
         return frozenset(Monomial.from_dict(dict(zip(self.generators, row)))
                          for row in self.rows.tolist())
 
-    def scaled(self, factor: Monomial) -> tuple[np.ndarray, int]:
-        """Rows of factor * self that int8 holds, and how many members it
-        cannot hold.  Those, like every member when the factor names a symbol
-        outside the generator order, lie in no set built here."""
-        exponents = dict(factor.exponents)
-        if not exponents.keys() <= set(self.generators):
-            return self.rows[:0], len(self)
-        wide = self.rows + np.array([exponents.get(g, 0) for g in self.generators],
-                                    np.int64)
-        held = ((wide >= -128) & (wide <= 127)).all(axis=1)
-        return wide[held].astype(np.int8), len(self) - int(held.sum())
+    def coordinates(self, shift: Shift) -> Shift | None:
+        """The nonzero lattice coordinates d with d @ pattern == shift, or
+        None when the shift is not in the pattern's lattice."""
+        d = {}
+        for c, v in shift.items():
+            if c in self._pivots:
+                r, sign = self._pivots[c]
+                d[r] = sign * v
+        image: Shift = {}
+        for r, dr in d.items():
+            for c, v in self._support[r]:
+                image[c] = image.get(c, 0) + dr * v
+        return d if {c: v for c, v in image.items() if v} == shift else None
 
 
-def _build_family(K: int, m: int, top: int, prefix: str) -> list[DimensionSet]:
+@functools.lru_cache(maxsize=1024)
+def _one_copy(n: int) -> int:
+    """n itself, as the first int object seen with its value: a caller that
+    keeps thousands of reports keeps one copy of each size and span."""
+    return n
+
+
+def _difference(a: Shift, b: Shift) -> Shift:
+    out = dict(a)
+    for c, v in b.items():
+        out[c] = out.get(c, 0) - v
+    return {c: v for c, v in out.items() if v}
+
+
+def _dense(shift: Shift, width: int) -> np.ndarray:
+    out = np.zeros(width, np.int64)
+    for c, v in shift.items():
+        out[c] = v
+    return out
+
+
+def shared_members(a: DimensionSet, shift_a: Shift,
+                   b: DimensionSet, shift_b: Shift) -> int:
+    """How many members shift_a * a and shift_b * b have in common (both
+    sets over one generator order).
+
+    Raises CertificateError for sets of different patterns that no
+    generator separates: their overlap is not decided here.
+    """
+    if np.array_equal(a.pattern, b.pattern):
+        d = a.coordinates(_difference(shift_a, shift_b))
+        if d is None:
+            return 0
+        # shift_a + e @ P == shift_b + e' @ P exactly when e' = e + d, so
+        # row r counts the e_r in 1..a.top with e_r + d_r in 1..b.top
+        common = min(a.top, b.top) ** (len(a.pattern) - len(d))
+        for dr in d.values():
+            common *= max(0, min(a.top, b.top - dr) - max(1, 1 - dr) + 1)
+        return common
+    width = len(a.generators)
+    offset = _dense(shift_a, width) - _dense(shift_b, width)
+    if ((a._high + offset < b._low).any()
+            or (b._high < a._low + offset).any()):
+        return 0
+    raise CertificateError(f"{a.label} and {b.label} have different patterns "
+                           f"and no separating generator")
+
+
+def _new_members(image: tuple[DimensionSet, Shift],
+                 earlier: list[tuple[DimensionSet, Shift]]) -> int:
+    """Members of a scaled set that lie in none of the earlier ones."""
+    dset, shift = image
+    overlaps = [n for n in (shared_members(dset, shift, *other) for other in earlier) if n]
+    if len(overlaps) > 1:
+        raise CertificateError(f"{dset.label} meets {len(overlaps)} earlier sets, "
+                               f"whose common members are not counted here")
+    return dset.size - sum(overlaps)
+
+
+def _shift(factor: Monomial, column: Mapping[str, int]) -> Shift | None:
+    """The factor's exponents by generator column, or None when it names a
+    symbol outside the generator order."""
+    if not all(n in column for n, _ in factor.exponents):
+        return None
+    return {column[n]: e for n, e in factor.exponents}
+
+
+def _build_family(K: int, m: int, top: int,
+                  labels: Mapping[int, str]) -> list[DimensionSet]:
     _check_km(K, m)
     generators = _generator_order(K)
     column = {g: c for c, g in enumerate(generators)}
-    return [DimensionSet(f"{prefix}_{i}", generators,
-                         distinct_rows(box_image(_pattern_matrix(K, i, column), top)))
+    return [DimensionSet(labels[i], generators, _pattern_matrix(K, i, column), top)
             for i in range(1, K + 2)]
 
 
 def build_base_dimension_sets(K: int, m: int) -> list[DimensionSet]:
     """The K+1 sets T_1..T_{K+1} with exponents in {1..m}."""
-    return _build_family(K, m, m, "T")
+    return _build_family(K, m, m, BASE_LABELS)
 
 
 def build_extended_dimension_sets(K: int, m: int) -> list[DimensionSet]:
     """The K+1 sets T~_1..T~_{K+1} with exponents in {1..m+1}."""
-    return _build_family(K, m, m + 1, "T~")
+    return _build_family(K, m, m + 1, EXTENDED_LABELS)
 
 
 def beta_links(K: int) -> dict[int, tuple[tuple[int, int], tuple[int, int]]]:
@@ -208,11 +329,6 @@ def expected_extended_cardinality(K: int, m: int) -> int:
     return (m + 1) ** exponent_slots(K)
 
 
-def member_rows(K: int, m: int) -> int:
-    """Exponent rows of the base and extended families together."""
-    return (K + 1) * (expected_base_cardinality(K, m) + expected_extended_cardinality(K, m))
-
-
 def expected_span(K: int, m: int) -> int:
     """Occupied dimensions at one receiver: (K-1) desired sets + K+1 extended sets."""
     return (K - 1) * expected_base_cardinality(K, m) \
@@ -243,8 +359,10 @@ class AlignmentReport:
     checks: list[AlignmentCheck] = field(default_factory=list)
 
     @property
-    def violations(self) -> list[str]:
-        return [c.claim for c in self.checks if c.status != "pass"]
+    def violations(self) -> tuple[str, ...]:
+        # interned: a failing claim repeats verbatim from report to report,
+        # and callers that keep many reports' violations keep one copy
+        return tuple(sys.intern(c.claim) for c in self.checks if c.status != "pass")
 
     @property
     def ok(self) -> bool:
@@ -258,7 +376,7 @@ class AlignmentReport:
             "receiver_span": {str(k): v for k, v in sorted(self.receiver_span.items())},
             "expected_span": self.expected_span_size,
             "checks": [c.to_json_dict() for c in self.checks],
-            "violations": self.violations,
+            "violations": list(self.violations),
         }
 
 
@@ -271,49 +389,57 @@ def verify_interference_alignment(K: int, m: int,
     and every jamming set in the matching extended set, disjointness of the
     desired sets from each other and from all extended sets, and the total
     span cardinality.  Violations are report content, never exceptions.
-    beta_override swaps out individual beta_i factors (used for adversarial
-    mutation tests).
+    beta_override swaps out individual beta_i factors, i in 1..K (used for
+    adversarial mutation tests); an empty mapping overrides nothing.
     """
     base = {i + 1: s for i, s in enumerate(build_base_dimension_sets(K, m))}
     extended = {i + 1: s for i, s in enumerate(build_extended_dimension_sets(K, m))}
+    column = {g: c for c, g in enumerate(base[1].generators)}
 
     betas = beta_three_user() if K == 3 else beta_general(K)
-    check_secondary = K == 3 and beta_override is None
     if beta_override:
+        unknown = [k for k in beta_override if k not in betas]
+        if unknown:
+            raise ParameterError(f"beta_override keys must lie in 1..{K}, got {unknown}")
         betas = {**betas, **dict(beta_override)}
+    check_secondary = K == 3 and not beta_override
 
     cardinalities: dict[str, int] = {}
     checks: list[AlignmentCheck] = []
+    s = exponent_slots(K)
     exp_base = expected_base_cardinality(K, m)
     exp_ext = expected_extended_cardinality(K, m)
+    none: Shift = {}
     for i in range(1, K + 2):
-        cardinalities[base[i].label] = len(base[i])
-        cardinalities[extended[i].label] = len(extended[i])
+        b, e = base[i], extended[i]
+        cardinalities[b.label] = b.size
+        cardinalities[e.label] = e.size
         checks.append(AlignmentCheck(
-            None, f"|{base[i].label}| == m^{exponent_slots(K)}",
-            "pass" if len(base[i]) == exp_base else "fail",
-            f"{len(base[i])} vs {exp_base}"))
+            None, f"|{b.label}| == m^{s}",
+            "pass" if b.size == exp_base else "fail", f"{b.size} vs {exp_base}"))
         checks.append(AlignmentCheck(
-            None, f"|{extended[i].label}| == (m+1)^{exponent_slots(K)}",
-            "pass" if len(extended[i]) == exp_ext else "fail",
-            f"{len(extended[i])} vs {exp_ext}"))
+            None, f"|{e.label}| == (m+1)^{s}",
+            "pass" if e.size == exp_ext else "fail", f"{e.size} vs {exp_ext}"))
         checks.append(AlignmentCheck(
-            None, f"{base[i].label} subset of {extended[i].label}",
-            "pass" if find_rows(base[i].keys, extended[i].keys)[1].all() else "fail"))
+            None, f"{b.label} subset of {e.label}",
+            "pass" if shared_members(b, none, e, none) == b.size else "fail"))
 
-    def containment(rx: int, factor: Monomial, src: int, dst: int, what: str,
+    def containment(rx: int, factor: Monomial, j: int, what: str,
                     tag: str = "") -> None:
-        rows, escaped = base[src].scaled(factor)
-        escaped += int((~find_rows(row_keys(rows), extended[dst].keys)[1]).sum())
+        shift = _shift(factor, column)
+        escaped = base[j].size
+        if shift is not None:
+            escaped -= shared_members(base[j], shift, extended[j], none)
         ok = escaped == 0
         checks.append(AlignmentCheck(
-            rx, f"rx{rx}: {factor}*T_{src} within T~_{dst} ({what}){tag}",
+            rx, f"rx{rx}: {factor}*{base[j].label} within {extended[j].label} ({what}){tag}",
             "pass" if ok else "fail",
             "" if ok else f"{escaped} members escape"))
 
     # the extended sets are common to every receiver's span
-    ext_keys = [extended[i].keys for i in range(1, K + 2)]
-    ext_union = sum(_count_new(keys, ext_keys[:n]) for n, keys in enumerate(ext_keys))
+    ext_images = [(extended[i], none) for i in range(1, K + 2)]
+    ext_union = sum(_new_members(image, ext_images[:n])
+                    for n, image in enumerate(ext_images))
 
     receiver_span: dict[int, int] = {}
     for l in range(1, K + 1):
@@ -322,45 +448,43 @@ def verify_interference_alignment(K: int, m: int,
             if k == l:
                 continue
             for j in message_slots(K, k):
-                containment(l, Monomial.gen(gain_name(k, l)), j, j,
-                            f"message V{k},{j}")
+                containment(l, Monomial.gen(gain_name(k, l)), j, f"message V{k},{j}")
         # first jamming block of every transmitter
         for k in range(1, K + 1):
-            containment(l, Monomial.gen(gain_name(k, l)), k, k, f"jamming U{k}")
+            containment(l, Monomial.gen(gain_name(k, l)), k, f"jamming U{k}")
         # second jamming block, scaled by beta_k
         for k in range(1, K + 1):
             factor = Monomial.gen(gain_name(k, l)) * betas[k]
-            containment(l, factor, k + 1, k + 1, f"jamming U~{k}")
+            containment(l, factor, k + 1, f"jamming U~{k}")
         if check_secondary:
             general = beta_general(K)
             for k in range(1, K + 1):
                 factor = Monomial.gen(gain_name(k, l)) * general[k]
-                containment(l, factor, k + 1, k + 1, f"jamming U~{k}",
+                containment(l, factor, k + 1, f"jamming U~{k}",
                             tag=" [general beta rule]")
 
         # desired sets: pairwise disjoint and clear of every extended set
-        own = Monomial.gen(gain_name(l, l))
-        # sorted, so that each can be searched
-        desired = {j: row_keys(distinct_rows(base[j].scaled(own)[0]))
-                   for j in message_slots(K, l)}
+        own_name = gain_name(l, l)
+        own = {column[own_name]: 1}
         slots = message_slots(K, l)
         for a_idx, ja in enumerate(slots):
             for jb in slots[a_idx + 1:]:
-                ok = not find_rows(desired[ja], desired[jb])[1].any()
+                ok = not shared_members(base[ja], own, base[jb], own)
                 checks.append(AlignmentCheck(
-                    l, f"rx{l}: h_{l}{l}*T_{ja} disjoint from h_{l}{l}*T_{jb}",
+                    l, f"rx{l}: {own_name}*{base[ja].label} disjoint from "
+                       f"{own_name}*{base[jb].label}",
                     "pass" if ok else "fail"))
             for i in range(1, K + 2):
-                ok = not find_rows(desired[ja], ext_keys[i - 1])[1].any()
+                ok = not shared_members(base[ja], own, extended[i], none)
                 checks.append(AlignmentCheck(
-                    l, f"rx{l}: h_{l}{l}*T_{ja} disjoint from T~_{i}",
+                    l, f"rx{l}: {own_name}*{base[ja].label} disjoint from {extended[i].label}",
                     "pass" if ok else "fail"))
 
-        span, seen = ext_union, list(ext_keys)
-        for keys in desired.values():
-            span += _count_new(keys, seen)
-            seen.append(keys)
-        receiver_span[l] = span
+        span, seen = ext_union, list(ext_images)
+        for j in slots:
+            span += _new_members((base[j], own), seen)
+            seen.append((base[j], own))
+        receiver_span[l] = _one_copy(span)
         checks.append(AlignmentCheck(
             l, f"rx{l}: span size == {expected_span(K, m)}",
             "pass" if span == expected_span(K, m) else "fail",

@@ -162,9 +162,17 @@ class TestMain:
     def test_oversized_fixed_verify_is_refused(self, tmp_path, capsys):
         config = _region_config(tmp_path, seed=1)
         assert main(["run", config, "--experiment=interference_fixed_verify",
-                     "--K=4", "--m=3"]) == 2
-        assert "(4, 3) needs" in capsys.readouterr().err
+                     "--K=10"]) == 2
+        assert "needs 3 <= K <= 9, got K=10" in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
+
+    def test_four_three_fixed_verify_runs(self, tmp_path):
+        config = _region_config(tmp_path, seed=1)
+        assert main(["run", config, "--experiment=interference_fixed_verify",
+                     "--K=4", "--m=3"]) == 0
+        report = json.loads((tmp_path / "r.json").read_text())
+        assert report["ok"] and report["violations"] == []
+        assert report["receiver_span"] == dict.fromkeys("1234", 1_356_526_187)
 
     def test_oversized_monte_carlo_is_refused(self, tmp_path, capsys):
         config = _region_config(tmp_path, seed=1)

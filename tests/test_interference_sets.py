@@ -1,21 +1,27 @@
+import functools
 import itertools
 import json
 import time
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sdof.errors import CapacityError, ParameterError
+from sdof import interference_sets
+from sdof.errors import CapacityError, CertificateError, ParameterError
 from sdof.interference_sets import (MEMBER_ROW_BUDGET, AlignmentCheck,
-                                    AlignmentReport, _set_pattern,
+                                    AlignmentReport, DimensionSet,
+                                    _new_members, _set_pattern,
                                     beta_general, beta_three_user,
                                     build_base_dimension_sets,
                                     build_extended_dimension_sets,
                                     expected_base_cardinality,
                                     expected_extended_cardinality,
                                     expected_span, exponent_slots, gain_name,
-                                    member_rows, message_slots,
+                                    message_slots, shared_members,
                                     verify_interference_alignment)
-from sdof.monomial import Monomial
+from sdof.monomial import Monomial, find_rows
 
 
 class TestCardinalities:
@@ -25,21 +31,18 @@ class TestCardinalities:
     def test_base_set_sizes(self, K, m, expected):
         sets = build_base_dimension_sets(K, m)
         assert len(sets) == K + 1
-        assert all(len(s) == expected for s in sets)
+        assert all(s.size == expected for s in sets)
         assert expected == expected_base_cardinality(K, m)
 
     @pytest.mark.parametrize("K,m,expected", [
-        (3, 1, 256), (3, 2, 6561), (4, 1, 16384),
+        (3, 1, 256), (3, 2, 6561), (4, 1, 16384), (4, 2, 4782969),
     ])
     def test_extended_set_sizes(self, K, m, expected):
         sets = build_extended_dimension_sets(K, m)
-        assert all(len(s) == expected for s in sets)
+        assert all(s.size == expected for s in sets)
         assert expected == expected_extended_cardinality(K, m)
 
     def test_exponent_slot_count(self):
-        # (4, 2) extended sets hold 3^14 rows each: building them takes tens
-        # of seconds, too slow for this suite, so their size is checked here
-        # only through the slot count
         assert exponent_slots(3) == 8
         assert exponent_slots(4) == 14
         assert expected_extended_cardinality(4, 2) == 3 ** 14
@@ -132,6 +135,8 @@ def test_expected_span_formula():
 # the oracle for the engine's report
 # ---------------------------------------------------------------------------
 
+# holds every set of the oracle cases, so each is built once
+@functools.lru_cache(maxsize=32)
 def _reference_set(K, i, top):
     plain, ratios = _set_pattern(K, i)
     members = set()
@@ -226,16 +231,24 @@ def _reference_verify(K, m, beta_override=None):
                            expected_span(K, m), checks)
 
 
-@pytest.mark.parametrize("K,m,override", [
+ONE = Monomial.one()
+# (K, m, beta_override): the mutations, a symbol outside the generator
+# order (every member escapes), exponents past the int8 range of the rows
+# (those members escape), and factors in and out of the target's lattice
+ORACLE_CASES = [
     (3, 1, None), (3, 2, None), (4, 1, None),
-    (3, 1, {1: Monomial.one()}),
-    (4, 1, {2: Monomial.one()}),
+    (3, 1, {1: ONE}),
+    (4, 1, {2: ONE}),
     (3, 2, {3: Monomial.gen("h_11")}),
-    # a symbol outside the generator order: every member escapes
     (3, 1, {1: Monomial.gen("x")}),
-    # exponents past the int8 range of the rows: those members escape
     (3, 1, {2: Monomial.gen("h_12", 200) / Monomial.gen("h_21", 3)}),
-])
+    (3, 2, {2: Monomial.gen("h_11", 200)}),
+    (3, 1, {2: Monomial.gen("c_2") / Monomial.gen("h_11", 3)}),
+    (4, 1, {1: Monomial.gen("h_31") / Monomial.gen("h_11")}),
+]
+
+
+@pytest.mark.parametrize("K,m,override", ORACLE_CASES)
 def test_report_matches_string_keyed_reference(K, m, override):
     got = verify_interference_alignment(K, m, beta_override=override).to_json_dict()
     want = _reference_verify(K, m, beta_override=override).to_json_dict()
@@ -250,15 +263,146 @@ def test_set_members_match_reference(K, m):
             assert dset.members == _reference_set(K, i, top)
 
 
+# ---------------------------------------------------------------------------
+# the rows enumerator as the oracle of the closed form: the same verifier,
+# with every overlap counted from enumerated exponent rows
+# ---------------------------------------------------------------------------
+
+@functools.lru_cache(maxsize=64)
+def _sorted_keys(dset, shift):
+    """The members of shift * dset as int64 exponent rows, each viewed as
+    one byte string, sorted."""
+    rows = dset.rows.astype(np.int64)
+    for c, v in shift:
+        rows[:, c] += v
+    return np.sort(rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel())
+
+
+def _enumerated_shared(a, shift_a, b, shift_b):
+    """shared_members by enumeration of both scaled sets."""
+    keys = sorted((_sorted_keys(a, tuple(sorted(shift_a.items()))),
+                   _sorted_keys(b, tuple(sorted(shift_b.items())))), key=len)
+    return int(find_rows(*keys)[1].sum())
+
+
+@pytest.mark.parametrize("K,m,override", ORACLE_CASES + [
+    (3, 3, None), (3, 3, {1: ONE}), (3, 3, {2: Monomial.gen("h_21")})])
+def test_report_matches_rows_enumerator(K, m, override, monkeypatch):
+    want = verify_interference_alignment(K, m, beta_override=override).to_json_dict()
+    monkeypatch.setattr(interference_sets, "shared_members", _enumerated_shared)
+    got = verify_interference_alignment(K, m, beta_override=override).to_json_dict()
+    assert json.dumps(got) == json.dumps(want)
+
+
+@functools.lru_cache(maxsize=None)
+def _families(K, m, sign):
+    """The base and extended sets of (K, m), built once; with sign -1 every
+    pattern is negated, so that every pivot entry is -1."""
+    def signed(dset):
+        return DimensionSet(dset.label, dset.generators, sign * dset.pattern, dset.top)
+    return ([signed(d) for d in build_base_dimension_sets(K, m)],
+            [signed(d) for d in build_extended_dimension_sets(K, m)])
+
+
+@pytest.mark.parametrize("K,m", [(3, 1), (3, 2)])
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_escape_counts_match_enumeration(K, m, data):
+    j = data.draw(st.integers(1, K + 1), label="set")
+    bases, exts = _families(K, m, data.draw(st.sampled_from([1, -1]), label="sign"))
+    base, ext = bases[j - 1], exts[j - 1]
+    # a lattice vector d @ pattern, sometimes moved off the lattice
+    d = data.draw(st.lists(st.sampled_from([0, 0, 0, 1, -1, 2, -2]),
+                           min_size=len(base.pattern), max_size=len(base.pattern)),
+                  label="d")
+    vector = np.array(d) @ base.pattern.astype(np.int64)
+    width = len(base.generators)
+    for c, v in data.draw(st.dictionaries(st.integers(0, width - 1),
+                                          st.integers(-2, 2), max_size=2),
+                          label="off lattice").items():
+        vector[c] += v
+    shift = {c: int(v) for c, v in enumerate(vector) if v}
+    assert shared_members(base, shift, ext, {}) == _enumerated_shared(base, shift, ext, {})
+    # a set of another pattern: decided exactly, or refused
+    other = exts[j % (K + 1)]
+    try:
+        got = shared_members(base, shift, other, {})
+    except CertificateError:
+        return
+    assert got == _enumerated_shared(base, shift, other, {})
+
+
+def test_overlap_without_a_separating_generator_is_refused():
+    # two patterns with the same image: no generator separates them, so the
+    # closed form refuses to call them disjoint
+    a = DimensionSet("A", ("x", "y"), np.array([[1, 0], [0, 1]], np.int8), 2)
+    b = DimensionSet("B", ("x", "y"), np.array([[0, 1], [1, 0]], np.int8), 2)
+    assert _enumerated_shared(a, {}, b, {}) == 4
+    with pytest.raises(CertificateError, match="no separating generator"):
+        shared_members(a, {}, b, {})
+    # shifted apart in y, they are separated and share nothing
+    assert shared_members(a, {1: 5}, b, {}) == 0 == _enumerated_shared(a, {1: 5}, b, {})
+
+
+def test_a_set_meeting_two_earlier_sets_is_refused():
+    line = DimensionSet("L", ("x",), np.array([[1]], np.int8), 2)   # x, x^2
+    assert _new_members((line, {}), [(line, {0: 2})]) == 2
+    assert _new_members((line, {}), [(line, {0: 1})]) == 1
+    with pytest.raises(CertificateError, match="meets 2 earlier sets"):
+        _new_members((line, {}), [(line, {0: 1}), (line, {0: -1})])
+
+
+def test_a_pattern_row_without_a_pivot_is_refused():
+    with pytest.raises(CertificateError, match="row 1 has no pivot"):
+        DimensionSet("P", ("x", "y"), np.array([[1, 1], [0, 1]], np.int8), 2)
+
+
+def test_every_pattern_has_pivots_up_to_nine_users():
+    for K in range(3, 10):
+        for dset in build_extended_dimension_sets(K, 1):
+            assert sorted(r for r, _ in dset._pivots.values()) == list(range(len(dset.pattern)))
+
+
+def test_nine_users_are_exact_past_int64():
+    report = verify_interference_alignment(9, 1)
+    assert report.ok
+    span = 8 + 10 * 2 ** 74
+    assert report.expected_span_size == span
+    assert report.receiver_span == dict.fromkeys(range(1, 10), span)
+    assert report.set_cardinalities["T_1"] == 1
+    assert report.set_cardinalities["T~_10"] == 2 ** 74 == 18889465931478580854784
+    assert json.loads(json.dumps(report.to_json_dict()))["expected_span"] == span
+
+
+class TestBetaOverride:
+    @pytest.mark.parametrize("key", [0, 4, 7])
+    def test_keys_outside_one_to_k_are_refused(self, key):
+        with pytest.raises(ParameterError, match=r"beta_override keys must lie in 1\.\.3"):
+            verify_interference_alignment(3, 1, beta_override={key: ONE})
+
+    def test_empty_override_is_no_override(self):
+        empty = verify_interference_alignment(3, 1, beta_override={})
+        assert len(empty.checks) == 81
+        assert json.dumps(empty.to_json_dict()) == json.dumps(
+            verify_interference_alignment(3, 1).to_json_dict())
+
+
 class TestBudget:
     def test_four_two_fits(self):
-        assert member_rows(4, 2) == 5 * (2 ** 14 + 3 ** 14) <= MEMBER_ROW_BUDGET
+        assert expected_extended_cardinality(4, 2) == 3 ** 14 <= MEMBER_ROW_BUDGET
 
-    @pytest.mark.parametrize("build", [verify_interference_alignment,
-                                       build_base_dimension_sets,
-                                       build_extended_dimension_sets])
+    # the extended sets of (4, 3) hold 4^14 members each: refused where
+    # they would be enumerated
+    @pytest.mark.parametrize("build", [build_extended_dimension_sets])
     def test_four_three_refused_before_allocation(self, build):
+        sets = build(4, 3)
         started = time.perf_counter()
-        with pytest.raises(CapacityError, match=r"\(4, 3\).*over budget"):
-            build(4, 3)
+        with pytest.raises(CapacityError, match=r"T~_1 has 268435456 members, over budget"):
+            sets[0].rows
         assert time.perf_counter() - started < 0.5
+
+    def test_four_three_verifies_without_enumerating(self):
+        report = verify_interference_alignment(4, 3)
+        assert report.ok
+        assert expected_span(4, 3) == 3 * 3 ** 14 + 5 * 4 ** 14 == 1_356_526_187
+        assert report.receiver_span == dict.fromkeys(range(1, 5), 1_356_526_187)
