@@ -9,7 +9,7 @@ transmitters.
 
 from .channel import (ChannelRealization, GainDistribution, HelperModel,
                       InterferenceModel, MacModel, MacPartialModel,
-                      awgn_vector, sample_channel)
+                      sample_channel)
 from .interference_sets import DimensionSet
 from .monomial import Monomial
 
@@ -24,7 +24,6 @@ __all__ = [
     "MacModel",
     "MacPartialModel",
     "Monomial",
-    "awgn_vector",
     "sample_channel",
     "__version__",
 ]

@@ -1,4 +1,4 @@
-"""Channel models, gain sampling, and AWGN generation.
+"""Channel models and gain sampling.
 
 Four network models are supported: a wiretap channel with M helpers, a
 K-user multiple access wiretap channel (optionally with a subset of
@@ -37,7 +37,6 @@ from .errors import ParameterError
 # (seed, tag, *indices) so streams never collide across purposes.
 TAG_LEGIT = 0
 TAG_EVE = 1
-TAG_NOISE = 2
 TAG_ALPHA = 3
 TAG_SEED_VECTOR = 4
 TAG_TRIAL = 5
@@ -362,21 +361,6 @@ class GainDistribution:
         """log(1 + 1/magnitude_low), an upper bound on E[log(1 + 1/|h|)]."""
         return math.log1p(1.0 / self.magnitude_low)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "magnitude_low": self.magnitude_low,
-            "magnitude_high": self.magnitude_high,
-            "sign_symmetric": self.sign_symmetric,
-        }
-
-    @staticmethod
-    def from_json_dict(doc: Mapping) -> "GainDistribution":
-        return GainDistribution(
-            magnitude_low=float(doc["magnitude_low"]),
-            magnitude_high=float(doc["magnitude_high"]),
-            sign_symmetric=bool(doc["sign_symmetric"]),
-        )
-
 
 def keyed_gains(distribution: GainDistribution, prefix: Sequence[int], rows) -> np.ndarray:
     """``float(distribution.sample(substream(*prefix, *row)))`` for every row,
@@ -499,22 +483,6 @@ class InterferenceModel:
 
 Model = Union[HelperModel, MacModel, MacPartialModel, InterferenceModel]
 
-_MODEL_BY_NAME = {
-    "helper": HelperModel,
-    "mac": MacModel,
-    "mac_partial": MacPartialModel,
-    "interference": InterferenceModel,
-}
-
-
-def model_from_json_dict(doc: Mapping) -> Model:
-    kind = doc["kind"]
-    if kind not in _MODEL_BY_NAME:
-        raise ParameterError(f"unknown model kind {kind!r}")
-    params = {k: int(v) for k, v in doc.items() if k != "kind"}
-    return _MODEL_BY_NAME[kind](**params)
-
-
 def legit_links(model: Model) -> list[tuple[int, int]]:
     """All (tx, rx) pairs with a legitimate-side gain, transmitter-major."""
     return list(itertools.product(model.transmitters, model.receivers))
@@ -593,50 +561,6 @@ class ChannelRealization:
     def eve_series(self, tx: int) -> np.ndarray:
         return self.eve[_position(tx, len(self.eve))]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "model": {"kind": self.model.name, **self.model.params()},
-            "slots": self.slots,
-            "fixed": self.fixed,
-            "seed": self.seed,
-            "noise_variance": self.noise_variance,
-            "distribution": self.distribution.to_json_dict(),
-            "gains": [
-                {"tx": tx, "rx": rx, "t": t, "value": v}
-                for (tx, rx, t), v in zip(_indices(self.legit.shape), self.legit.ravel().tolist())
-            ],
-            "eve_gains": [
-                {"tx": tx, "t": t, "value": v}
-                for (tx, t), v in zip(_indices(self.eve.shape), self.eve.ravel().tolist())
-            ],
-        }
-
-    @staticmethod
-    def from_json_dict(doc: Mapping) -> "ChannelRealization":
-        model = model_from_json_dict(doc["model"])
-        slots = int(doc["slots"])
-        legit = {(int(g["tx"]), int(g["rx"]), int(g["t"])): float(g["value"])
-                 for g in doc["gains"]}
-        eve = {(int(g["tx"]), int(g["t"])): float(g["value"])
-               for g in doc["eve_gains"]}
-        transmitters = len(model.transmitters)
-        legit_keys = list(_indices((transmitters, len(model.receivers), slots)))
-        eve_keys = list(_indices((transmitters, slots)))
-        if set(legit) != set(legit_keys):
-            raise ParameterError("legit gain index set does not match the model")
-        if set(eve) != set(eve_keys):
-            raise ParameterError("eve gain index set does not match the model")
-        return _realization(
-            model=model,
-            slots=slots,
-            fixed=bool(doc["fixed"]),
-            distribution=GainDistribution.from_json_dict(doc["distribution"]),
-            seed=int(doc["seed"]),
-            noise_variance=float(doc["noise_variance"]),
-            legit=np.array([legit[k] for k in legit_keys]),
-            eve=np.array([eve[k] for k in eve_keys]),
-        )
-
 
 def _realization(legit: np.ndarray, eve: np.ndarray, **fields) -> ChannelRealization:
     """A ChannelRealization over read-only C-ordered copies of the gains, in
@@ -694,15 +618,3 @@ def sample_channel(model: Model,
         legit=per_slot(TAG_LEGIT, legit_links(model)),
         eve=per_slot(TAG_EVE, [(tx, 0) for tx in model.transmitters]),
     )
-
-
-def awgn_vector(length: int, variance: float = 1.0, seed: int = 0) -> np.ndarray:
-    """Seeded i.i.d. zero-mean Gaussian noise samples."""
-    if length < 1:
-        raise ParameterError(f"length must be >= 1, got {length}")
-    if variance <= 0:
-        raise ParameterError(f"variance must be > 0, got {variance}")
-    rng = substream(seed, TAG_NOISE)
-    out = rng.normal(0.0, math.sqrt(variance), length)
-    out.setflags(write=False)
-    return out

@@ -10,11 +10,9 @@ report itself stays reproducible.  Exit codes: 0 all assertions passed,
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import dataclasses
 import json
 import math
-import os
 import sys
 import time
 from dataclasses import dataclass
@@ -31,17 +29,6 @@ from .errors import SdofError, UsageError
 from .monomial import Monomial
 
 SCHEMA_VERSION = "1.0"
-
-
-def worker_count() -> int:
-    """Parallelism cap: SDOF_THREADS if set, else a small default."""
-    env = os.environ.get("SDOF_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise UsageError(f"SDOF_THREADS must be an integer, got {env!r}")
-    return min(4, os.cpu_count() or 1)
 
 
 @dataclass
@@ -193,10 +180,8 @@ def _assertion(name: str, ok: bool, detail: str = "") -> dict:
 
 
 def _per_realization(cfg: ExperimentConfig, one: Callable[[int], object]) -> list:
-    """one(seed) for each realization seed, in order, on worker_count() threads."""
-    seeds = range(cfg.seed, cfg.seed + cfg.realizations)
-    with concurrent.futures.ThreadPoolExecutor(max_workers=worker_count()) as pool:
-        return list(pool.map(one, seeds))
+    """one(seed) for each realization seed, in order."""
+    return [one(seed) for seed in range(cfg.seed, cfg.seed + cfg.realizations)]
 
 
 def _slope(grid: Sequence[float], values: Sequence[float]) -> float:

@@ -79,6 +79,12 @@ def message_slots(K: int, tx: int) -> list[int]:
     return [j for j in range(1, K + 2) if j not in (tx, tx + 1)]
 
 
+def unintended_messages(K: int, rx: int) -> list[tuple[int, int]]:
+    """The (tx, slot) message blocks that reach receiver rx unintended:
+    every slot of every other transmitter, transmitter-major."""
+    return [(k, j) for k in range(1, K + 1) if k != rx for j in message_slots(K, k)]
+
+
 def exponent_slots(K: int) -> int:
     """Number of free exponents per set: K(K-1) + 2 (including the constant)."""
     return K * (K - 1) + 2
@@ -444,11 +450,8 @@ def verify_interference_alignment(K: int, m: int,
     receiver_span: dict[int, int] = {}
     for l in range(1, K + 1):
         # unintended messages land under the matching extended set
-        for k in range(1, K + 1):
-            if k == l:
-                continue
-            for j in message_slots(K, k):
-                containment(l, Monomial.gen(gain_name(k, l)), j, f"message V{k},{j}")
+        for k, j in unintended_messages(K, l):
+            containment(l, Monomial.gen(gain_name(k, l)), j, f"message V{k},{j}")
         # first jamming block of every transmitter
         for k in range(1, K + 1):
             containment(l, Monomial.gen(gain_name(k, l)), k, f"jamming U{k}")

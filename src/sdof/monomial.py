@@ -19,6 +19,8 @@ from typing import Mapping
 
 import numpy as np
 
+from .errors import CapacityError
+
 
 @dataclass(frozen=True)
 class Monomial:
@@ -74,9 +76,10 @@ class Monomial:
 def box_image(pattern: np.ndarray, top: int) -> np.ndarray:
     """Rows e @ pattern for every e in {1..top}^s, one free exponent at a
     time, the first varying slowest (itertools.product order)."""
-    # int8 holds every row and its shift by one generator: callers keep
-    # top * (largest column weight) far below 127
-    assert np.abs(pattern).sum(axis=0).max() * top + 1 <= 127
+    # int8 must hold every row and its shift by one generator
+    reach = int(np.abs(pattern).sum(axis=0).max()) * top + 1
+    if reach > 127:
+        raise CapacityError(f"exponents up to {reach} overflow int8 rows")
     values = np.arange(1, top + 1, dtype=np.int8)[:, None]
     width = pattern.shape[1]
     rows = np.zeros((1, width), np.int8)
@@ -95,12 +98,3 @@ def distinct_rows(rows: np.ndarray) -> np.ndarray:
     """The distinct rows, sorted by their bytes."""
     keys = np.unique(row_keys(rows))
     return keys.view(np.int8).reshape(len(keys), rows.shape[1])
-
-
-def find_rows(keys: np.ndarray, sorted_keys: np.ndarray
-              ) -> tuple[np.ndarray, np.ndarray]:
-    """Position of each key in a non-empty sorted key array, and whether it
-    is there (where it is not, the position is meaningless)."""
-    idx = np.searchsorted(sorted_keys, keys)
-    idx[idx == len(sorted_keys)] = 0
-    return idx, sorted_keys[idx] == keys

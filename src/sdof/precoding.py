@@ -5,14 +5,15 @@ jams on 1/h_i(t), so all jamming collapses onto the all-ones column at the
 receiver while the eavesdropper's jamming matrix stays full rank; the
 messages fill the other receiver dimensions.  Interference scheme:
 precoder columns are products of commuting diagonal generator matrices
-raised to the int8 exponent rows of `monomial`; multiplying by a generator
-shifts one exponent, which proves column-space containment exactly: the
-shifted rows are found among the extended rows by one key search.  Ranks
-are certified numerically by SVD with a relative threshold.
+raised to the exponent rows of the box {1..n+1}^Gamma, in lexicographic
+order; multiplying by a generator shifts one exponent, which proves
+column-space containment exactly: the shifted column sits a fixed stride
+further along the extended box.  Ranks are certified numerically by SVD
+with a relative threshold.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -21,8 +22,9 @@ from .channel import (ChannelRealization, HelperModel, InterferenceModel,
                       MacPartialModel, TAG_ALPHA, TAG_SEED_VECTOR, key_grid,
                       keyed_gains, substream)
 from .errors import CapacityError, ModeError, ParameterError
-from .interference_sets import beta_general, beta_links, gain_name, message_slots
-from .monomial import Monomial, box_image, find_rows, row_keys
+from .interference_sets import (beta_general, beta_links, gain_name, message_slots,
+                                unintended_messages)
+from .monomial import Monomial, box_image
 
 DEFAULT_RANK_TOL = 1e-10
 DEFAULT_PRECODER_BUDGET = 200_000_000  # total matrix entries
@@ -296,13 +298,12 @@ def build_cj_generators(K: int, realization: ChannelRealization
 class PrecoderTarget:
     """Precoders of one alignment target: column c is the target's random
     seed vector times the product of the generators raised to exponent row
-    c; rows in lexicographic order, which is also the order of their bytes."""
+    c, the rows of each box in lexicographic order (the first exponent
+    varying slowest)."""
 
     generators: tuple[DiagonalChannelMatrix, ...]
     base: np.ndarray      # columns over exponents {1..n}^Gamma
     extended: np.ndarray  # columns over exponents {1..n+1}^Gamma
-    base_exponents: np.ndarray      # int8, one row per base column
-    extended_exponents: np.ndarray  # int8, one row per extended column
 
     def __post_init__(self) -> None:
         self.base.setflags(write=False)
@@ -366,6 +367,13 @@ def _columns(w: np.ndarray, tables: list[np.ndarray],
     return cols
 
 
+def _base_index(n: int, gamma: int) -> np.ndarray:
+    """Extended column of each base exponent row: {1..n}^Gamma inside
+    {1..n+1}^Gamma, both in lexicographic order.  A shift by one at
+    generator position p adds (n+1)^(Gamma-1-p)."""
+    return np.ravel_multi_index(np.indices((n,) * gamma), (n + 1,) * gamma).ravel()
+
+
 def build_asymptotic_precoders(K: int, n: int, realization: ChannelRealization,
                                budget: int = DEFAULT_PRECODER_BUDGET) -> PrecoderSet:
     """Precoder matrices over exponent rows, columns in lexicographic order;
@@ -383,23 +391,19 @@ def build_asymptotic_precoders(K: int, n: int, realization: ChannelRealization,
             f"precoders need {entries_needed} matrix entries, over budget {budget}")
 
     generators = build_cj_generators(K, realization)
-    unit = np.eye(gamma, dtype=np.int8)
-    base_exps, ext_exps = box_image(unit, n), box_image(unit, n + 1)
-    for exps in (base_exps, ext_exps):
-        exps.setflags(write=False)
+    exponents = box_image(np.eye(gamma, dtype=np.int8), n + 1)
+    # a column's products depend only on its exponent row, so the base
+    # columns are copies of extended ones (take: C order, unlike [:, idx])
+    base_index = _base_index(n, gamma)
 
     seed_vectors = keyed_gains(realization.distribution, (realization.seed, TAG_SEED_VECTOR),
                                key_grid(range(1, K + 2), range(1, m_n + 1))).reshape(K + 1, m_n)
     targets: dict[int, PrecoderTarget] = {}
     for idx, w in enumerate(seed_vectors, 1):
-        tables = _power_tables(generators[idx], n + 1, m_n)
-        targets[idx] = PrecoderTarget(
-            generators=generators[idx],
-            base=_columns(w, tables, base_exps),
-            extended=_columns(w, tables, ext_exps),
-            base_exponents=base_exps,
-            extended_exponents=ext_exps,
-        )
+        extended = _columns(w, _power_tables(generators[idx], n + 1, m_n), exponents)
+        targets[idx] = PrecoderTarget(generators=generators[idx],
+                                      base=extended.take(base_index, axis=1),
+                                      extended=extended)
 
     # second jamming blocks: beta_k times the message precoder of slot k+1
     qtilde: dict[int, np.ndarray] = {}
@@ -424,115 +428,49 @@ def mutate_qtilde(pre: PrecoderSet, k: int, seed: int = 0) -> PrecoderSet:
 # alignment-equation verification
 # ---------------------------------------------------------------------------
 
-@dataclass
-class EquationInstance:
-    receiver: int
-    lhs_label: str
-    rhs_label: str
-    exact: bool
-    numeric: bool
-
-
-@dataclass
+@dataclass(frozen=True)
 class FadingEquation:
+    """One alignment equation: the target's generator that maps every
+    instance's left-hand block into the target's extended matrix, and
+    whether all its instances pass each check."""
+
     target: int
     generator: str
-    instances: list[EquationInstance] = field(default_factory=list)
-
-    @property
-    def exact_ok(self) -> bool:
-        return all(i.exact for i in self.instances)
-
-    @property
-    def numeric_ok(self) -> bool:
-        return all(i.numeric for i in self.instances)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "target": self.target,
-            "generator": self.generator,
-            "exact": self.exact_ok,
-            "numeric": self.numeric_ok,
-            "instances": [
-                {"receiver": i.receiver, "lhs": i.lhs_label, "rhs": i.rhs_label,
-                 "exact": i.exact, "numeric": i.numeric}
-                for i in self.instances
-            ],
-        }
+    exact_ok: bool
+    numeric_ok: bool
 
 
-@dataclass
+@dataclass(frozen=True)
 class FadingAlignmentReport:
-    K: int
-    n: int
-    block_length: int
-    rank_tol: float
     equations: list[FadingEquation]
 
     @property
     def ok(self) -> bool:
-        return all(e.exact_ok and e.numeric_ok for e in self.equations)
+        return not self.failures
 
     @property
     def failures(self) -> list[FadingEquation]:
         return [e for e in self.equations if not (e.exact_ok and e.numeric_ok)]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "K": self.K,
-            "n": self.n,
-            "M_n": self.block_length,
-            "rank_tol": self.rank_tol,
-            "equations": [e.to_json_dict() for e in self.equations],
-            "pass_count": sum(1 for e in self.equations
-                              if e.exact_ok and e.numeric_ok),
-            "total": len(self.equations),
-            "all_pass": self.ok,
-        }
 
 
 def _gain_mono(j: int, k: int, e: int = 1) -> Monomial:
     return Monomial.gen(gain_name(j, k), e)
 
 
-def _instance_table(K: int) -> list[dict]:
-    """Receiver-form alignment equations, one row per (lhs, rhs, receiver).
+def alignment_instances(K: int) -> list[tuple[int, int, int, str]]:
+    """Receiver-form alignment equations as (target, receiver, tx, block):
+    at the receiver, H_{tx,receiver} times the block must lie in the span of
+    H_{min(target, K),receiver} times the target's extended precoder, the
+    jamming of target k <= K sent by tx k and of target K+1 by tx K.
 
-    lhs_source names a stored matrix: ("base", j) is the shared message
-    precoder of slot j (also the un-scaled part of derived jamming),
-    ("qtilde", k) a derived jamming block.
+    Block "P" is the message precoder of slot target, one per unintended
+    message; block "Q~" is tx's derived jamming block, which must align one
+    step ahead, under target tx+1.
     """
-    rows: list[dict] = []
-    for k in range(2, K + 1):       # first jamming block of tx 1
-        for l in range(1, K + 1):
-            if l != k:
-                rows.append(dict(target=1, receiver=l, lhs_source=("base", 1),
-                                 lhs_scale=(k, l), rhs_scale=(1, l),
-                                 lhs_label=f"H_{k}{l} P_{k}1",
-                                 rhs_label=f"H_1{l} Q_1"))
-    for k in range(1, K):           # second jamming block of tx K
-        for l in range(1, K + 1):
-            if l != k:
-                rows.append(dict(target=K + 1, receiver=l,
-                                 lhs_source=("base", K + 1),
-                                 lhs_scale=(k, l), rhs_scale=(K, l),
-                                 lhs_label=f"H_{k}{l} P_{k}{K + 1}",
-                                 rhs_label=f"H_{K}{l} Q~_{K}"))
-    for k in range(2, K + 1):       # remaining jamming blocks
-        for l in range(1, K + 1):
-            rows.append(dict(target=k, receiver=l, lhs_source=("qtilde", k - 1),
-                             lhs_scale=(k - 1, l), rhs_scale=(k, l),
-                             lhs_label=f"H_{k - 1}{l} Q~_{k - 1}",
-                             rhs_label=f"H_{k}{l} Q_{k}"))
-        for i in range(1, K + 1):
-            if i in (k - 1, k):
-                continue
-            for l in range(1, K + 1):
-                if l != i:
-                    rows.append(dict(target=k, receiver=l, lhs_source=("base", k),
-                                     lhs_scale=(i, l), rhs_scale=(k, l),
-                                     lhs_label=f"H_{i}{l} P_{i}{k}",
-                                     rhs_label=f"H_{k}{l} Q_{k}"))
+    rows = []
+    for l in range(1, K + 1):
+        rows += [(j, l, k, "P") for k, j in unintended_messages(K, l)]
+        rows += [(k + 1, l, k, "Q~") for k in range(1, K)]
     return rows
 
 
@@ -548,51 +486,35 @@ def verify_alignment_equations(pre: PrecoderSet,
     Failures are report content, not exceptions.
     """
     realization = pre.realization
-    K = pre.K
-    equations: dict[tuple[int, Monomial], FadingEquation] = {}
+    K, n, gamma = pre.K, pre.n, pre.gamma
+    base_index = _base_index(n, gamma)
+    verdicts: dict[tuple[int, str], tuple[bool, bool]] = {}
     rank_of = {idx: numeric_rank(t.extended, tol) for idx, t in pre.targets.items()}
 
-    for row in _instance_table(K):
-        target = pre.targets[row["target"]]
-        kind, src = row["lhs_source"]
-        if kind == "base":
-            lhs_plain = pre.targets[src].base
-            extra = Monomial.one()
+    for target_idx, l, tx, block in alignment_instances(K):
+        target = pre.targets[target_idx]
+        if block == "P":
+            lhs_plain, extra = target.base, Monomial.one()
         else:
-            lhs_plain = pre.qtilde[src]
-            extra = pre.qtilde_scale[src]
-        l_tx, l_rx = row["lhs_scale"]
-        r_tx, r_rx = row["rhs_scale"]
-        lhs = realization.legit_series(l_tx, l_rx)[:, None] * lhs_plain
-        rhs = realization.legit_series(r_tx, r_rx)[:, None] * target.extended
+            lhs_plain, extra = pre.qtilde[tx], pre.qtilde_scale[tx]
+        r_tx = min(target_idx, K)
+        lhs = realization.legit_series(tx, l)[:, None] * lhs_plain
+        rhs = realization.legit_series(r_tx, l)[:, None] * target.extended
 
-        gen = (_gain_mono(r_tx, r_rx, -1) * _gain_mono(l_tx, l_rx) * extra)
+        gen = _gain_mono(r_tx, l, -1) * _gain_mono(tx, l) * extra
         position = next((gi for gi, g in enumerate(target.generators)
                          if g.symbol == gen), None)
+        exact = position is not None and np.allclose(
+            lhs, rhs[:, base_index + (n + 1) ** (gamma - 1 - position)],
+            rtol=1e-9, atol=0.0)
+        numeric = numeric_rank(np.hstack([lhs, rhs]), tol) == rank_of[target_idx]
 
-        exact = position is not None
-        if exact:
-            shifted = target.base_exponents.copy()
-            shifted[:, position] += 1
-            idx, found = find_rows(row_keys(shifted),
-                                   row_keys(target.extended_exponents))
-            exact = bool(found.all()) and np.allclose(lhs, rhs[:, idx],
-                                                      rtol=1e-9, atol=0.0)
-        numeric = numeric_rank(np.hstack([lhs, rhs]), tol) == rank_of[row["target"]]
+        key = (target_idx, str(gen))
+        was_exact, was_numeric = verdicts.get(key, (True, True))
+        verdicts[key] = (was_exact and exact, was_numeric and numeric)
 
-        key = (row["target"], gen)
-        eq = equations.get(key)
-        if eq is None:
-            eq = FadingEquation(target=row["target"], generator=str(gen))
-            equations[key] = eq
-        eq.instances.append(EquationInstance(
-            receiver=row["receiver"], lhs_label=row["lhs_label"],
-            rhs_label=row["rhs_label"], exact=exact, numeric=numeric))
-
-    ordered = sorted(equations.values(), key=lambda e: (e.target, e.generator))
-    return FadingAlignmentReport(K=K, n=pre.n,
-                                 block_length=pre.block_length,
-                                 rank_tol=tol, equations=ordered)
+    return FadingAlignmentReport([FadingEquation(t, g, exact, numeric)
+                                  for (t, g), (exact, numeric) in sorted(verdicts.items())])
 
 
 # ---------------------------------------------------------------------------
@@ -646,8 +568,7 @@ def assemble_receiver_and_eve_matrices(pre: PrecoderSet) -> SchemeMatrices:
     for l in range(1, K + 1):
         desired = [hseries(l, l) * pre.targets[j].base for j in message_slots(K, l)]
         unintended = [hseries(k, l) * pre.targets[j].base
-                      for k in range(1, K + 1) if k != l
-                      for j in message_slots(K, k)]
+                      for k, j in unintended_messages(K, l)]
         jamming = [hseries(k, l) * pre.targets[k].extended for k in range(1, K + 1)]
         jamming += [hseries(k, l) * pre.qtilde[k] for k in range(1, K + 1)]
         # aligned jamming: every Q_k, then Q~_K

@@ -53,3 +53,21 @@ def test_probe_targets_exist(monkeypatch):
     assert targets
     for module, attribute, span, _ in targets:
         assert callable(getattr(module, attribute, None)), (module.__name__, attribute, span)
+
+
+def test_mutated_units_name_their_failures():
+    # the benchmark's mutation path: a broken derived jamming block fails
+    # exactly the target-2 equations and leaks out of every receiver's
+    # interference space; beta_1 := 1 fails as U~1 / T~_2
+    fading = workloads.fading_verify(tracing.Tracer(), 1, workloads.TINY, True)
+    assert fading.problems == ["13/16 alignment equations pass, want 16/16"] + [
+        f"rank interference{l} = 65 > 64" for l in (1, 2, 3)]
+    failed = [(target, generator) for target, generator, exact, numeric in fading.verdict[2]
+              if not (exact and numeric)]
+    assert len(failed) == 3 and {target for target, _ in failed} == {2}
+
+    fixed = workloads.fixed_verify(tracing.Tracer(), 0, workloads.TINY, True)
+    K, m, _, _, violations = fixed.verdict[0]
+    assert (K, m) == (3, 1)
+    assert fixed.problems == [f"(3,1): {len(violations)} violations"]
+    assert violations and all("U~1" in v and "T~_2" in v for v in violations)

@@ -6,9 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sdof.channel import (ChannelRealization, GainDistribution, HelperModel,
-                          InterferenceModel, MacModel, MacPartialModel,
-                          awgn_vector, sample_channel, substream)
+from sdof.channel import (GainDistribution, HelperModel, InterferenceModel,
+                          MacModel, MacPartialModel, sample_channel, substream)
 from sdof.errors import ParameterError
 
 
@@ -68,13 +67,6 @@ class TestSampleChannel:
         assert set(fixed.legit_gains) == set(fading.legit_gains)
         assert set(fixed.eve_gains) == set(fading.eve_gains)
 
-    def test_json_round_trip_is_exact(self):
-        r = sample_channel(MacPartialModel(3, 2), fixed=False, slots=5, seed=9)
-        back = ChannelRealization.from_json_dict(r.to_json_dict())
-        assert dict(back.legit_gains) == dict(r.legit_gains)
-        assert dict(back.eve_gains) == dict(r.eve_gains)
-        assert back.model == r.model and back.slots == r.slots
-
     @pytest.mark.parametrize("model", [HelperModel(2), MacPartialModel(3, 2), InterferenceModel(3)],
                              ids=lambda m: m.name)
     def test_gain_arrays_and_their_views(self, model):
@@ -111,26 +103,6 @@ class TestSampleChannel:
         with pytest.raises(KeyError):
             call(r)
 
-    def test_json_lists_gains_in_key_order(self):
-        r = sample_channel(InterferenceModel(3), fixed=True, slots=3, seed=4)
-        doc = r.to_json_dict()
-        assert doc["gains"] == [{"tx": tx, "rx": rx, "t": t, "value": v}
-                                for (tx, rx, t), v in sorted(r.legit_gains.items())]
-        assert doc["eve_gains"] == [{"tx": tx, "t": t, "value": v}
-                                    for (tx, t), v in sorted(r.eve_gains.items())]
-
-    @pytest.mark.parametrize("edit", [
-        lambda doc: doc["gains"].pop(),
-        lambda doc: doc["eve_gains"].append({"tx": 9, "t": 1, "value": 1.0}),
-        lambda doc: doc["gains"][0].update(value=0.0),
-        lambda doc: doc["eve_gains"][1].update(value=math.inf),
-    ])
-    def test_json_with_bad_gains_is_rejected(self, edit):
-        doc = sample_channel(MacModel(2), fixed=False, slots=2, seed=6).to_json_dict()
-        edit(doc)
-        with pytest.raises(ParameterError):
-            ChannelRealization.from_json_dict(doc)
-
     def test_bad_parameters(self):
         with pytest.raises(ParameterError):
             sample_channel(MacModel(2), slots=0, seed=1)
@@ -148,19 +120,3 @@ class TestSampleChannel:
         r = sample_channel(model, slots=2, fixed=fixed, seed=seed)
         gains = list(r.legit_gains.values()) + list(r.eve_gains.values())
         assert all(r.distribution.contains(g) for g in gains)
-
-
-class TestAwgn:
-    def test_moments(self):
-        x = awgn_vector(100_000, 1.0, seed=4)
-        assert abs(float(np.mean(x))) < 0.02
-        assert abs(float(np.var(x)) - 1.0) < 0.03
-
-    def test_determinism(self):
-        assert np.array_equal(awgn_vector(64, 2.0, seed=11), awgn_vector(64, 2.0, seed=11))
-
-    def test_validation(self):
-        with pytest.raises(ParameterError):
-            awgn_vector(0, 1.0, seed=1)
-        with pytest.raises(ParameterError):
-            awgn_vector(10, -1.0, seed=1)

@@ -5,8 +5,7 @@ import re
 import pytest
 
 from sdof.analysis import MC_TRIAL_BUDGET
-from sdof.cli import (ExperimentConfig, main, parse_config, print_schema, run,
-                      worker_count)
+from sdof.cli import ExperimentConfig, main, parse_config, print_schema, run
 from sdof.errors import UsageError
 
 FAST_ARGS = {
@@ -195,26 +194,3 @@ class TestMain:
 
     def test_experiments_without_trials_ignore_them(self, tmp_path):
         assert main(["run", _region_config(tmp_path, seed=1), "--trials=0"]) == 0
-
-
-def test_worker_count_env(monkeypatch):
-    monkeypatch.setenv("SDOF_THREADS", "2")
-    assert worker_count() == 2
-    monkeypatch.setenv("SDOF_THREADS", "0")
-    assert worker_count() == 1
-    monkeypatch.setenv("SDOF_THREADS", "zebra")
-    with pytest.raises(UsageError):
-        worker_count()
-
-
-def test_fading_verify_outputs_independent_of_thread_count(tmp_path, monkeypatch):
-    name = "interference_fading_verify"
-    outputs = []
-    for threads in ("1", "2"):
-        monkeypatch.setenv("SDOF_THREADS", threads)
-        cfg = fast_config(name, tmp_path, tag=f"_t{threads}")
-        cfg.realizations = 4
-        assert run(cfg) == 0
-        outputs.append([(tmp_path / f"{name}_t{threads}{suffix}").read_bytes()
-                        for suffix in (".json", ".csv", "_plot.csv")])
-    assert outputs[0] == outputs[1]

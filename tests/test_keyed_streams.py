@@ -5,7 +5,6 @@ throughout: the batched schedule must reproduce its stream for every key,
 and every caller that draws through the schedule must reproduce the
 per-draw loop that builds one such generator per scalar.
 """
-import json
 import math
 
 import numpy as np
@@ -15,10 +14,10 @@ from sdof import analysis, channel, converse, pam, precoding
 from sdof.channel import (TAG_ALPHA, TAG_EVE, TAG_LEGIT, TAG_SAMPLE, TAG_SEED_VECTOR,
                           TAG_TRIAL, GainDistribution, HelperModel, InterferenceModel,
                           MacModel, MacPartialModel, key_grid, keyed_gains, keyed_states,
-                          keyed_streams, legit_links, sample_channel, standard_normals,
-                          substream)
+                          keyed_streams, sample_channel, standard_normals, substream)
 from sdof.channel import _CHUNK
 from sdof.errors import ParameterError
+from sdof.monomial import box_image
 
 # PCG64's 128-bit LCG multiplier, written out here so the tests do not take
 # it from the code under test
@@ -278,18 +277,15 @@ def test_trial_draws_across_a_chunk_edge(streams):
 # callers against their per-draw loops
 # ---------------------------------------------------------------------------
 
-def _reference_channel(model, distribution, slots, fixed, seed):
-    """sample_channel's JSON as the per-draw loop: one generator per gain."""
-    r = sample_channel(model, distribution, slots=slots, fixed=fixed, seed=seed)
-    legit = {(tx, rx, t): _oracle_gain(distribution, seed, TAG_LEGIT, tx, rx, 0 if fixed else t)
-             for tx, rx in legit_links(model) for t in range(1, slots + 1)}
-    eve = {(tx, t): _oracle_gain(distribution, seed, TAG_EVE, tx, 0, 0 if fixed else t)
-           for tx in model.transmitters for t in range(1, slots + 1)}
-    doc = r.to_json_dict()
-    doc["gains"] = [{"tx": tx, "rx": rx, "t": t, "value": v}
-                    for (tx, rx, t), v in sorted(legit.items())]
-    doc["eve_gains"] = [{"tx": tx, "t": t, "value": v} for (tx, t), v in sorted(eve.items())]
-    return doc
+def _reference_gains(model, distribution, slots, fixed, seed):
+    """sample_channel's legit and eve arrays as the per-draw loop: one
+    generator per gain."""
+    times = [0 if fixed else t for t in range(1, slots + 1)]
+    legit = [[[_oracle_gain(distribution, seed, TAG_LEGIT, tx, rx, t) for t in times]
+              for rx in model.receivers] for tx in model.transmitters]
+    eve = [[_oracle_gain(distribution, seed, TAG_EVE, tx, 0, t) for t in times]
+           for tx in model.transmitters]
+    return legit, eve
 
 
 @pytest.mark.parametrize("seed", [0, 3, 2 ** 33 + 1])
@@ -299,8 +295,9 @@ def _reference_channel(model, distribution, slots, fixed, seed):
 def test_sample_channel_matches_per_draw_loop(model, fixed, seed):
     distribution = GainDistribution(0.25, 3.0, sign_symmetric=seed != 3)
     r = sample_channel(model, distribution, slots=4, fixed=fixed, seed=seed)
-    assert json.dumps(r.to_json_dict()) == json.dumps(
-        _reference_channel(model, distribution, 4, fixed, seed))
+    legit, eve = _reference_gains(model, distribution, 4, fixed, seed)
+    assert r.legit.tolist() == legit
+    assert r.eve.tolist() == eve
 
 
 def _reference_mc(scheme, P, trials, seed):
@@ -354,9 +351,10 @@ def test_precoders_match_per_draw_seed_vectors(seed):
         w = np.array([_oracle_gain(r.distribution, seed, TAG_SEED_VECTOR, idx, t)
                       for t in range(1, m_n + 1)])
         tables = precoding._power_tables(target.generators, n + 1, m_n)
-        assert np.array_equal(target.base, precoding._columns(w, tables, target.base_exponents))
+        unit = np.eye(precoding.interference_gamma(K), dtype=np.int8)
+        assert np.array_equal(target.base, precoding._columns(w, tables, box_image(unit, n)))
         assert np.array_equal(target.extended,
-                              precoding._columns(w, tables, target.extended_exponents))
+                              precoding._columns(w, tables, box_image(unit, n + 1)))
 
 
 @pytest.mark.parametrize("M, seed", [(1, 0), (3, 8)])

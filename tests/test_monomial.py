@@ -1,13 +1,18 @@
 import itertools
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sdof
 from sdof.channel import InterferenceModel, sample_channel
-from sdof.interference_sets import build_base_dimension_sets
-from sdof.monomial import Monomial, box_image, distinct_rows, find_rows, row_keys
+from sdof.errors import CapacityError
+from sdof.interference_sets import DimensionSet, build_base_dimension_sets
+from sdof.monomial import Monomial, box_image, distinct_rows
 
 exponent_maps = st.dictionaries(
     st.sampled_from(["a", "b", "c", "d"]), st.integers(-4, 4), max_size=4)
@@ -84,9 +89,26 @@ def test_unit_box_image_is_product_order_and_byte_sorted(gamma, top):
     assert np.array_equal(distinct_rows(rows), rows)
 
 
-def test_find_rows_positions_and_membership():
-    table = distinct_rows(np.array([[1, 2], [0, 5], [1, 2], [3, -1]], np.int8))
-    probe = np.array([[3, -1], [0, 5], [9, 9], [-9, 0]], np.int8)
-    idx, found = find_rows(row_keys(probe), row_keys(table))
-    assert found.tolist() == [True, True, False, False]
-    assert table[idx[:2]].tolist() == [[3, -1], [0, 5]]
+def test_box_image_refuses_rows_beyond_int8():
+    # every row and its shift by one must fit: 126 + 1 does, 127 + 1 does not
+    assert box_image(np.array([[1]], np.int8), 126)[-1].tolist() == [126]
+    with pytest.raises(CapacityError):
+        box_image(np.array([[1]], np.int8), 127)
+    with pytest.raises(CapacityError):
+        DimensionSet("A", ("x",), np.array([[1]], np.int8), 200).rows
+
+
+def test_box_image_refusal_survives_optimized_mode():
+    # python -O strips assert statements, so the guard must not be one
+    code = ("import numpy as np\n"
+            "from sdof import DimensionSet\n"
+            "from sdof.errors import CapacityError\n"
+            "try:\n"
+            "    DimensionSet('A', ('x',), np.array([[1]], np.int8), 200).rows\n"
+            "except CapacityError:\n"
+            "    print('refused')\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sdof.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout == "refused\n"

@@ -9,11 +9,11 @@ from sdof.channel import (TAG_ALPHA, HelperModel, InterferenceModel,
                           MacPartialModel, sample_channel)
 from sdof.errors import CapacityError, ModeError, ParameterError
 from sdof.interference_sets import beta_general, message_slots
-from sdof.monomial import Monomial, find_rows, row_keys
+from sdof.monomial import Monomial
 from sdof.precoding import (build_asymptotic_precoders, build_cj_generators,
                             build_helper_fading, build_partial_csit_fading,
                             _general_generator_factors, _THREE_USER_GENERATORS,
-                            assemble_receiver_and_eve_matrices,
+                            alignment_instances, assemble_receiver_and_eve_matrices,
                             interference_gamma,
                             interference_slots, mutate_qtilde, numeric_rank,
                             partial_csit_decode, verify_alignment_equations,
@@ -31,6 +31,13 @@ def precoders_n1():
     slots = interference_slots(3, 1)
     r = sample_channel(InterferenceModel(3), fixed=False, slots=slots, seed=1)
     return build_asymptotic_precoders(3, 1, r)
+
+
+@pytest.fixture(scope="module")
+def precoders_n2():
+    slots = interference_slots(3, 2)
+    r = sample_channel(InterferenceModel(3), fixed=False, slots=slots, seed=1)
+    return build_asymptotic_precoders(3, 2, r)
 
 
 @pytest.fixture(scope="module")
@@ -151,16 +158,12 @@ class TestGenerators:
                 assert np.array_equal(a.entries * b.entries, b.entries * a.entries)
 
 
-def _shifted_columns(target, pos, n):
-    """Extended column of every base exponent row shifted by one at pos,
-    found by key search and checked against itertools.product order."""
-    shifted = target.base_exponents.copy()
-    shifted[:, pos] += 1
-    idx, found = find_rows(row_keys(shifted), row_keys(target.extended_exponents))
-    assert found.all()
-    order = list(itertools.product(range(1, n + 2), repeat=shifted.shape[1]))
-    assert [order[i] for i in idx] == [tuple(r) for r in shifted.tolist()]
-    return idx
+def _shifted_columns(gamma, pos, n):
+    """Extended column of every base exponent row shifted by one at pos, both
+    boxes in itertools.product order."""
+    order = list(itertools.product(range(1, n + 2), repeat=gamma))
+    return [order.index(tuple(e + (i == pos) for i, e in enumerate(row)))
+            for row in itertools.product(range(1, n + 1), repeat=gamma)]
 
 
 class TestPrecoders:
@@ -173,25 +176,27 @@ class TestPrecoders:
     def test_block_length_n2(self):
         assert interference_slots(3, 2) == 2 * 16 + 4 * 81 == 356
 
-    def test_column_exponent_bijection(self, precoders_n1):
-        # one distinct int8 row per column, in itertools.product order, which
-        # is also the order of the rows' bytes
-        t = precoders_n1.targets[2]
-        for rows, top, matrix in ((t.base_exponents, 1, t.base),
-                                  (t.extended_exponents, 2, t.extended)):
-            assert rows.dtype == np.int8
-            assert len(rows) == matrix.shape[1]
-            assert [tuple(r) for r in rows.tolist()] \
-                == list(itertools.product(range(1, top + 1), repeat=4))
-            keys = row_keys(rows)
-            assert np.array_equal(np.unique(keys), keys)
-        assert t.extended.shape[1] == 16
+    def test_column_exponent_bijection(self, precoders_n2):
+        # extended column c is the seed vector times prod_i g_i^e_i for the
+        # c-th row e of {1..3}^4 in itertools.product order; a base column is
+        # the extended column of its row, bit for bit and in C order
+        t = precoders_n2.targets[2]
+        ext_rows = list(itertools.product(range(1, 4), repeat=4))
+        assert t.extended.shape[1] == len(ext_rows) == 81
+        for c, row in enumerate(ext_rows):
+            ratio = np.prod([g.entries ** (e - 1) for g, e in zip(t.generators, row)], axis=0)
+            assert np.allclose(t.extended[:, c], t.extended[:, 0] * ratio, rtol=1e-12)
+        base_rows = list(itertools.product(range(1, 3), repeat=4))
+        assert t.base.shape[1] == len(base_rows) == 16
+        assert t.base.flags.c_contiguous
+        for c, row in enumerate(base_rows):
+            assert np.array_equal(t.base[:, c], t.extended[:, ext_rows.index(row)])
 
     def test_exponent_shift_containment_is_exact(self, precoders_n1):
         # T * (column at alpha) must equal the extended column at alpha + e_T
         for t in precoders_n1.targets.values():
             for pos, gen in enumerate(t.generators):
-                idx = _shifted_columns(t, pos, precoders_n1.n)
+                idx = _shifted_columns(precoders_n1.gamma, pos, precoders_n1.n)
                 assert np.allclose(gen.entries[:, None] * t.base, t.extended[:, idx],
                                    rtol=1e-10)
 
@@ -211,11 +216,41 @@ class TestPrecoders:
             build_asymptotic_precoders(3, 1, precoders_n1.realization, budget=10)
 
 
+# The receiver-form alignment equations of the paper, per target T: at
+# receiver l, H_kl times the block of tx k lies in the span of H_{min(T,K),l}
+# times the extended precoder of T.  Entries are (receiver, tx, block): "P"
+# is the message precoder of slot T, "Q~" the derived jamming block of tx.
+PAPER_INSTANCES = {
+    3: {1: [(1, 2, "P"), (3, 2, "P"), (1, 3, "P"), (2, 3, "P")],
+        2: [(1, 1, "Q~"), (2, 1, "Q~"), (3, 1, "Q~"), (1, 3, "P"), (2, 3, "P")],
+        3: [(1, 2, "Q~"), (2, 2, "Q~"), (3, 2, "Q~"), (2, 1, "P"), (3, 1, "P")],
+        4: [(2, 1, "P"), (3, 1, "P"), (1, 2, "P"), (3, 2, "P")]},
+    4: {1: [(1, 2, "P"), (3, 2, "P"), (4, 2, "P"), (1, 3, "P"), (2, 3, "P"),
+            (4, 3, "P"), (1, 4, "P"), (2, 4, "P"), (3, 4, "P")],
+        2: [(1, 1, "Q~"), (2, 1, "Q~"), (3, 1, "Q~"), (4, 1, "Q~"), (1, 3, "P"),
+            (2, 3, "P"), (4, 3, "P"), (1, 4, "P"), (2, 4, "P"), (3, 4, "P")],
+        3: [(1, 2, "Q~"), (2, 2, "Q~"), (3, 2, "Q~"), (4, 2, "Q~"), (2, 1, "P"),
+            (3, 1, "P"), (4, 1, "P"), (1, 4, "P"), (2, 4, "P"), (3, 4, "P")],
+        4: [(1, 3, "Q~"), (2, 3, "Q~"), (3, 3, "Q~"), (4, 3, "Q~"), (2, 1, "P"),
+            (3, 1, "P"), (4, 1, "P"), (1, 2, "P"), (3, 2, "P"), (4, 2, "P")],
+        5: [(2, 1, "P"), (3, 1, "P"), (4, 1, "P"), (1, 2, "P"), (3, 2, "P"),
+            (4, 2, "P"), (1, 3, "P"), (2, 3, "P"), (4, 3, "P")]},
+}
+
+
+@pytest.mark.parametrize("K, total", [(3, 18), (4, 48)])
+def test_alignment_instances_are_the_papers_equations(K, total):
+    got = alignment_instances(K)
+    want = [(target, *row) for target, rows in PAPER_INSTANCES[K].items() for row in rows]
+    assert len(got) == len(set(got)) == len(want) == total
+    assert sorted(got) == sorted(want)
+
+
 class TestAlignmentVerification:
     def test_all_sixteen_equations_pass(self, precoders_n1):
         report = verify_alignment_equations(precoders_n1)
         assert len(report.equations) == 16
-        assert sum(len(e.instances) for e in report.equations) == 18
+        assert len(alignment_instances(3)) == 18
         assert report.ok
 
     def test_exact_and_numeric_verdicts_agree(self, precoders_n1):
@@ -232,14 +267,12 @@ class TestAlignmentVerification:
         assert {t for t, _ in failed} == {2}
         assert len(failed) == 3
 
-    def test_swapped_extended_columns_fail_exact_not_numeric(self):
+    def test_swapped_extended_columns_fail_exact_not_numeric(self, precoders_n2):
         # the swap keeps the span, so only the exact check can see it; at
         # n = 2 every shift by one generator lands on exponent row (2,2,2,2)
-        slots = interference_slots(3, 2)
-        r = sample_channel(InterferenceModel(3), fixed=False, slots=slots, seed=1)
-        pre = build_asymptotic_precoders(3, 2, r)
+        pre = precoders_n2
         t = pre.targets[2]
-        a = [tuple(e) for e in t.extended_exponents.tolist()].index((2, 2, 2, 2))
+        a = int(np.ravel_multi_index((1, 1, 1, 1), (3,) * 4))
         swapped = t.extended.copy()
         swapped[:, [0, a]] = swapped[:, [a, 0]]
         broken = dataclasses.replace(
@@ -249,7 +282,6 @@ class TestAlignmentVerification:
         for eq in report.equations:
             assert eq.numeric_ok
             assert eq.exact_ok == (eq.target != 2)
-            assert eq.target != 2 or not any(i.exact for i in eq.instances)
 
     def test_one_rank_per_target(self, precoders_n1, monkeypatch):
         calls = []
@@ -263,10 +295,6 @@ class TestAlignmentVerification:
         # 4 target ranks plus one rank of [lhs rhs] per instance
         assert len(calls) == 4 + 18
 
-    def test_report_serializes(self, precoders_n1):
-        doc = verify_alignment_equations(precoders_n1).to_json_dict()
-        assert doc["total"] == 16 and doc["pass_count"] == 16 and doc["all_pass"]
-
 
 class TestGeneralK:
     def test_four_user_precoders_build_and_shift(self, precoders_k4):
@@ -278,7 +306,7 @@ class TestGeneralK:
         assert pre.targets[1].extended.shape == (2563, 512)
         t = pre.targets[2]
         for pos, gen in enumerate(t.generators):
-            idx = _shifted_columns(t, pos, pre.n)
+            idx = _shifted_columns(pre.gamma, pos, pre.n)
             assert np.allclose(gen.entries[:, None] * t.base, t.extended[:, idx],
                                rtol=1e-10)
 
