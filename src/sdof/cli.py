@@ -241,6 +241,8 @@ def _run_helper_fading_mi(cfg: ExperimentConfig) -> ExperimentResult:
 def _run_helper_fixed_mc(cfg: ExperimentConfig) -> ExperimentResult:
     if cfg.trials < 1:
         raise UsageError("helper_fixed_mc needs trials >= 1")
+    if not cfg.grid:
+        raise UsageError("helper_fixed_mc needs a non-empty grid")
     tol = cfg.slope_tolerance(0.1)
     M = cfg.M
     realization = sample_channel(HelperModel(M), fixed=True, seed=cfg.seed)
@@ -312,6 +314,7 @@ def _run_interference_fixed_verify(cfg: ExperimentConfig) -> ExperimentResult:
 def _run_interference_fading_verify(cfg: ExperimentConfig) -> ExperimentResult:
     K, n = cfg.K, cfg.n
     slots = precoding.interference_slots(K, n)
+    precoding.check_precoder_budget(K, n)
 
     def one(seed: int) -> dict:
         realization = sample_channel(InterferenceModel(K), fixed=False,
@@ -357,6 +360,7 @@ def _run_interference_fading_mi(cfg: ExperimentConfig) -> ExperimentResult:
     tol = cfg.slope_tolerance(0.05)
     K, n = cfg.K, cfg.n
     slots = precoding.interference_slots(K, n)
+    precoding.check_precoder_budget(K, n)
     realization = sample_channel(InterferenceModel(K), fixed=False,
                                  slots=slots, seed=cfg.seed)
     pre = precoding.build_asymptotic_precoders(K, n, realization)

@@ -28,10 +28,6 @@ arithmetic, without enumerating a member:
   raises instead of guessing;
 - the receiver span is the sum of the set sizes minus those overlaps, and
   the verifier raises when a set meets more than one earlier set.
-
-`DimensionSet.rows` still enumerates the members as distinct int8 exponent
-rows (the row functions of `monomial`); the tests keep it as the oracle of
-the closed form.
 """
 from __future__ import annotations
 
@@ -42,16 +38,12 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import CapacityError, CertificateError, ParameterError
-from .monomial import Monomial, box_image, distinct_rows
+from .errors import CertificateError, ParameterError
+from .monomial import Monomial
 
 # transmitters are computationally bounded well below 10, so single-digit
 # gain names are unambiguous
 _MAX_K = 9
-
-# exponent rows one set may enumerate; a row costs K^2 + K + 1 bytes plus
-# sorting scratch, and the largest set of (4, 2) holds 4.8M
-MEMBER_ROW_BUDGET = 30_000_000
 
 # Set labels, each format stated here only: T_i names a base set and T~_i
 # an extended one.  The builders, the cardinalities and the claims of every
@@ -185,20 +177,6 @@ class DimensionSet:
     def size(self) -> int:
         """Number of members, top^s: exact at any size, unlike len()."""
         return _one_copy(self.top ** len(self.pattern))
-
-    @property
-    def rows(self) -> np.ndarray:
-        """The members as distinct int8 exponent rows sorted by their bytes,
-        enumerated on every call and refused above MEMBER_ROW_BUDGET."""
-        if self.size > MEMBER_ROW_BUDGET:
-            raise CapacityError(f"{self.label} has {self.size} members, over budget "
-                                f"{MEMBER_ROW_BUDGET} exponent rows")
-        return distinct_rows(box_image(self.pattern, self.top))
-
-    @property
-    def members(self) -> frozenset[Monomial]:
-        return frozenset(Monomial.from_dict(dict(zip(self.generators, row)))
-                         for row in self.rows.tolist())
 
     def coordinates(self, shift: Shift) -> Shift | None:
         """The nonzero lattice coordinates d with d @ pattern == shift, or

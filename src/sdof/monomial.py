@@ -7,10 +7,9 @@ drawn from continuous distributions, so exact exponent equality is the
 alignment test of both interference schemes: multiplying by a gain shifts
 the exponent vector, and the shifted set must land inside the extended set.
 
-`Monomial` is the symbolic form, a canonical zero-free exponent map.  Sets
-of monomials over one fixed generator order are int8 exponent rows, one
-row per monomial; the row functions below build them as images of integer
-boxes and compare whole rows as fixed-width byte strings.
+`Monomial` is the symbolic form, a canonical zero-free exponent map.  A set
+of monomials over one fixed generator order is an int8 exponent row per
+monomial; `box_image` builds one as the image of an integer box.
 """
 from __future__ import annotations
 
@@ -87,14 +86,3 @@ def box_image(pattern: np.ndarray, top: int) -> np.ndarray:
         rows = (rows[:, None, :] + values * step).reshape(-1, width)
     return rows
 
-
-def row_keys(rows: np.ndarray) -> np.ndarray:
-    """Each int8 row as one fixed-width byte string (a view, no copy)."""
-    rows = np.ascontiguousarray(rows)
-    return rows.view(np.dtype((np.void, rows.shape[1]))).reshape(len(rows))
-
-
-def distinct_rows(rows: np.ndarray) -> np.ndarray:
-    """The distinct rows, sorted by their bytes."""
-    keys = np.unique(row_keys(rows))
-    return keys.view(np.int8).reshape(len(keys), rows.shape[1])

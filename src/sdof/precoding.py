@@ -6,7 +6,8 @@ receiver while the eavesdropper's jamming matrix stays full rank; the
 messages fill the other receiver dimensions.  Interference scheme:
 precoder columns are products of commuting diagonal generator matrices
 raised to the exponent rows of the box {1..n+1}^Gamma, in lexicographic
-order; multiplying by a generator shifts one exponent, which proves
+order; each target's generators are the distinct shifts its alignment
+equations need, so multiplying by one shifts one exponent, which proves
 column-space containment exactly: the shifted column sits a fixed stride
 further along the extended box.  Ranks are certified numerically by SVD
 with a relative threshold.
@@ -22,8 +23,7 @@ from .channel import (ChannelRealization, HelperModel, InterferenceModel,
                       MacPartialModel, TAG_ALPHA, TAG_SEED_VECTOR, key_grid,
                       keyed_gains, substream)
 from .errors import CapacityError, ModeError, ParameterError
-from .interference_sets import (beta_general, beta_links, gain_name, message_slots,
-                                unintended_messages)
+from .interference_sets import beta_links, gain_name, message_slots, unintended_messages
 from .monomial import Monomial, box_image
 
 DEFAULT_RANK_TOL = 1e-10
@@ -202,66 +202,68 @@ def interference_slots(K: int, n: int) -> int:
     return (K - 1) * n ** g + (K + 1) * (n + 1) ** g
 
 
+def _symbol(factors: Sequence[tuple[int, int, int]]) -> Monomial:
+    symbol = Monomial.one()
+    for (j, k, e) in factors:
+        symbol = symbol * Monomial.gen(gain_name(j, k), e)
+    return symbol
+
+
 def _diag(realization: ChannelRealization, factors: Sequence[tuple[int, int, int]]
           ) -> DiagonalChannelMatrix:
     entries = np.ones(realization.slots)
-    symbol = Monomial.one()
     for (j, k, e) in factors:
-        series = realization.legit_series(j, k)
-        entries = entries * series ** e
-        symbol = symbol * Monomial.gen(gain_name(j, k), e)
-    return DiagonalChannelMatrix(entries=entries, symbol=symbol)
+        entries = entries * realization.legit_series(j, k) ** e
+    return DiagonalChannelMatrix(entries=entries, symbol=_symbol(factors))
 
 
-# Explicit generator table for the 3-user network (one column per alignment
-# target, four generators each), cross-checked in tests against the general
-# construction below.
-_THREE_USER_GENERATORS = {
-    1: [[(1, 1, -1), (2, 1, 1)],
-        [(1, 1, -1), (3, 1, 1)],
-        [(1, 2, -1), (3, 2, 1)],
-        [(1, 3, -1), (2, 3, 1)]],
-    2: [[(2, 1, -1), (3, 1, 1)],
-        [(2, 2, -1), (1, 2, 1), (1, 1, -1), (3, 1, 1)],
-        [(2, 2, -1), (3, 2, 1)],
-        [(2, 3, -1), (1, 3, 1), (1, 1, -1), (3, 1, 1)]],
-    3: [[(3, 1, -1), (2, 1, 1), (2, 2, -1), (1, 2, 1)],
-        [(3, 2, -1), (1, 2, 1)],
-        [(3, 3, -1), (2, 3, 1), (2, 2, -1), (1, 2, 1)],
-        [(3, 3, -1), (1, 3, 1)]],
-    4: [[(3, 1, -1), (2, 1, 1)],
-        [(3, 2, -1), (1, 2, 1)],
-        [(3, 3, -1), (2, 3, 1)],
-        [(3, 3, -1), (1, 3, 1)]],
-}
+def alignment_instances(K: int) -> list[tuple[int, int, int, str]]:
+    """Receiver-form alignment equations as (target, receiver, tx, block):
+    at the receiver, H_{tx,receiver} times the block must lie in the span of
+    H_{min(target, K),receiver} times the target's extended precoder, the
+    jamming of target k <= K sent by tx k and of target K+1 by tx K.
+
+    Block "P" is the message precoder of slot target, one per unintended
+    message; block "Q~" is tx's derived jamming block, which must align one
+    step ahead, under target tx+1.
+    """
+    rows = []
+    for l in range(1, K + 1):
+        rows += [(j, l, k, "P") for k, j in unintended_messages(K, l)]
+        rows += [(k + 1, l, k, "Q~") for k in range(1, K)]
+    return rows
 
 
-def _general_generator_factors(K: int, target: int) -> list[list[tuple[int, int, int]]]:
-    out: list[list[tuple[int, int, int]]] = []
-    if target == 1:
-        for i in range(2, K + 1):
-            for l in range(1, K + 1):
-                if l != i:
-                    out.append([(1, l, -1), (i, l, 1)])
-    elif target == K + 1:
-        for i in range(1, K):
-            for l in range(1, K + 1):
-                if l != i:
-                    out.append([(K, l, -1), (i, l, 1)])
-    else:
-        k = target
-        for i in range(1, K + 1):
-            if i in (k - 1, k):
-                continue
-            for l in range(1, K + 1):
-                if l != i:
-                    out.append([(k, l, -1), (i, l, 1)])
-        for l in range(1, K + 1):
-            if k <= K - 1:
-                out.append([(k, l, -1), (k - 1, l, 1), (k - 1, 1, -1), (k + 1, 1, 1)])
-            else:
-                out.append([(K, l, -1), (K - 1, l, 1), (K - 1, 2, -1), (1, 2, 1)])
-    return out
+def _instance_factors(K: int, target: int, l: int, tx: int, block: str
+                      ) -> list[tuple[int, int, int]]:
+    """The shift one alignment instance needs, as (tx, rx, power) gain
+    factors: H_{tx,l} / H_{min(target, K),l}, times beta_tx = h_num / h_den
+    for a "Q~" block.  The order is _diag's per-slot product order."""
+    factors = [(min(target, K), l, -1), (tx, l, 1)]
+    if block == "Q~":
+        num, den = beta_links(K)[tx]
+        factors += [(*den, -1), (*num, 1)]
+    return factors
+
+
+# K = 3 keeps the column order of its original generator table, which fixes
+# its precoders' float bits: position i holds derived generator ORDER[t][i]
+_THREE_USER_ORDER = {1: (0, 2, 3, 1), 2: (0, 2, 1, 3), 3: (2, 0, 3, 1), 4: (2, 0, 3, 1)}
+
+
+def _generator_factors(K: int, target: int) -> list[list[tuple[int, int, int]]]:
+    """The distinct shifts the target's alignment instances need, "P"
+    instances first, then by tx and receiver; (K-1)^2 of them."""
+    by_symbol: dict[Monomial, list[tuple[int, int, int]]] = {}
+    for q, tx, l in sorted((block == "Q~", tx, l)
+                           for t, l, tx, block in alignment_instances(K) if t == target):
+        factors = _instance_factors(K, target, l, tx, "Q~" if q else "P")
+        by_symbol.setdefault(_symbol(factors), factors)
+    lists = list(by_symbol.values())
+    if len(lists) != interference_gamma(K):
+        raise RuntimeError(f"target {target}: {len(lists)} generators, "
+                           f"expected {interference_gamma(K)}")
+    return [lists[i] for i in _THREE_USER_ORDER[target]] if K == 3 else lists
 
 
 def build_cj_generators(K: int, realization: ChannelRealization
@@ -272,26 +274,9 @@ def build_cj_generators(K: int, realization: ChannelRealization
         raise ModeError(f"realization is not an interference({K}) model")
     if K < 3:
         raise ParameterError("the alignment construction starts at K = 3")
-    generators: dict[int, tuple[DiagonalChannelMatrix, ...]] = {}
-    want = interference_gamma(K)
-    for target in range(1, K + 2):
-        if K == 3:
-            factor_lists = _THREE_USER_GENERATORS[target]
-        else:
-            factor_lists = _general_generator_factors(K, target)
-        mats: list[DiagonalChannelMatrix] = []
-        seen: set[Monomial] = set()
-        for factors in factor_lists:
-            mat = _diag(realization, factors)
-            if mat.symbol in seen:
-                continue
-            seen.add(mat.symbol)
-            mats.append(mat)
-        if len(mats) != want:
-            raise RuntimeError(
-                f"target {target}: {len(mats)} generators, expected {want}")
-        generators[target] = tuple(mats)
-    return generators
+    return {target: tuple(_diag(realization, factors)
+                          for factors in _generator_factors(K, target))
+            for target in range(1, K + 2)}
 
 
 @dataclass(frozen=True)
@@ -330,7 +315,6 @@ class PrecoderSet:
     realization: ChannelRealization
     targets: Mapping[int, PrecoderTarget]
     qtilde: Mapping[int, np.ndarray]
-    qtilde_scale: Mapping[int, Monomial]
 
     def __post_init__(self) -> None:
         for block in self.qtilde.values():
@@ -374,8 +358,18 @@ def _base_index(n: int, gamma: int) -> np.ndarray:
     return np.ravel_multi_index(np.indices((n,) * gamma), (n + 1,) * gamma).ravel()
 
 
-def build_asymptotic_precoders(K: int, n: int, realization: ChannelRealization,
-                               budget: int = DEFAULT_PRECODER_BUDGET) -> PrecoderSet:
+def check_precoder_budget(K: int, n: int) -> None:
+    """Refuse a scheme whose precoders exceed DEFAULT_PRECODER_BUDGET matrix
+    entries; it needs no channel, so callers check before sampling one."""
+    gamma = interference_gamma(K)
+    entries_needed = (K + 1) * interference_slots(K, n) * ((n + 1) ** gamma + n ** gamma)
+    if entries_needed > DEFAULT_PRECODER_BUDGET:
+        raise CapacityError(f"precoders need {entries_needed} matrix entries, "
+                            f"over budget {DEFAULT_PRECODER_BUDGET}")
+
+
+def build_asymptotic_precoders(K: int, n: int, realization: ChannelRealization
+                               ) -> PrecoderSet:
     """Precoder matrices over exponent rows, columns in lexicographic order;
     the seed vectors are keyed by the realization's seed."""
     if n < 1:
@@ -385,10 +379,7 @@ def build_asymptotic_precoders(K: int, n: int, realization: ChannelRealization,
     if realization.slots != m_n:
         raise ModeError(
             f"realization must have exactly M_n = {m_n} slots, got {realization.slots}")
-    entries_needed = (K + 1) * m_n * ((n + 1) ** gamma + n ** gamma)
-    if entries_needed > budget:
-        raise CapacityError(
-            f"precoders need {entries_needed} matrix entries, over budget {budget}")
+    check_precoder_budget(K, n)
 
     generators = build_cj_generators(K, realization)
     exponents = box_image(np.eye(gamma, dtype=np.int8), n + 1)
@@ -413,7 +404,7 @@ def build_asymptotic_precoders(K: int, n: int, realization: ChannelRealization,
     qtilde[K] = targets[K + 1].extended
 
     return PrecoderSet(K=K, n=n, realization=realization, targets=targets,
-                       qtilde=qtilde, qtilde_scale=beta_general(K))
+                       qtilde=qtilde)
 
 
 def mutate_qtilde(pre: PrecoderSet, k: int, seed: int = 0) -> PrecoderSet:
@@ -453,27 +444,6 @@ class FadingAlignmentReport:
         return [e for e in self.equations if not (e.exact_ok and e.numeric_ok)]
 
 
-def _gain_mono(j: int, k: int, e: int = 1) -> Monomial:
-    return Monomial.gen(gain_name(j, k), e)
-
-
-def alignment_instances(K: int) -> list[tuple[int, int, int, str]]:
-    """Receiver-form alignment equations as (target, receiver, tx, block):
-    at the receiver, H_{tx,receiver} times the block must lie in the span of
-    H_{min(target, K),receiver} times the target's extended precoder, the
-    jamming of target k <= K sent by tx k and of target K+1 by tx K.
-
-    Block "P" is the message precoder of slot target, one per unintended
-    message; block "Q~" is tx's derived jamming block, which must align one
-    step ahead, under target tx+1.
-    """
-    rows = []
-    for l in range(1, K + 1):
-        rows += [(j, l, k, "P") for k, j in unintended_messages(K, l)]
-        rows += [(k + 1, l, k, "Q~") for k in range(1, K)]
-    return rows
-
-
 def verify_alignment_equations(pre: PrecoderSet,
                                tol: float = DEFAULT_RANK_TOL) -> FadingAlignmentReport:
     """Check every alignment equation two independent ways.
@@ -493,20 +463,15 @@ def verify_alignment_equations(pre: PrecoderSet,
 
     for target_idx, l, tx, block in alignment_instances(K):
         target = pre.targets[target_idx]
-        if block == "P":
-            lhs_plain, extra = target.base, Monomial.one()
-        else:
-            lhs_plain, extra = pre.qtilde[tx], pre.qtilde_scale[tx]
-        r_tx = min(target_idx, K)
+        lhs_plain = target.base if block == "P" else pre.qtilde[tx]
         lhs = realization.legit_series(tx, l)[:, None] * lhs_plain
-        rhs = realization.legit_series(r_tx, l)[:, None] * target.extended
+        rhs = realization.legit_series(min(target_idx, K), l)[:, None] * target.extended
 
-        gen = _gain_mono(r_tx, l, -1) * _gain_mono(tx, l) * extra
-        position = next((gi for gi, g in enumerate(target.generators)
-                         if g.symbol == gen), None)
-        exact = position is not None and np.allclose(
-            lhs, rhs[:, base_index + (n + 1) ** (gamma - 1 - position)],
-            rtol=1e-9, atol=0.0)
+        gen = _symbol(_instance_factors(K, target_idx, l, tx, block))
+        # the generators are derived from these instances, so gen is one
+        position = [g.symbol for g in target.generators].index(gen)
+        exact = np.allclose(lhs, rhs[:, base_index + (n + 1) ** (gamma - 1 - position)],
+                            rtol=1e-9, atol=0.0)
         numeric = numeric_rank(np.hstack([lhs, rhs]), tol) == rank_of[target_idx]
 
         key = (target_idx, str(gen))

@@ -4,6 +4,7 @@ import re
 
 import pytest
 
+from sdof import cli
 from sdof.analysis import MC_TRIAL_BUDGET
 from sdof.cli import ExperimentConfig, main, parse_config, print_schema, run
 from sdof.errors import UsageError
@@ -185,11 +186,26 @@ class TestMain:
          "usage error: helper_fixed_mc needs trials >= 1"),
         (["--experiment=mac_partial", "--K=1"],
          "error: mac_partial(1, 1) has no message streams"),
+        (["--experiment=helper_fixed_mc", "--grid="],
+         "usage error: helper_fixed_mc needs a non-empty grid"),
     ])
     def test_degenerate_experiment_is_refused(self, overrides, message, tmp_path, capsys):
         config = _region_config(tmp_path, seed=1)
         assert main(["run", config, *overrides]) == 2
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("experiment", ["interference_fading_verify",
+                                            "interference_fading_mi"])
+    def test_oversized_fading_run_is_refused_before_sampling(self, experiment, tmp_path,
+                                                             capsys, monkeypatch):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled a channel for an oversized scheme")
+
+        monkeypatch.setattr(cli, "sample_channel", no_sampling)
+        config = _region_config(tmp_path, seed=1)
+        assert main(["run", config, f"--experiment={experiment}", "--K=5", "--n=1"]) == 2
+        assert "over budget" in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
 
     def test_experiments_without_trials_ignore_them(self, tmp_path):

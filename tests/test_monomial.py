@@ -8,11 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import enumerator
 import sdof
 from sdof.channel import InterferenceModel, sample_channel
 from sdof.errors import CapacityError
-from sdof.interference_sets import DimensionSet, build_base_dimension_sets
-from sdof.monomial import Monomial, box_image, distinct_rows
+from sdof.interference_sets import build_base_dimension_sets
+from sdof.monomial import Monomial, box_image
 
 exponent_maps = st.dictionaries(
     st.sampled_from(["a", "b", "c", "d"]), st.integers(-4, 4), max_size=4)
@@ -65,7 +66,7 @@ def test_distinct_monomials_separate_numerically():
     # distinct canonical exponent vectors evaluate to distinct reals for
     # essentially every gain draw; collisions would break the alignment tests
     sets = build_base_dimension_sets(3, 1)
-    monomials = [next(iter(s.members)) for s in sets]
+    monomials = [next(iter(enumerator.members(s))) for s in sets]
     monomials += [Monomial.gen("h_11") * m for m in monomials]
     monomials += [Monomial.gen("h_21") * m for m in monomials[:2]]
     pairs = list(itertools.combinations(monomials, 2))
@@ -86,7 +87,7 @@ def test_unit_box_image_is_product_order_and_byte_sorted(gamma, top):
     assert rows.dtype == np.int8
     assert [tuple(r) for r in rows.tolist()] \
         == list(itertools.product(range(1, top + 1), repeat=gamma))
-    assert np.array_equal(distinct_rows(rows), rows)
+    assert np.array_equal(enumerator.distinct_rows(rows), rows)
 
 
 def test_box_image_refuses_rows_beyond_int8():
@@ -94,17 +95,19 @@ def test_box_image_refuses_rows_beyond_int8():
     assert box_image(np.array([[1]], np.int8), 126)[-1].tolist() == [126]
     with pytest.raises(CapacityError):
         box_image(np.array([[1]], np.int8), 127)
+    # a generator's reach sums over the pattern's rows: 2 * 63 + 1 fits
+    assert box_image(np.array([[1], [1]], np.int8), 63)[-1].tolist() == [126]
     with pytest.raises(CapacityError):
-        DimensionSet("A", ("x",), np.array([[1]], np.int8), 200).rows
+        box_image(np.array([[1], [1]], np.int8), 64)
 
 
 def test_box_image_refusal_survives_optimized_mode():
     # python -O strips assert statements, so the guard must not be one
     code = ("import numpy as np\n"
-            "from sdof import DimensionSet\n"
+            "from sdof.monomial import box_image\n"
             "from sdof.errors import CapacityError\n"
             "try:\n"
-            "    DimensionSet('A', ('x',), np.array([[1]], np.int8), 200).rows\n"
+            "    box_image(np.array([[1]], np.int8), 200)\n"
             "except CapacityError:\n"
             "    print('refused')\n")
     src = os.path.dirname(os.path.dirname(os.path.abspath(sdof.__file__)))

@@ -12,7 +12,7 @@ from sdof.interference_sets import beta_general, message_slots
 from sdof.monomial import Monomial
 from sdof.precoding import (build_asymptotic_precoders, build_cj_generators,
                             build_helper_fading, build_partial_csit_fading,
-                            _general_generator_factors, _THREE_USER_GENERATORS,
+                            _generator_factors, _instance_factors, _symbol,
                             alignment_instances, assemble_receiver_and_eve_matrices,
                             interference_gamma,
                             interference_slots, mutate_qtilde, numeric_rank,
@@ -118,6 +118,32 @@ class TestHelperFading:
         assert np.array_equal(a.B_V, b.B_V)
 
 
+# Generator symbols of every target, in column order.
+GENERATOR_SYMBOLS = {
+    3: {1: ["h_11^-1*h_21", "h_11^-1*h_31", "h_12^-1*h_32", "h_13^-1*h_23"],
+        2: ["h_21^-1*h_31", "h_11^-1*h_12*h_22^-1*h_31", "h_22^-1*h_32",
+            "h_11^-1*h_13*h_23^-1*h_31"],
+        3: ["h_12*h_21*h_22^-1*h_31^-1", "h_12*h_32^-1", "h_12*h_22^-1*h_23*h_33^-1",
+            "h_13*h_33^-1"],
+        4: ["h_21*h_31^-1", "h_12*h_32^-1", "h_23*h_33^-1", "h_13*h_33^-1"]},
+    4: {1: ["h_11^-1*h_21", "h_13^-1*h_23", "h_14^-1*h_24", "h_11^-1*h_31",
+            "h_12^-1*h_32", "h_14^-1*h_34", "h_11^-1*h_41", "h_12^-1*h_42",
+            "h_13^-1*h_43"],
+        2: ["h_21^-1*h_31", "h_22^-1*h_32", "h_24^-1*h_34", "h_21^-1*h_41",
+            "h_22^-1*h_42", "h_23^-1*h_43", "h_11^-1*h_12*h_22^-1*h_31",
+            "h_11^-1*h_13*h_23^-1*h_31", "h_11^-1*h_14*h_24^-1*h_31"],
+        3: ["h_12*h_32^-1", "h_13*h_33^-1", "h_14*h_34^-1", "h_31^-1*h_41",
+            "h_32^-1*h_42", "h_33^-1*h_43", "h_21^-1*h_22*h_32^-1*h_41",
+            "h_21^-1*h_23*h_33^-1*h_41", "h_21^-1*h_24*h_34^-1*h_41"],
+        4: ["h_12*h_42^-1", "h_13*h_43^-1", "h_14*h_44^-1", "h_21*h_41^-1",
+            "h_23*h_43^-1", "h_24*h_44^-1", "h_12*h_31*h_32^-1*h_41^-1",
+            "h_12*h_32^-1*h_33*h_43^-1", "h_12*h_32^-1*h_34*h_44^-1"],
+        5: ["h_12*h_42^-1", "h_13*h_43^-1", "h_14*h_44^-1", "h_21*h_41^-1",
+            "h_23*h_43^-1", "h_24*h_44^-1", "h_31*h_41^-1", "h_32*h_42^-1",
+            "h_34*h_44^-1"]},
+}
+
+
 class TestGenerators:
     def test_three_user_table_entry(self, precoders_n1):
         r = precoders_n1.realization
@@ -135,21 +161,23 @@ class TestGenerators:
         assert set(gens4) == set(range(1, 6))
         assert all(len(g) == interference_gamma(4) == 9 for g in gens4.values())
 
-    def test_table_matches_general_construction(self):
-        # the explicit 3-user table and the general-K rule must produce the
-        # same generator set for every target
-        def symbols(factor_lists):
-            out = set()
-            for factors in factor_lists:
-                m = Monomial.one()
-                for (j, k, e) in factors:
-                    m = m * Monomial.gen(f"h_{j}{k}", e)
-                out.add(m)
-            return out
+    @pytest.mark.parametrize("K", [3, 4])
+    def test_generator_symbols_in_column_order(self, K):
+        # the column order fixes the precoders' float bits
+        got = {t: [str(_symbol(f)) for f in _generator_factors(K, t)]
+               for t in range(1, K + 2)}
+        assert got == GENERATOR_SYMBOLS[K]
 
-        for target in range(1, 5):
-            assert symbols(_THREE_USER_GENERATORS[target]) \
-                == symbols(_general_generator_factors(3, target))
+    @pytest.mark.parametrize("K", range(3, 10))
+    def test_derived_generators_are_the_required_shifts(self, K):
+        # (K-1)^2 distinct shifts per target, and every alignment instance
+        # needs one of them; no precoder is built
+        symbols = {t: [_symbol(f) for f in _generator_factors(K, t)]
+                   for t in range(1, K + 2)}
+        for t, gens in symbols.items():
+            assert len(gens) == len(set(gens)) == interference_gamma(K)
+        for instance in alignment_instances(K):
+            assert _symbol(_instance_factors(K, *instance)) in symbols[instance[0]]
 
     def test_diagonals_commute_pairwise_bitwise(self, precoders_n1):
         gens = precoders_n1.targets[2].generators
@@ -211,9 +239,10 @@ class TestPrecoders:
             assert np.array_equal(again.targets[i].extended,
                                   precoders_n1.targets[i].extended)
 
-    def test_memory_budget(self, precoders_n1):
-        with pytest.raises(CapacityError):
-            build_asymptotic_precoders(3, 1, precoders_n1.realization, budget=10)
+    def test_memory_budget(self, precoders_n1, monkeypatch):
+        monkeypatch.setattr(precoding, "DEFAULT_PRECODER_BUDGET", 10)
+        with pytest.raises(CapacityError, match="over budget 10"):
+            build_asymptotic_precoders(3, 1, precoders_n1.realization)
 
 
 # The receiver-form alignment equations of the paper, per target T: at
@@ -311,12 +340,17 @@ class TestGeneralK:
                                rtol=1e-10)
 
     def test_four_user_derived_jamming_assignments(self, precoders_k4):
+        # a "Q~" instance shifts by h_{tx,l} / h_{tx+1,l} times beta_tx
         pre = precoders_k4
         slots = pre.block_length
         assert set(pre.qtilde) == {1, 2, 3, 4}
-        assert pre.qtilde_scale[1] == Monomial.from_dict({"h_31": 1, "h_11": -1})
-        assert pre.qtilde_scale[2] == Monomial.from_dict({"h_41": 1, "h_21": -1})
-        assert pre.qtilde_scale[3] == Monomial.from_dict({"h_12": 1, "h_32": -1})
+        betas = beta_general(4)
+        for target, l, tx, block in alignment_instances(4):
+            if block == "Q~":
+                ratio = Monomial.gen(f"h_{tx}{l}") / Monomial.gen(f"h_{target}{l}")
+                assert _symbol(_instance_factors(4, target, l, tx, block)) \
+                    == ratio * betas[tx]
+        assert pre.qtilde[3].shape == (slots, 1)
         assert pre.qtilde[4].shape == (slots, 512)
 
 
@@ -325,7 +359,6 @@ def test_derived_jamming_is_scaled_by_general_beta(K, fixture, request):
     # q~_k = beta_k * (message precoder of slot k+1), symbolically and per slot
     pre = request.getfixturevalue(fixture)
     betas = beta_general(K)
-    assert pre.qtilde_scale == betas
     r = pre.realization
     for k in range(1, K):
         per_slot = np.prod([r.legit_series(int(name[2]), int(name[3])) ** e
