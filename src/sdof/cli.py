@@ -156,6 +156,8 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise UsageError("counts must be non-negative (realizations >= 1)")
     if not (0 < cfg.delta < 1):
         raise UsageError("delta must be in (0, 1)")
+    if not (0 < cfg.rank_tol < 1):
+        raise UsageError("rank_tol must be in (0, 1)")
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,9 @@ order; each target's generators are the distinct shifts its alignment
 equations need, so multiplying by one shifts one exponent, which proves
 column-space containment exactly: the shifted column sits a fixed stride
 further along the extended box.  Ranks are certified numerically by SVD
-with a relative threshold.
+with a relative threshold; the numeric alignment check factors each
+target's extended matrix once and measures every instance's residual
+outside its kept left singular vectors.
 """
 from __future__ import annotations
 
@@ -31,6 +33,34 @@ DEFAULT_PRECODER_BUDGET = 200_000_000  # total matrix entries
 ALPHA_DRAWS = 100  # mixing-coefficient draws before the helper scheme gives up
 
 
+def _equilibrate(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column scalings (r, c) of four alternating 2-norm passes:
+    A * r[:, None] * c has rows, then columns, of unit norm after each pass
+    (zero rows and columns stay zero).  The squares of A are formed once;
+    each pass updates only the squared scalings.  Entries whose squares are
+    not finite are refused."""
+    r2, c2 = np.ones(A.shape[0]), np.ones(A.shape[1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        S = A * A
+        for _ in range(4):
+            rn = S.dot(c2) * r2
+            rn[rn == 0.0] = 1.0
+            r2 = r2 / rn
+            cn = r2.dot(S) * c2
+            cn[cn == 0.0] = 1.0
+            c2 = c2 / cn
+    if not (np.isfinite(r2).all() and np.isfinite(c2).all()):
+        raise ParameterError("rank needs finite matrix entries with finite squares")
+    return np.sqrt(r2), np.sqrt(c2)
+
+
+def _kept(s: np.ndarray, tol: float, shape: tuple[int, ...]) -> int:
+    """Singular values (descending) above tol * sigma_max * max(shape)."""
+    if s.size == 0 or s[0] == 0.0:
+        return 0
+    return int(np.count_nonzero(s > tol * s[0] * max(shape)))
+
+
 def numeric_rank(A: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> int:
     """Rank by singular values above tol * sigma_max * max(shape).
 
@@ -39,22 +69,15 @@ def numeric_rank(A: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> int:
     multiplication by invertible diagonals, so the true rank is untouched,
     but it stops the product-built precoder matrices (whose entries spread
     over many orders of magnitude per slot) from hiding directions below the
-    threshold.
+    threshold.  Entries that are not finite raise ParameterError.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2:
         raise ParameterError("rank needs a 2-D matrix")
     if A.size == 0:
         return 0
-    for _ in range(4):
-        rn = np.linalg.norm(A, axis=1, keepdims=True)
-        A = A / np.where(rn == 0.0, 1.0, rn)
-        cn = np.linalg.norm(A, axis=0, keepdims=True)
-        A = A / np.where(cn == 0.0, 1.0, cn)
-    s = np.linalg.svd(A, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(s > tol * s[0] * max(A.shape)))
+    r, c = _equilibrate(A)
+    return _kept(np.linalg.svd(A * r[:, None] * c, compute_uv=False), tol, A.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -444,35 +467,53 @@ class FadingAlignmentReport:
         return [e for e in self.equations if not (e.exact_ok and e.numeric_ok)]
 
 
+def _span_basis(extended: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """(r, U_r): the row scaling of the equilibrated extended matrix and an
+    orthonormal basis of its column span, the left singular vectors whose
+    singular values numeric_rank keeps."""
+    r, c = _equilibrate(extended)
+    U, s, _ = np.linalg.svd(extended * r[:, None] * c, full_matrices=False)
+    return r, U[:, :_kept(s, tol, extended.shape)]
+
+
 def verify_alignment_equations(pre: PrecoderSet,
                                tol: float = DEFAULT_RANK_TOL) -> FadingAlignmentReport:
     """Check every alignment equation two independent ways.
 
     Exact: each left-hand column must reappear verbatim (up to float
     round-off of reordered products) among the right-hand columns at the
-    exponent-shifted index.  Numeric: rank([lhs rhs]) == rank(rhs) at tol,
-    where rank(rhs) is the rank of the target's extended matrix: the row
-    equilibration of numeric_rank removes the diagonal channel scaling.
+    exponent-shifted index.  Numeric: lhs must lie in the span of
+    rhs = diag(h) E, E the target's extended matrix.  The diagonals diag(h)
+    and the equilibration's diag(r) are invertible, so that holds iff
+    r * lhs / h lies in the span of the equilibrated E; each column of it
+    must leave at most tol * max(E.shape) of its norm outside the left
+    singular vectors numeric_rank keeps.  That is rank([lhs rhs]) ==
+    rank(rhs) with one SVD per target instead of one per instance.
     Failures are report content, not exceptions.
     """
     realization = pre.realization
     K, n, gamma = pre.K, pre.n, pre.gamma
     base_index = _base_index(n, gamma)
     verdicts: dict[tuple[int, str], tuple[bool, bool]] = {}
-    rank_of = {idx: numeric_rank(t.extended, tol) for idx, t in pre.targets.items()}
+    basis = {idx: _span_basis(t.extended, tol) for idx, t in pre.targets.items()}
 
     for target_idx, l, tx, block in alignment_instances(K):
         target = pre.targets[target_idx]
         lhs_plain = target.base if block == "P" else pre.qtilde[tx]
         lhs = realization.legit_series(tx, l)[:, None] * lhs_plain
-        rhs = realization.legit_series(min(target_idx, K), l)[:, None] * target.extended
+        h = realization.legit_series(min(target_idx, K), l)[:, None]
 
         gen = _symbol(_instance_factors(K, target_idx, l, tx, block))
         # the generators are derived from these instances, so gen is one
         position = [g.symbol for g in target.generators].index(gen)
-        exact = np.allclose(lhs, rhs[:, base_index + (n + 1) ** (gamma - 1 - position)],
-                            rtol=1e-9, atol=0.0)
-        numeric = numeric_rank(np.hstack([lhs, rhs]), tol) == rank_of[target_idx]
+        shifted = base_index + (n + 1) ** (gamma - 1 - position)
+        exact = np.allclose(lhs, h * target.extended[:, shifted], rtol=1e-9, atol=0.0)
+
+        r, U = basis[target_idx]
+        z = r[:, None] * lhs / h
+        outside = np.linalg.norm(z - U @ (U.T @ z), axis=0)
+        cut = tol * max(target.extended.shape) * np.linalg.norm(z, axis=0)
+        numeric = bool(np.all(outside <= cut))
 
         key = (target_idx, str(gen))
         was_exact, was_numeric = verdicts.get(key, (True, True))

@@ -188,6 +188,12 @@ class TestMain:
          "error: mac_partial(1, 1) has no message streams"),
         (["--experiment=helper_fixed_mc", "--grid="],
          "usage error: helper_fixed_mc needs a non-empty grid"),
+        (["--experiment=interference_fading_verify", "--rank_tol=0"],
+         "usage error: rank_tol must be in (0, 1)"),
+        (["--experiment=interference_fading_verify", "--rank_tol=-1"],
+         "usage error: rank_tol must be in (0, 1)"),
+        (["--experiment=interference_fading_verify", "--rank_tol=2"],
+         "usage error: rank_tol must be in (0, 1)"),
     ])
     def test_degenerate_experiment_is_refused(self, overrides, message, tmp_path, capsys):
         config = _region_config(tmp_path, seed=1)

@@ -58,6 +58,20 @@ class TestNumericRank:
         A = rng.normal(size=(6, 4))
         scaled = (1e8 * rng.uniform(0.5, 2, 6)[:, None]) * A * 1e-7
         assert numeric_rank(scaled) == numeric_rank(A) == 4
+        # rows far apart in magnitude, whose squares stay finite, and a zero row
+        extreme = np.array([1e100, 1e-100, 1, 1e100, 1e-100, 1])[:, None] * A
+        assert numeric_rank(extreme) == 4
+        assert numeric_rank(extreme[:, :3] @ rng.normal(size=(3, 4))) == 3
+        extreme[2] = 0.0
+        assert numeric_rank(extreme) == 4
+        assert numeric_rank(np.vstack([np.zeros(4), 1e-100 * np.eye(4)[:2]])) == 2
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entries_are_refused(self, bad):
+        A = np.eye(4)
+        A[1, 2] = bad
+        with pytest.raises(ParameterError, match="finite"):
+            numeric_rank(A)
 
 
 class TestHelperFading:
@@ -308,21 +322,80 @@ class TestAlignmentVerification:
             pre, targets={**pre.targets, 2: dataclasses.replace(t, extended=swapped)})
         assert verify_alignment_equations(pre).ok
         report = verify_alignment_equations(broken)
+        assert _equations(report) == _reference_report(broken)
         for eq in report.equations:
             assert eq.numeric_ok
             assert eq.exact_ok == (eq.target != 2)
 
-    def test_one_rank_per_target(self, precoders_n1, monkeypatch):
-        calls = []
+    def test_one_factorization_per_target(self, precoders_n1, monkeypatch):
+        svds, ranks = [], []
+        svd = np.linalg.svd
+
+        def counting_svd(A, *args, **kwargs):
+            svds.append(A.shape)
+            return svd(A, *args, **kwargs)
 
         def counting_rank(A, *args, **kwargs):
-            calls.append(A.shape)
+            ranks.append(A.shape)
             return numeric_rank(A, *args, **kwargs)
 
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
         monkeypatch.setattr(precoding, "numeric_rank", counting_rank)
         assert verify_alignment_equations(precoders_n1).ok
-        # 4 target ranks plus one rank of [lhs rhs] per instance
-        assert len(calls) == 4 + 18
+        # one SVD of each of the 4 extended matrices, none per instance
+        assert svds == [(66, 16)] * 4
+        assert ranks == []
+
+    def test_off_span_perturbation_fails_both_checks(self, precoders_n1):
+        # a 1e-6 relative step out of target 2's span in the derived block
+        # that target 2's "Q~" instances read back
+        pre = precoders_n1
+        rng = np.random.default_rng(7)
+        step = rng.normal(size=pre.block_length)
+        block = pre.qtilde[1].copy()
+        block[:, 0] += 1e-6 * np.linalg.norm(block[:, 0]) * step / np.linalg.norm(step)
+        broken = dataclasses.replace(pre, qtilde={**pre.qtilde, 1: block})
+        report = verify_alignment_equations(broken)
+        assert _equations(report) == _reference_report(broken)
+        failed = report.failures
+        assert len(failed) == 3 and {e.target for e in failed} == {2}
+        assert not any(e.exact_ok or e.numeric_ok for e in failed)
+
+
+def _reference_report(pre, tol=precoding.DEFAULT_RANK_TOL):
+    """The verifier with one rank of [lhs rhs] per alignment instance: the
+    numeric check passes iff appending lhs leaves the rank of the target's
+    extended matrix unchanged."""
+    r = pre.realization
+    K, n, gamma = pre.K, pre.n, pre.gamma
+    base = [int(np.ravel_multi_index(row, (n + 1,) * gamma))
+            for row in itertools.product(range(n), repeat=gamma)]
+    verdicts = {}
+    for target, l, tx, block in alignment_instances(K):
+        t = pre.targets[target]
+        lhs = r.legit_series(tx, l)[:, None] * (t.base if block == "P" else pre.qtilde[tx])
+        rhs = r.legit_series(min(target, K), l)[:, None] * t.extended
+        gen = _symbol(_instance_factors(K, target, l, tx, block))
+        pos = [g.symbol for g in t.generators].index(gen)
+        idx = [b + (n + 1) ** (gamma - 1 - pos) for b in base]
+        exact = np.allclose(lhs, rhs[:, idx], rtol=1e-9, atol=0.0)
+        numeric = numeric_rank(np.hstack([lhs, rhs]), tol) == numeric_rank(t.extended, tol)
+        was = verdicts.get((target, str(gen)), (True, True))
+        verdicts[(target, str(gen))] = (was[0] and exact, was[1] and numeric)
+    return [(t, g, e, num) for (t, g), (e, num) in sorted(verdicts.items())]
+
+
+def _equations(report):
+    return [(e.target, e.generator, e.exact_ok, e.numeric_ok) for e in report.equations]
+
+
+@pytest.mark.parametrize("seed", range(1, 21))
+def test_basis_residual_matches_rank_oracle(seed):
+    slots = interference_slots(3, 1)
+    r = sample_channel(InterferenceModel(3), fixed=False, slots=slots, seed=seed)
+    pre = build_asymptotic_precoders(3, 1, r)
+    for variant in [pre] + [mutate_qtilde(pre, k) for k in (1, 2, 3)]:
+        assert _equations(verify_alignment_equations(variant)) == _reference_report(variant)
 
 
 class TestGeneralK:
