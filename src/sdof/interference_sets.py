@@ -8,12 +8,16 @@ transmitters; jamming rides on T_i and beta_i * T_{i+1}.  Multiplying any
 T_j by a cross gain only shifts exponents by one, which lands inside T~_j,
 so all interference at a legitimate receiver collapses into the K+1
 extended sets while the K-1 desired sets stay disjoint from everything.
+alignment_equations(K) states which block lands under which set, once for
+the set patterns, the verifier's claims and the fading instances.
 
 As in real interference alignment, a set is the image of the integer box
 {1..top}^s, s = K(K-1) + 2, under the set's integer pattern matrix P: one
 row per free exponent, one column per generator (the K^2 gains h_jk, then
-c_1..c_{K+1}).  Every row of P has a pivot, a column that is nonzero in
-that row only and holds +1 or -1.  The pivots make P injective on Z^s, so
+c_1..c_{K+1}).  The rows of set i are the distinct nonzero factors of the
+equations that land in it, with beta_k = 1/h_den(k), then its c_i.  Every
+row of P has a pivot, a column that is nonzero in that row only and holds
++1 or -1.  The pivots make P injective on Z^s, so
 the set has exactly top^s members, and they give the lattice coordinates
 of an exponent vector f: d = sign * f[pivots], accepted only when
 d @ P == f.  Every check is decided from the patterns in exact integer
@@ -77,41 +81,29 @@ def unintended_messages(K: int, rx: int) -> list[tuple[int, int]]:
     return [(k, j) for k in range(1, K + 1) if k != rx for j in message_slots(K, k)]
 
 
+def alignment_equations(K: int) -> list[tuple[int, int, str, int]]:
+    """The scheme's alignment equations as (rx l, tx k, block, set j): at
+    receiver l, h_kl times the block's base set T_j (times beta_k for a
+    "U~" block) must lie in the extended set T~_j.  Per receiver: the
+    unintended messages "V", then every first jamming block "U" under its
+    own set, then every second jamming block "U~" one set ahead."""
+    rows = []
+    for l in range(1, K + 1):
+        rows += [(l, k, "V", j) for k, j in unintended_messages(K, l)]
+        rows += [(l, k, "U", k) for k in range(1, K + 1)]
+        rows += [(l, k, "U~", k + 1) for k in range(1, K + 1)]
+    return rows
+
+
+def _factor(l: int, k: int, block: str, betas: Mapping[int, Monomial]) -> Monomial:
+    """The factor an alignment equation puts on its base set."""
+    gain = Monomial.gen(gain_name(k, l))
+    return gain * betas[k] if block == "U~" else gain
+
+
 def exponent_slots(K: int) -> int:
     """Number of free exponents per set: K(K-1) + 2 (including the constant)."""
     return K * (K - 1) + 2
-
-
-def _set_pattern(K: int, i: int) -> tuple[list[tuple[int, int]],
-                                          list[tuple[tuple[int, int], tuple[int, int]]]]:
-    """Factor layout of set i: plain gain factors and ratio factors.
-
-    Every factor carries its own free exponent; a ratio factor puts +e on the
-    numerator gain and -e on the denominator gain.
-    """
-    plain: list[tuple[int, int]] = []
-    ratios: list[tuple[tuple[int, int], tuple[int, int]]] = []
-    if i == 1:
-        plain += [(1, k) for k in range(1, K + 1)]
-        plain += [(j, k) for j in range(2, K + 1)
-                  for k in range(1, K + 1) if k != j]
-    elif 2 <= i <= K - 1:
-        plain += [(i, k) for k in range(1, K + 1)]
-        ratios += [((i - 1, k), (i - 1, 1)) for k in range(2, K + 1)]
-        plain += [(j, k) for j in range(1, K + 1) if j not in (i, i - 1)
-                  for k in range(1, K + 1) if k != j]
-    elif i == K:
-        plain += [(K, k) for k in range(1, K + 1)]
-        ratios += [((K - 1, k), (K - 1, 2)) for k in range(1, K + 1) if k != 2]
-        plain += [(j, k) for j in range(1, K + 1) if j not in (K, K - 1)
-                  for k in range(1, K + 1) if k != j]
-    elif i == K + 1:
-        plain += [(K, k) for k in range(1, K + 1)]
-        plain += [(j, k) for j in range(1, K) for k in range(1, K + 1) if k != j]
-    else:
-        raise ParameterError(f"set index {i} outside 1..{K + 1}")
-    assert len(plain) + len(ratios) + 1 == exponent_slots(K)
-    return plain, ratios
 
 
 def _generator_order(K: int) -> tuple[str, ...]:
@@ -120,17 +112,31 @@ def _generator_order(K: int) -> tuple[str, ...]:
     return gains + tuple(f"c_{i}" for i in range(1, K + 2))
 
 
-def _pattern_matrix(K: int, i: int, column: Mapping[str, int]) -> np.ndarray:
-    """One row per free exponent of set i: the exponent change of one unit."""
-    plain, ratios = _set_pattern(K, i)
-    pattern = np.zeros((exponent_slots(K), len(column)), np.int8)
-    for r, (j, k) in enumerate(plain):
-        pattern[r, column[gain_name(j, k)]] += 1
-    for r, (num, den) in enumerate(ratios, start=len(plain)):
-        pattern[r, column[gain_name(*num)]] += 1
-        pattern[r, column[gain_name(*den)]] -= 1
-    pattern[-1, column[f"c_{i}"]] = 1
-    return pattern
+@functools.lru_cache(maxsize=None)
+def _patterns(K: int) -> tuple[np.ndarray, ...]:
+    """The read-only pattern matrices of sets 1..K+1, one row per free
+    exponent: the distinct nonzero factors of the alignment equations that
+    land in set i, with beta_k = 1/h_den(k), then the c_i row."""
+    generators = _generator_order(K)
+    column = {g: c for c, g in enumerate(generators)}
+    betas = _denominator_betas(K)
+    factors: dict[int, dict[Monomial, None]] = {i: {} for i in range(1, K + 2)}
+    for l, k, block, j in alignment_equations(K):
+        factor = _factor(l, k, block, betas)
+        if factor != Monomial.one():
+            factors[j].setdefault(factor)
+    patterns = []
+    for i, distinct in factors.items():
+        if len(distinct) + 1 != exponent_slots(K):
+            raise CertificateError(f"set {i} has {len(distinct)} gain rows, "
+                                   f"expected {exponent_slots(K) - 1}")
+        pattern = np.zeros((exponent_slots(K), len(generators)), np.int8)
+        for r, factor in enumerate([*distinct, Monomial.gen(f"c_{i}")]):
+            for name, e in factor.exponents:
+                pattern[r, column[name]] = e
+        pattern.setflags(write=False)
+        patterns.append(pattern)
+    return tuple(patterns)
 
 
 @dataclass(frozen=True, eq=False)
@@ -252,21 +258,12 @@ def _new_members(image: tuple[DimensionSet, Shift],
     return dset.size - sum(overlaps)
 
 
-def _shift(factor: Monomial, column: Mapping[str, int]) -> Shift | None:
-    """The factor's exponents by generator column, or None when it names a
-    symbol outside the generator order."""
-    if not all(n in column for n, _ in factor.exponents):
-        return None
-    return {column[n]: e for n, e in factor.exponents}
-
-
 def _build_family(K: int, m: int, top: int,
                   labels: Mapping[int, str]) -> list[DimensionSet]:
     _check_km(K, m)
     generators = _generator_order(K)
-    column = {g: c for c, g in enumerate(generators)}
-    return [DimensionSet(labels[i], generators, _pattern_matrix(K, i, column), top)
-            for i in range(1, K + 2)]
+    return [DimensionSet(labels[i], generators, pattern, top)
+            for i, pattern in enumerate(_patterns(K), start=1)]
 
 
 def build_base_dimension_sets(K: int, m: int) -> list[DimensionSet]:
@@ -296,13 +293,17 @@ def beta_general(K: int) -> dict[int, Monomial]:
     return betas
 
 
+def _denominator_betas(K: int) -> dict[int, Monomial]:
+    """beta_i = 1/h_den of beta_links(K), and beta_K = 1: the general rule
+    without its numerators, which are free gains of the target set."""
+    betas = {i: Monomial.gen(gain_name(*den), -1) for i, (_, den) in beta_links(K).items()}
+    betas[K] = Monomial.one()
+    return betas
+
+
 def beta_three_user() -> dict[int, Monomial]:
     """The K=3 rule: beta_i = 1/h_ii for i=1,2 and beta_3 = 1."""
-    return {
-        1: Monomial.gen(gain_name(1, 1), -1),
-        2: Monomial.gen(gain_name(2, 2), -1),
-        3: Monomial.one(),
-    }
+    return _denominator_betas(3)
 
 
 def expected_base_cardinality(K: int, m: int) -> int:
@@ -408,13 +409,16 @@ def verify_interference_alignment(K: int, m: int,
             None, f"{b.label} subset of {e.label}",
             "pass" if shared_members(b, none, e, none) == b.size else "fail"))
 
-    def containment(rx: int, factor: Monomial, j: int, what: str,
-                    tag: str = "") -> None:
-        shift = _shift(factor, column)
+    def containment(rx: int, k: int, block: str, j: int,
+                    rule: Mapping[int, Monomial], tag: str = "") -> None:
+        factor = _factor(rx, k, block, rule)
         escaped = base[j].size
-        if shift is not None:
+        # every member escapes a factor that names a symbol outside the order
+        if all(n in column for n, _ in factor.exponents):
+            shift = {column[n]: e for n, e in factor.exponents}
             escaped -= shared_members(base[j], shift, extended[j], none)
         ok = escaped == 0
+        what = f"message V{k},{j}" if block == "V" else f"jamming {block}{k}"
         checks.append(AlignmentCheck(
             rx, f"rx{rx}: {factor}*{base[j].label} within {extended[j].label} ({what}){tag}",
             "pass" if ok else "fail",
@@ -425,24 +429,17 @@ def verify_interference_alignment(K: int, m: int,
     ext_union = sum(_new_members(image, ext_images[:n])
                     for n, image in enumerate(ext_images))
 
+    equations = alignment_equations(K)
     receiver_span: dict[int, int] = {}
     for l in range(1, K + 1):
-        # unintended messages land under the matching extended set
-        for k, j in unintended_messages(K, l):
-            containment(l, Monomial.gen(gain_name(k, l)), j, f"message V{k},{j}")
-        # first jamming block of every transmitter
-        for k in range(1, K + 1):
-            containment(l, Monomial.gen(gain_name(k, l)), k, f"jamming U{k}")
-        # second jamming block, scaled by beta_k
-        for k in range(1, K + 1):
-            factor = Monomial.gen(gain_name(k, l)) * betas[k]
-            containment(l, factor, k + 1, f"jamming U~{k}")
+        mine = [eq for eq in equations if eq[0] == l]
+        for eq in mine:
+            containment(*eq, betas)
         if check_secondary:
             general = beta_general(K)
-            for k in range(1, K + 1):
-                factor = Monomial.gen(gain_name(k, l)) * general[k]
-                containment(l, factor, k + 1, f"jamming U~{k}",
-                            tag=" [general beta rule]")
+            for eq in mine:
+                if eq[2] == "U~":
+                    containment(*eq, general, " [general beta rule]")
 
         # desired sets: pairwise disjoint and clear of every extended set
         own_name = gain_name(l, l)

@@ -25,7 +25,8 @@ from .channel import (ChannelRealization, HelperModel, InterferenceModel,
                       MacPartialModel, TAG_ALPHA, TAG_SEED_VECTOR, key_grid,
                       keyed_gains, substream)
 from .errors import CapacityError, ModeError, ParameterError
-from .interference_sets import beta_links, gain_name, message_slots, unintended_messages
+from .interference_sets import (alignment_equations, beta_links, gain_name, message_slots,
+                                unintended_messages)
 from .monomial import Monomial, box_image
 
 DEFAULT_RANK_TOL = 1e-10
@@ -36,12 +37,15 @@ ALPHA_DRAWS = 100  # mixing-coefficient draws before the helper scheme gives up
 def _equilibrate(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Row and column scalings (r, c) of four alternating 2-norm passes:
     A * r[:, None] * c has rows, then columns, of unit norm after each pass
-    (zero rows and columns stay zero).  The squares of A are formed once;
-    each pass updates only the squared scalings.  Entries whose squares are
-    not finite are refused."""
+    (zero rows and columns stay zero).  The squares are formed once, after an
+    exact power-of-two row scaling (folded into r) that brings each row's
+    largest magnitude into [0.5, 1); each pass updates only the squared
+    scalings.  Non-finite entries or scalings are refused."""
+    _, e = np.frexp(np.abs(A).max(axis=1))
     r2, c2 = np.ones(A.shape[0]), np.ones(A.shape[1])
     with np.errstate(over="ignore", invalid="ignore"):
-        S = A * A
+        S = np.ldexp(A, -e[:, None])
+        S *= S
         for _ in range(4):
             rn = S.dot(c2) * r2
             rn[rn == 0.0] = 1.0
@@ -49,9 +53,10 @@ def _equilibrate(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             cn = r2.dot(S) * c2
             cn[cn == 0.0] = 1.0
             c2 = c2 / cn
-    if not (np.isfinite(r2).all() and np.isfinite(c2).all()):
-        raise ParameterError("rank needs finite matrix entries with finite squares")
-    return np.sqrt(r2), np.sqrt(c2)
+        r = np.ldexp(np.sqrt(r2), -e)
+    if not (np.isfinite(r).all() and np.isfinite(c2).all()):
+        raise ParameterError("rank needs finite matrix entries with finite row scalings")
+    return r, np.sqrt(c2)
 
 
 def _kept(s: np.ndarray, tol: float, shape: tuple[int, ...]) -> int:
@@ -226,10 +231,10 @@ def interference_slots(K: int, n: int) -> int:
 
 
 def _symbol(factors: Sequence[tuple[int, int, int]]) -> Monomial:
-    symbol = Monomial.one()
+    exponents: dict[str, int] = {}
     for (j, k, e) in factors:
-        symbol = symbol * Monomial.gen(gain_name(j, k), e)
-    return symbol
+        exponents[gain_name(j, k)] = exponents.get(gain_name(j, k), 0) + e
+    return Monomial.from_dict(exponents)
 
 
 def _diag(realization: ChannelRealization, factors: Sequence[tuple[int, int, int]]
@@ -241,29 +246,25 @@ def _diag(realization: ChannelRealization, factors: Sequence[tuple[int, int, int
 
 
 def alignment_instances(K: int) -> list[tuple[int, int, int, str]]:
-    """Receiver-form alignment equations as (target, receiver, tx, block):
-    at the receiver, H_{tx,receiver} times the block must lie in the span of
-    H_{min(target, K),receiver} times the target's extended precoder, the
-    jamming of target k <= K sent by tx k and of target K+1 by tx K.
-
-    Block "P" is the message precoder of slot target, one per unintended
-    message; block "Q~" is tx's derived jamming block, which must align one
-    step ahead, under target tx+1.
-    """
-    rows = []
-    for l in range(1, K + 1):
-        rows += [(j, l, k, "P") for k, j in unintended_messages(K, l)]
-        rows += [(k + 1, l, k, "Q~") for k in range(1, K)]
-    return rows
+    """interference_sets.alignment_equations(K) in receiver form, as
+    (target = set, receiver, tx, block): at the receiver, H_{tx,receiver}
+    times the block must lie in the span of H_{min(target, K),receiver}
+    times the target's extended precoder.  Blocks are named by precoder:
+    "P" the message precoder of slot target, "Q" the jamming Q_k = E_k and
+    "Q~" tx's derived jamming block.  Every "Q", and Q~_K = E_{K+1}, needs
+    the shift 1, aligns trivially and is dropped."""
+    precoder = {"V": "P", "U": "Q", "U~": "Q~"}
+    rows = [(j, l, k, precoder[block]) for l, k, block, j in alignment_equations(K)]
+    return [row for row in rows if _symbol(_instance_factors(K, *row)) != Monomial.one()]
 
 
 def _instance_factors(K: int, target: int, l: int, tx: int, block: str
                       ) -> list[tuple[int, int, int]]:
     """The shift one alignment instance needs, as (tx, rx, power) gain
     factors: H_{tx,l} / H_{min(target, K),l}, times beta_tx = h_num / h_den
-    for a "Q~" block.  The order is _diag's per-slot product order."""
+    for a "Q~" block of tx < K.  The order is _diag's per-slot product order."""
     factors = [(min(target, K), l, -1), (tx, l, 1)]
-    if block == "Q~":
+    if block == "Q~" and tx < K:
         num, den = beta_links(K)[tx]
         factors += [(*den, -1), (*num, 1)]
     return factors

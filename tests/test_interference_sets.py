@@ -13,7 +13,7 @@ from sdof import interference_sets
 from sdof.errors import CapacityError, CertificateError, ParameterError
 from sdof.interference_sets import (AlignmentCheck,
                                     AlignmentReport, DimensionSet,
-                                    _new_members, _set_pattern,
+                                    _new_members, _patterns,
                                     beta_general, beta_three_user,
                                     build_base_dimension_sets,
                                     build_extended_dimension_sets,
@@ -135,6 +135,72 @@ def test_expected_span_formula():
 # reference: the string-keyed enumerator the array engine replaced, kept as
 # the oracle for the engine's report
 # ---------------------------------------------------------------------------
+
+# the hand-written pattern table the derived patterns replaced, kept as the
+# oracle of interference_sets._patterns and of the string-keyed reference
+def _set_pattern(K: int, i: int) -> tuple[list[tuple[int, int]],
+                                          list[tuple[tuple[int, int], tuple[int, int]]]]:
+    """Factor layout of set i: plain gain factors and ratio factors.
+
+    Every factor carries its own free exponent; a ratio factor puts +e on the
+    numerator gain and -e on the denominator gain.
+    """
+    plain: list[tuple[int, int]] = []
+    ratios: list[tuple[tuple[int, int], tuple[int, int]]] = []
+    if i == 1:
+        plain += [(1, k) for k in range(1, K + 1)]
+        plain += [(j, k) for j in range(2, K + 1)
+                  for k in range(1, K + 1) if k != j]
+    elif 2 <= i <= K - 1:
+        plain += [(i, k) for k in range(1, K + 1)]
+        ratios += [((i - 1, k), (i - 1, 1)) for k in range(2, K + 1)]
+        plain += [(j, k) for j in range(1, K + 1) if j not in (i, i - 1)
+                  for k in range(1, K + 1) if k != j]
+    elif i == K:
+        plain += [(K, k) for k in range(1, K + 1)]
+        ratios += [((K - 1, k), (K - 1, 2)) for k in range(1, K + 1) if k != 2]
+        plain += [(j, k) for j in range(1, K + 1) if j not in (K, K - 1)
+                  for k in range(1, K + 1) if k != j]
+    elif i == K + 1:
+        plain += [(K, k) for k in range(1, K + 1)]
+        plain += [(j, k) for j in range(1, K) for k in range(1, K + 1) if k != j]
+    else:
+        raise ParameterError(f"set index {i} outside 1..{K + 1}")
+    assert len(plain) + len(ratios) + 1 == exponent_slots(K)
+    return plain, ratios
+
+
+def _table_row(column, exponents):
+    row = [0] * len(column)
+    for name, e in exponents:
+        row[column[name]] = e
+    return tuple(row)
+
+
+@pytest.mark.parametrize("K", range(3, 10))
+def test_derived_patterns_match_the_published_table(K):
+    column = {g: c for c, g in enumerate(build_base_dimension_sets(K, 1)[0].generators)}
+    for i, pattern in enumerate(_patterns(K), start=1):
+        plain, ratios = _set_pattern(K, i)
+        want = ({_table_row(column, [(gain_name(j, k), 1)]) for j, k in plain}
+                | {_table_row(column, [(gain_name(*num), 1), (gain_name(*den), -1)])
+                   for num, den in ratios}
+                | {_table_row(column, [(f"c_{i}", 1)])})
+        assert len(pattern) == len(want) == exponent_slots(K)
+        assert set(map(tuple, pattern.tolist())) == want
+        assert not pattern.flags.writeable
+
+
+def test_an_equation_list_short_of_a_row_is_refused(monkeypatch):
+    equations = interference_sets.alignment_equations(4)
+    dropped = next(e for e in equations if e[2] == "V")
+    monkeypatch.setattr(interference_sets, "alignment_equations",
+                        lambda K: [e for e in equations if e != dropped])
+    monkeypatch.setattr(interference_sets, "_patterns",
+                        interference_sets._patterns.__wrapped__)
+    with pytest.raises(CertificateError, match=r"set \d+ has 12 gain rows, expected 13"):
+        build_base_dimension_sets(4, 1)
+
 
 # holds every set of the oracle cases, so each is built once
 @functools.lru_cache(maxsize=32)

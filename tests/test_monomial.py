@@ -1,5 +1,7 @@
+import ast
 import itertools
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -115,3 +117,12 @@ def test_box_image_refusal_survives_optimized_mode():
     done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                           capture_output=True, text=True, check=True)
     assert done.stdout == "refused\n"
+
+
+def test_the_package_has_no_assert_statements():
+    # python -O strips them, so a check written as one is no check there
+    package = pathlib.Path(sdof.__file__).resolve().parent
+    found = [f"{path.name}:{node.lineno}" for path in sorted(package.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert found == []

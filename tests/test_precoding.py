@@ -65,6 +65,15 @@ class TestNumericRank:
         extreme[2] = 0.0
         assert numeric_rank(extreme) == 4
         assert numeric_rank(np.vstack([np.zeros(4), 1e-100 * np.eye(4)[:2]])) == 2
+        # rows whose squares leave the float range: scaled by powers of two first
+        big = np.eye(4)
+        big[1, 1] = 1e200
+        assert numeric_rank(big) == 4
+        assert numeric_rank(np.diag([1, 1e-200, 1, 1])) == 4
+        # a row whose largest entry is subnormal would need a scaling past
+        # the float range: refused, not counted as a zero row
+        with pytest.raises(ParameterError, match="finite"):
+            numeric_rank(np.diag([1, 1e-310, 1, 1]))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_entries_are_refused(self, bad):
@@ -281,12 +290,15 @@ PAPER_INSTANCES = {
 }
 
 
-@pytest.mark.parametrize("K, total", [(3, 18), (4, 48)])
+@pytest.mark.parametrize("K, total", [(3, 18), (4, 48), (5, 100), (6, 180), (7, 294),
+                                      (8, 448), (9, 648)])
 def test_alignment_instances_are_the_papers_equations(K, total):
     got = alignment_instances(K)
-    want = [(target, *row) for target, rows in PAPER_INSTANCES[K].items() for row in rows]
-    assert len(got) == len(set(got)) == len(want) == total
-    assert sorted(got) == sorted(want)
+    assert len(got) == len(set(got)) == total == K * K * (K - 1)
+    assert all(_symbol(_instance_factors(K, *row)) != Monomial.one() for row in got)
+    if K in PAPER_INSTANCES:
+        want = [(target, *row) for target, rows in PAPER_INSTANCES[K].items() for row in rows]
+        assert sorted(got) == sorted(want)
 
 
 class TestAlignmentVerification:
