@@ -9,13 +9,15 @@ raised to the exponent rows of the box {1..n+1}^Gamma, in lexicographic
 order; each target's generators are the distinct shifts its alignment
 equations need, so multiplying by one shifts one exponent, which proves
 column-space containment exactly: the shifted column sits a fixed stride
-further along the extended box.  Ranks are certified numerically by SVD
-with a relative threshold; the numeric alignment check factors each
-target's extended matrix once and measures every instance's residual
-outside its kept left singular vectors.
+further along the extended box.  Ranks are decided by SVD with a relative
+threshold, unless one shifted Cholesky of the Gram certifies full rank
+first; the numeric alignment check factors each target's extended matrix
+once and measures every instance's residual outside its kept left singular
+vectors.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
@@ -37,14 +39,17 @@ ALPHA_DRAWS = 100  # mixing-coefficient draws before the helper scheme gives up
 def _equilibrate(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Row and column scalings (r, c) of four alternating 2-norm passes:
     A * r[:, None] * c has rows, then columns, of unit norm after each pass
-    (zero rows and columns stay zero).  The squares are formed once, after an
-    exact power-of-two row scaling (folded into r) that brings each row's
-    largest magnitude into [0.5, 1); each pass updates only the squared
-    scalings.  Non-finite entries or scalings are refused."""
+    (zero rows and columns stay zero).  The squares are formed once, after
+    exact power-of-two row, then column, scalings (folded into r and c) that
+    bring each row's, then each column's, largest magnitude into [0.5, 1);
+    each pass updates only the squared scalings.  Non-finite entries or
+    scalings are refused."""
     _, e = np.frexp(np.abs(A).max(axis=1))
     r2, c2 = np.ones(A.shape[0]), np.ones(A.shape[1])
     with np.errstate(over="ignore", invalid="ignore"):
         S = np.ldexp(A, -e[:, None])
+        _, f = np.frexp(np.abs(S).max(axis=0))
+        np.ldexp(S, -f, out=S)
         S *= S
         for _ in range(4):
             rn = S.dot(c2) * r2
@@ -53,10 +58,10 @@ def _equilibrate(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             cn = r2.dot(S) * c2
             cn[cn == 0.0] = 1.0
             c2 = c2 / cn
-        r = np.ldexp(np.sqrt(r2), -e)
-    if not (np.isfinite(r).all() and np.isfinite(c2).all()):
-        raise ParameterError("rank needs finite matrix entries with finite row scalings")
-    return r, np.sqrt(c2)
+        r, c = np.ldexp(np.sqrt(r2), -e), np.ldexp(np.sqrt(c2), -f)
+    if not (np.isfinite(r).all() and np.isfinite(c).all()):
+        raise ParameterError("rank needs finite matrix entries with finite scalings")
+    return r, c
 
 
 def _kept(s: np.ndarray, tol: float, shape: tuple[int, ...]) -> int:
@@ -64,6 +69,23 @@ def _kept(s: np.ndarray, tol: float, shape: tuple[int, ...]) -> int:
     if s.size == 0 or s[0] == 0.0:
         return 0
     return int(np.count_nonzero(s > tol * s[0] * max(shape)))
+
+
+def _certified_full_rank(B: np.ndarray, tol: float) -> bool:
+    """Whether one shifted Cholesky of the smaller Gram of B proves
+    sigma_min(B) > 2 tol max(B.shape) ||B||_F (see numeric_rank)."""
+    G = B.T @ B if B.shape[0] >= B.shape[1] else B @ B.T
+    k, N = len(G), max(B.shape)
+    t = np.trace(G)
+    shift = (2 * tol * N) ** 2 * t + 2 * (N + k + 2) * (np.finfo(float).eps / 2) * t
+    if not shift < t:  # nothing to certify; also a NaN tol, which Cholesky passes
+        return False
+    G.flat[::k + 1] -= shift
+    try:
+        np.linalg.cholesky(G)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def numeric_rank(A: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> int:
@@ -75,6 +97,19 @@ def numeric_rank(A: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> int:
     but it stops the product-built precoder matrices (whose entries spread
     over many orders of magnitude per slot) from hiding directions below the
     threshold.  Entries that are not finite raise ParameterError.
+
+    Full rank k = min(shape) is first certified without an SVD.  Let B be
+    the equilibrated matrix, N = max(shape), G its k x k Gram, t = trace(G)
+    = ||B||_F^2 and u = eps / 2.  Cholesky is tried on G - s I with
+    s = (2 tol N)^2 t + 2 (N + k + 2) u t.  If it succeeds, G - (s - c) I is
+    positive definite with c ~ (k + 1) u t (Rump, "Verification of positive
+    definiteness", BIT 46, 2006; B's unit-norm columns make its underflow
+    term negligible), and forming G added an error of at most
+    gamma_N ||B||_F^2 ~ N u t, so sigma_min(B) > 2 tol N ||B||_F
+    >= 2 tol N sigma_max(B).  That is twice the threshold; a backward-stable
+    SVD moves singular values by a small multiple of u sigma_max, so it
+    would keep all k, and the rank is k.  A failed factorization proves
+    nothing, and the singular values decide as above.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2:
@@ -82,7 +117,10 @@ def numeric_rank(A: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> int:
     if A.size == 0:
         return 0
     r, c = _equilibrate(A)
-    return _kept(np.linalg.svd(A * r[:, None] * c, compute_uv=False), tol, A.shape)
+    B = A * r[:, None] * c
+    if _certified_full_rank(B, tol):
+        return min(A.shape)
+    return _kept(np.linalg.svd(B, compute_uv=False), tol, A.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -245,17 +283,18 @@ def _diag(realization: ChannelRealization, factors: Sequence[tuple[int, int, int
     return DiagonalChannelMatrix(entries=entries, symbol=_symbol(factors))
 
 
-def alignment_instances(K: int) -> list[tuple[int, int, int, str]]:
+@functools.lru_cache(maxsize=None)
+def alignment_instances(K: int) -> tuple[tuple[int, int, int, str], ...]:
     """interference_sets.alignment_equations(K) in receiver form, as
     (target = set, receiver, tx, block): at the receiver, H_{tx,receiver}
     times the block must lie in the span of H_{min(target, K),receiver}
     times the target's extended precoder.  Blocks are named by precoder:
     "P" the message precoder of slot target, "Q" the jamming Q_k = E_k and
     "Q~" tx's derived jamming block.  Every "Q", and Q~_K = E_{K+1}, needs
-    the shift 1, aligns trivially and is dropped."""
+    the shift 1, aligns trivially and is dropped.  Derived once per K."""
     precoder = {"V": "P", "U": "Q", "U~": "Q~"}
     rows = [(j, l, k, precoder[block]) for l, k, block, j in alignment_equations(K)]
-    return [row for row in rows if _symbol(_instance_factors(K, *row)) != Monomial.one()]
+    return tuple(row for row in rows if _symbol(_instance_factors(K, *row)) != Monomial.one())
 
 
 def _instance_factors(K: int, target: int, l: int, tx: int, block: str

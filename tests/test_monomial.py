@@ -126,3 +126,21 @@ def test_the_package_has_no_assert_statements():
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_the_package_imports_only_the_standard_library_and_numpy():
+    # a second BLAS (scipy's, say) brings its own thread pool, which
+    # oversubscribes the cores the numpy BLAS already uses
+    package = pathlib.Path(sdof.__file__).resolve().parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name.split(".")[0] not in sys.stdlib_module_names | {"numpy"}]
+    assert found == []

@@ -3,6 +3,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sdof import precoding
 from sdof.channel import (TAG_ALPHA, HelperModel, InterferenceModel,
@@ -70,6 +72,10 @@ class TestNumericRank:
         big[1, 1] = 1e200
         assert numeric_rank(big) == 4
         assert numeric_rank(np.diag([1, 1e-200, 1, 1])) == 4
+        # and columns: after the row scaling, column 2 (column 1) would hold
+        # squares that underflow; a power-of-two column scaling keeps them
+        assert numeric_rank(np.array([[1, 1e-200], [1, 2e-200]])) == 2
+        assert numeric_rank(np.array([[1, 1e200], [1, 2e200]])) == 2
         # a row whose largest entry is subnormal would need a scaling past
         # the float range: refused, not counted as a zero row
         with pytest.raises(ParameterError, match="finite"):
@@ -81,6 +87,85 @@ class TestNumericRank:
         A[1, 2] = bad
         with pytest.raises(ParameterError, match="finite"):
             numeric_rank(A)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(form=st.sampled_from(["square", "tall", "wide"]), k=st.integers(2, 24),
+           extra=st.integers(1, 24), tol=st.sampled_from([1e-12, 1e-10, 1e-6]),
+           factor=st.floats(0.3, 30.0), seed=st.integers(0, 2 ** 32 - 1))
+    def test_certificate_agrees_with_the_singular_values(self, form, k, extra, tol,
+                                                         factor, seed):
+        # singular values 1 .. sigma_min, the smallest planted at factor
+        # times the threshold; whether the Cholesky certifies or the SVD
+        # counts, the rank is the SVD's count on the equilibrated matrix
+        rng = np.random.default_rng(seed)
+        rows, cols = {"square": (k, k), "tall": (k + extra, k), "wide": (k, k + extra)}[form]
+        s = np.sort(np.exp(rng.uniform(np.log(factor * tol * max(rows, cols)), 0.0, k)))[::-1]
+        s[0], s[-1] = 1.0, factor * tol * max(rows, cols)
+        U = np.linalg.qr(rng.normal(size=(rows, k)))[0]
+        V = np.linalg.qr(rng.normal(size=(cols, k)))[0]
+        A = (U * s) @ V.T
+        r, c = precoding._equilibrate(A)
+        B = A * r[:, None] * c
+        want = precoding._kept(np.linalg.svd(B, compute_uv=False), tol, A.shape)
+        assert numeric_rank(A, tol) == want
+
+    @pytest.mark.parametrize("factor, want_svds, want_rank", [
+        (0.5, 1, 15), (1.5, 1, 16), (20.0, 0, 16)])
+    def test_certificate_needs_twice_the_threshold(self, factor, want_svds, want_rank,
+                                                   monkeypatch):
+        # rows, and columns, of equal norm: equilibration scales the matrix
+        # uniformly, so sigma_min sits at factor times the threshold; one
+        # dominant singular value makes ||B||_F ~ sigma_max, so the cut at
+        # twice the threshold is sharp.  Below it the SVD decides
+        tol, N, k = 1e-6, 32, 16
+        s = np.full(k, 1e-3)
+        s[0], s[-1] = 1.0, factor * tol * N
+        A = (_hadamard(N)[:, :k] * s) @ _hadamard(k)
+        calls = _count_svds(monkeypatch)
+        assert numeric_rank(A, tol) == want_rank
+        assert numeric_rank(A.T, tol) == want_rank
+        assert len(calls) == 2 * want_svds
+
+    def test_full_rank_is_certified_without_an_svd(self, precoders_n2, monkeypatch):
+        # K = 3, n = 2, seed 1: the decoders and the eavesdropper's jamming
+        # matrix are certified; the interference matrices, of rank at most
+        # (K+1)(n+1)^Gamma = 324 < 356, are counted by the SVD
+        mats = assemble_receiver_and_eve_matrices(precoders_n2)
+        calls = _count_svds(monkeypatch)
+        for l in (1, 2, 3):
+            assert numeric_rank(mats.decoders[l]) == 356
+        assert numeric_rank(mats.eve_jamming) == 356
+        assert calls == []
+        for l in (1, 2, 3):
+            assert numeric_rank(mats.interference[l]) <= 324
+        assert calls == [(356, 420)] * 3
+
+    def test_a_dependent_decoder_column_is_counted(self, precoders_n2, monkeypatch):
+        decoder = assemble_receiver_and_eve_matrices(precoders_n2).decoders[1].copy()
+        decoder[:, 5] = decoder[:, 17] + decoder[:, 200]
+        calls = _count_svds(monkeypatch)
+        assert numeric_rank(decoder) == 355
+        assert len(calls) == 1
+
+
+def _hadamard(n):
+    """Sylvester's orthogonal n x n matrix of entries +-1/sqrt(n), n a power of two."""
+    H = np.ones((1, 1))
+    while len(H) < n:
+        H = np.block([[H, H], [H, -H]])
+    return H / np.sqrt(n)
+
+
+def _count_svds(monkeypatch):
+    """Shapes of the matrices np.linalg.svd sees from now on."""
+    calls, svd = [], np.linalg.svd
+
+    def counting_svd(A, *args, **kwargs):
+        calls.append(A.shape)
+        return svd(A, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    return calls
 
 
 class TestHelperFading:
@@ -294,6 +379,7 @@ PAPER_INSTANCES = {
                                       (8, 448), (9, 648)])
 def test_alignment_instances_are_the_papers_equations(K, total):
     got = alignment_instances(K)
+    assert isinstance(got, tuple) and alignment_instances(K) is got
     assert len(got) == len(set(got)) == total == K * K * (K - 1)
     assert all(_symbol(_instance_factors(K, *row)) != Monomial.one() for row in got)
     if K in PAPER_INSTANCES:
@@ -340,18 +426,13 @@ class TestAlignmentVerification:
             assert eq.exact_ok == (eq.target != 2)
 
     def test_one_factorization_per_target(self, precoders_n1, monkeypatch):
-        svds, ranks = [], []
-        svd = np.linalg.svd
-
-        def counting_svd(A, *args, **kwargs):
-            svds.append(A.shape)
-            return svd(A, *args, **kwargs)
+        ranks = []
 
         def counting_rank(A, *args, **kwargs):
             ranks.append(A.shape)
             return numeric_rank(A, *args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        svds = _count_svds(monkeypatch)
         monkeypatch.setattr(precoding, "numeric_rank", counting_rank)
         assert verify_alignment_equations(precoders_n1).ok
         # one SVD of each of the 4 extended matrices, none per instance
