@@ -10,10 +10,10 @@ order; each target's generators are the distinct shifts its alignment
 equations need, so multiplying by one shifts one exponent, which proves
 column-space containment exactly: the shifted column sits a fixed stride
 further along the extended box.  Ranks are decided by SVD with a relative
-threshold, unless one shifted Cholesky of the Gram certifies full rank
-first; the numeric alignment check factors each target's extended matrix
-once and measures every instance's residual outside its kept left singular
-vectors.
+threshold, unless merging parallel columns and one shifted Cholesky of the
+Gram prove the SVD's count first; the numeric alignment check factors each
+target's extended matrix once and measures every instance's residual
+outside its kept left singular vectors.
 """
 from __future__ import annotations
 
@@ -71,16 +71,11 @@ def _kept(s: np.ndarray, tol: float, shape: tuple[int, ...]) -> int:
     return int(np.count_nonzero(s > tol * s[0] * max(shape)))
 
 
-def _certified_full_rank(B: np.ndarray, tol: float) -> bool:
-    """Whether one shifted Cholesky of the smaller Gram of B proves
-    sigma_min(B) > 2 tol max(B.shape) ||B||_F (see numeric_rank)."""
-    G = B.T @ B if B.shape[0] >= B.shape[1] else B @ B.T
-    k, N = len(G), max(B.shape)
-    t = np.trace(G)
-    shift = (2 * tol * N) ** 2 * t + 2 * (N + k + 2) * (np.finfo(float).eps / 2) * t
-    if not shift < t:  # nothing to certify; also a NaN tol, which Cholesky passes
-        return False
-    G.flat[::k + 1] -= shift
+def _shifted_cholesky_passes(G: np.ndarray, t: float, N: int, tol: float) -> bool:
+    """Whether Cholesky succeeds on the Gram G (overwritten) shifted down by
+    s = (2 tol N)^2 t + 2 (N + k + 2) u t, k = len(G) (see _certified_rank)."""
+    k = len(G)
+    G.flat[::k + 1] -= (2 * tol * N) ** 2 * t + 2 * (N + k + 2) * (np.finfo(float).eps / 2) * t
     try:
         np.linalg.cholesky(G)
     except np.linalg.LinAlgError:
@@ -88,29 +83,97 @@ def _certified_full_rank(B: np.ndarray, tol: float) -> bool:
     return True
 
 
+def _certified_rank(B: np.ndarray, tol: float) -> int | None:
+    """The rank numeric_rank's SVD would count on the equilibrated B, when
+    one merge of parallel columns and one shifted Cholesky prove it; None
+    when they cannot, and the SVD decides.
+
+    Let B be m x c, N = max(m, c), G = B^T B, t = trace(G) = ||B||_F^2,
+    u = eps / 2 and tau = tol N sigma_max(B) the SVD's threshold.
+
+    Merge.  Each column whose |cosine| (from G) with an earlier column
+    exceeds 1 - 1e-8 is merged into the first such column p, which must be
+    kept itself; zero columns are dropped.  The kept set S has r columns.
+    The merge only chooses S; the two bounds below decide.
+
+    Upper bound.  Replacing each merged b_j by alpha_j b_p, alpha_j =
+    G[p, j] / G[p, p], leaves a matrix of rank at most r, so
+    sigma_{r+1}(B) <= ||E||_F, E the columns b_j - alpha_j b_p
+    (Eckart-Young and Weyl; any alpha_j would do).  Forming E errs by about
+    2u (||b_j|| + |alpha_j| ||b_p||) per column, allowed for as 4u times the
+    norms from G, and its norm by a factor 1 + size(E) u; with those
+    allowances the bound must lie below
+    tol N sqrt(t / min(m, c)) / 2 <= tau / 2, because
+    sigma_max^2 >= ||B||_F^2 / rank(B).
+
+    Lower bound.  Cholesky is tried on G[S, S] - s I with s = (2 tol N)^2 t
+    + 2 (N + r + 2) u t.  If it succeeds, G[S, S] - (s - delta) I is positive
+    definite with delta ~ (r + 1) u t (Rump, "Verification of positive
+    definiteness", BIT 46, 2006; B's unit-norm columns make its underflow
+    term negligible), and forming G added an error of at most
+    gamma_N t ~ N u t, so sigma_min(B_S) > 2 tol N ||B||_F >= 2 tau.
+    Deleting columns raises no singular value (interlacing), so
+    sigma_r(B) >= sigma_min(B_S) > 2 tau.
+
+    A backward-stable SVD moves singular values by a small multiple of
+    u sigma_max, far below tau / 2 for tol >> u, so it would keep exactly
+    r: the rank is r.  With nothing merged this proves full column rank.
+    When r > m (a wide B) the rank is at most m, and the same Cholesky of
+    the row Gram B B^T proves full row rank m.
+    """
+    m, c = B.shape
+    N, u = max(m, c), np.finfo(float).eps / 2
+    G = B.T @ B
+    t = np.trace(G)
+    d = np.sqrt(np.diag(G))
+    cos = np.abs(G)
+    inv = np.divide(1.0, d, out=np.zeros(c), where=d > 0)
+    cos *= inv[:, None]
+    cos *= inv
+    near = cos > 1 - 1e-8
+    del cos
+    near &= np.tri(c, k=-1, dtype=bool)  # row j holds its earlier columns
+    merged = near.any(axis=1)
+    partner = near.argmax(axis=1)
+    del near
+    kept = (d > 0) & ~merged
+    r = int(np.count_nonzero(kept))
+    if r > m:
+        return m if _shifted_cholesky_passes(B @ B.T, t, N, tol) else None
+    j = np.flatnonzero(merged)
+    p = partner[j]
+    if not kept[p].all():
+        return None
+    alpha = G[p, j] / G[p, p]
+    E = B[:, j] - alpha * B[:, p]
+    bound = (np.linalg.norm(E) * (1 + E.size * u)
+             + 4 * u * np.sum(d[j] + np.abs(alpha) * d[p]))
+    del E
+    if not bound < tol * N * np.sqrt(t / min(m, c)) / 2:
+        return None
+    if r < c:
+        G = G[np.ix_(kept, kept)]
+    return r if _shifted_cholesky_passes(G, t, N, tol) else None
+
+
 def numeric_rank(A: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> int:
-    """Rank by singular values above tol * sigma_max * max(shape).
+    """Rank by singular values above tol * sigma_max * max(shape), 0 < tol < 1.
 
     The matrix is first equilibrated by four alternating row and column
     2-norm scalings.  Scaling rows or columns by nonzero constants is
     multiplication by invertible diagonals, so the true rank is untouched,
     but it stops the product-built precoder matrices (whose entries spread
     over many orders of magnitude per slot) from hiding directions below the
-    threshold.  Entries that are not finite raise ParameterError.
+    threshold.  Entries that are not finite, and a tol outside (0, 1), raise
+    ParameterError.
 
-    Full rank k = min(shape) is first certified without an SVD.  Let B be
-    the equilibrated matrix, N = max(shape), G its k x k Gram, t = trace(G)
-    = ||B||_F^2 and u = eps / 2.  Cholesky is tried on G - s I with
-    s = (2 tol N)^2 t + 2 (N + k + 2) u t.  If it succeeds, G - (s - c) I is
-    positive definite with c ~ (k + 1) u t (Rump, "Verification of positive
-    definiteness", BIT 46, 2006; B's unit-norm columns make its underflow
-    term negligible), and forming G added an error of at most
-    gamma_N ||B||_F^2 ~ N u t, so sigma_min(B) > 2 tol N ||B||_F
-    >= 2 tol N sigma_max(B).  That is twice the threshold; a backward-stable
-    SVD moves singular values by a small multiple of u sigma_max, so it
-    would keep all k, and the rank is k.  A failed factorization proves
-    nothing, and the singular values decide as above.
+    The singular-value count is the definition; _certified_rank proves it
+    without an SVD where it can (one merge of parallel columns and one
+    shifted Cholesky bound sigma_{r+1} below half the threshold and sigma_r
+    above twice it), and the SVD counts wherever that proof fails.
     """
+    if not 0 < tol < 1:
+        raise ParameterError("rank tol must be in (0, 1)")
     A = np.asarray(A, dtype=float)
     if A.ndim != 2:
         raise ParameterError("rank needs a 2-D matrix")
@@ -118,9 +181,10 @@ def numeric_rank(A: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> int:
         return 0
     r, c = _equilibrate(A)
     B = A * r[:, None] * c
-    if _certified_full_rank(B, tol):
-        return min(A.shape)
-    return _kept(np.linalg.svd(B, compute_uv=False), tol, A.shape)
+    rank = _certified_rank(B, tol)
+    if rank is None:
+        rank = _kept(np.linalg.svd(B, compute_uv=False), tol, A.shape)
+    return rank
 
 
 # ---------------------------------------------------------------------------
@@ -529,8 +593,11 @@ def verify_alignment_equations(pre: PrecoderSet,
     must leave at most tol * max(E.shape) of its norm outside the left
     singular vectors numeric_rank keeps.  That is rank([lhs rhs]) ==
     rank(rhs) with one SVD per target instead of one per instance.
-    Failures are report content, not exceptions.
+    Failures are report content, not exceptions; a tol outside (0, 1)
+    raises ParameterError.
     """
+    if not 0 < tol < 1:
+        raise ParameterError("rank tol must be in (0, 1)")
     realization = pre.realization
     K, n, gamma = pre.K, pre.n, pre.gamma
     base_index = _base_index(n, gamma)

@@ -126,19 +126,117 @@ class TestNumericRank:
         assert numeric_rank(A.T, tol) == want_rank
         assert len(calls) == 2 * want_svds
 
-    def test_full_rank_is_certified_without_an_svd(self, precoders_n2, monkeypatch):
+    def test_scheme_ranks_are_certified_without_an_svd(self, precoders_n2, monkeypatch):
         # K = 3, n = 2, seed 1: the decoders and the eavesdropper's jamming
-        # matrix are certified; the interference matrices, of rank at most
-        # (K+1)(n+1)^Gamma = 324 < 356, are counted by the SVD
+        # matrix are full rank; in each interference matrix 96 jamming
+        # columns repeat unintended columns, which merge, and the rest are
+        # independent: (K+1)(n+1)^Gamma = 324.  The mutated Q~_1 no longer
+        # aligns, which leaves 340.  No rank needs an SVD
         mats = assemble_receiver_and_eve_matrices(precoders_n2)
+        mutated = assemble_receiver_and_eve_matrices(mutate_qtilde(precoders_n2, 1))
         calls = _count_svds(monkeypatch)
         for l in (1, 2, 3):
             assert numeric_rank(mats.decoders[l]) == 356
         assert numeric_rank(mats.eve_jamming) == 356
+        assert [numeric_rank(mats.interference[l]) for l in (1, 2, 3)] == [324] * 3
+        assert [numeric_rank(mutated.interference[l]) for l in (1, 2, 3)] == [340] * 3
         assert calls == []
-        for l in (1, 2, 3):
-            assert numeric_rank(mats.interference[l]) <= 324
-        assert calls == [(356, 420)] * 3
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(form=st.sampled_from(["square", "tall", "wide"]), r=st.integers(1, 16),
+           copies=st.integers(1, 12), extra=st.integers(0, 12),
+           tol=st.sampled_from([1e-12, 1e-10, 1e-6]), seed=st.integers(0, 2 ** 32 - 1))
+    def test_merged_copies_agree_with_the_singular_values(self, form, r, copies, extra,
+                                                         tol, seed):
+        # r independent columns (singular values 1 .. 1e-3) and copies of
+        # some of them, scaled by powers of two (exact) or by other factors
+        # (one rounding each), at random positions: whether merged and
+        # certified or counted, the rank is the SVD's on the equilibrated matrix
+        rng = np.random.default_rng(seed)
+        cols = r + copies
+        rows = {"square": cols, "tall": cols + 1 + extra,
+                "wide": r + extra % copies}[form]
+        s = np.exp(rng.uniform(np.log(1e-3), 0.0, r))
+        s[0] = 1.0
+        U = np.linalg.qr(rng.normal(size=(rows, r)))[0]
+        V = np.linalg.qr(rng.normal(size=(r, r)))[0]
+        base = (U * s) @ V.T
+        scales = np.where(rng.random(copies) < 0.5,
+                          np.ldexp(1.0, rng.integers(-8, 9, copies)),
+                          rng.uniform(-3.0, 3.0, copies))
+        A = np.hstack([base, base[:, rng.integers(0, r, copies)] * scales])
+        A = A[:, rng.permutation(cols)]
+        rr, cc = precoding._equilibrate(A)
+        B = A * rr[:, None] * cc
+        want = precoding._kept(np.linalg.svd(B, compute_uv=False), tol, A.shape)
+        assert numeric_rank(A, tol) == want
+
+    @pytest.mark.parametrize("factor, want_rank", [(0.3, 15), (1.0, 15), (1.5, 15),
+                                                   (3.0, 15), (6.0, 16)])
+    def test_a_near_parallel_copy_is_merged_only_below_half_the_threshold(
+            self, factor, want_rank, monkeypatch):
+        # 15 orthonormal columns and a copy of the first tilted by an angle
+        # whose residual is factor times tol N sqrt(t / 16) / 2 = tol N / 2,
+        # half the SVD's threshold; rows and columns of nearly equal norm,
+        # so equilibration barely moves it.  Every copy is within the merge
+        # angle, and the SVD keeps the one at 6x.  The SVD runs exactly when
+        # the certificate cannot decide, and the answer is the SVD's count
+        tol, N = 1e-6, 32
+        H = _hadamard(N)
+        theta = np.arcsin(factor * tol * N / 2)
+        A = np.hstack([H[:, :15], np.cos(theta) * H[:, :1] + np.sin(theta) * H[:, 15:16]])
+        rr, cc = precoding._equilibrate(A)
+        B = A * rr[:, None] * cc
+        want = precoding._kept(np.linalg.svd(B, compute_uv=False), tol, A.shape)
+        certified = precoding._certified_rank(B, tol)
+        calls = _count_svds(monkeypatch)
+        assert numeric_rank(A, tol) == want == want_rank
+        assert len(calls) == (certified is None)
+        if factor != 1.0:  # at 1x the rounding allowance decides
+            assert (certified is None) == (factor > 1)
+
+    def test_a_copy_merged_into_a_merged_column_is_not_certified(self):
+        # columns at angles 0, 1e-4 and 2e-4 in one plane: the third merges
+        # into the second, which merged into the first, so the matrix that
+        # replaces each merged column by a kept one does not exist; the
+        # residuals are far below half the threshold, and still only the
+        # SVD may count
+        tol, N = 1e-4, 32
+        H = _hadamard(N)
+        A = np.hstack([H[:, 2:16]] + [np.cos(a) * H[:, :1] + np.sin(a) * H[:, 1:2]
+                                      for a in (0.0, 1e-4, 2e-4)])
+        rr, cc = precoding._equilibrate(A)
+        B = A * rr[:, None] * cc
+        assert precoding._certified_rank(B, tol) is None
+        assert numeric_rank(A, tol) == 15
+
+    def test_a_combination_of_every_other_column_is_counted(self):
+        # sigma_min is zero, and only rounding makes the Gram definite or
+        # not: the shift's rounding allowance keeps the Cholesky from
+        # certifying full rank at a tol far below it
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            A = rng.normal(size=(16, 12))
+            A[:, -1] = A[:, :-1] @ rng.normal(size=11)
+            assert numeric_rank(A, 1e-13) == 11
+
+    def test_zero_columns_and_wide_matrices_need_no_svd(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        A = rng.normal(size=(8, 6))
+        A[:, 2] = 0.0
+        wide = rng.normal(size=(10, 30))
+        calls = _count_svds(monkeypatch)
+        assert numeric_rank(A) == 5
+        assert numeric_rank(wide) == 10
+        assert numeric_rank(wide.T) == 10
+        assert calls == []
+
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, 2.0, 1.0, 0.0, -1.0])
+    def test_tol_outside_the_unit_interval_is_refused(self, tol, precoders_n1):
+        with pytest.raises(ParameterError, match=r"tol must be in \(0, 1\)"):
+            numeric_rank(np.eye(3), tol)
+        with pytest.raises(ParameterError, match=r"tol must be in \(0, 1\)"):
+            verify_alignment_equations(precoders_n1, tol)
 
     def test_a_dependent_decoder_column_is_counted(self, precoders_n2, monkeypatch):
         decoder = assemble_receiver_and_eve_matrices(precoders_n2).decoders[1].copy()
@@ -146,6 +244,24 @@ class TestNumericRank:
         calls = _count_svds(monkeypatch)
         assert numeric_rank(decoder) == 355
         assert len(calls) == 1
+
+
+@pytest.mark.parametrize("seed", range(1, 6))
+def test_certified_scheme_ranks_are_the_svd_counts(seed):
+    # K = 3, n = 1: every decoder, interference and eve_jamming matrix, real
+    # and with Q~_1 mutated, at two tolerances; the certificate fires on
+    # each, and its rank is the SVD count on the equilibrated matrix
+    slots = interference_slots(3, 1)
+    pre = build_asymptotic_precoders(
+        3, 1, sample_channel(InterferenceModel(3), fixed=False, slots=slots, seed=seed))
+    for scheme in (pre, mutate_qtilde(pre, 1, seed=seed)):
+        mats = assemble_receiver_and_eve_matrices(scheme)
+        for A in [*mats.decoders.values(), *mats.interference.values(), mats.eve_jamming]:
+            rr, cc = precoding._equilibrate(A)
+            B = A * rr[:, None] * cc
+            s = np.linalg.svd(B, compute_uv=False)
+            for tol in (1e-10, 1e-13):
+                assert precoding._certified_rank(B, tol) == precoding._kept(s, tol, A.shape)
 
 
 def _hadamard(n):
