@@ -9,25 +9,25 @@ T_j by a cross gain only shifts exponents by one, which lands inside T~_j,
 so all interference at a legitimate receiver collapses into the K+1
 extended sets while the K-1 desired sets stay disjoint from everything.
 alignment_equations(K) states which block lands under which set, once for
-the set patterns, the verifier's claims and the fading instances.
+the set rows, the verifier's claims and the fading instances.
 
 As in real interference alignment, a set is the image of the integer box
-{1..top}^s, s = K(K-1) + 2, under the set's integer pattern matrix P: one
-row per free exponent, one column per generator (the K^2 gains h_jk, then
-c_1..c_{K+1}).  The rows of set i are the distinct nonzero factors of the
-equations that land in it, with beta_k = 1/h_den(k), then its c_i.  Every
-row of P has a pivot, a column that is nonzero in that row only and holds
-+1 or -1.  The pivots make P injective on Z^s, so
-the set has exactly top^s members, and they give the lattice coordinates
-of an exponent vector f: d = sign * f[pivots], accepted only when
-d @ P == f.  Every check is decided from the patterns in exact integer
-arithmetic, without enumerating a member:
+{1..top}^s, s = K(K-1) + 2, under its rows R_1..R_s, `Monomial`s over the
+gains h_jk and the set's constant c_i: the members are the products
+R_1^e_1 * ... * R_s^e_s.  The rows of set i are the distinct nonzero
+factors of the equations that land in it, with beta_k = 1/h_den(k), then
+its c_i.  Every row has a pivot, a generator that appears in that row only,
+with exponent +1 or -1.  The pivots make e -> prod R_r^e_r injective on
+Z^s, so the set has exactly top^s members, and they give the lattice
+coordinates of a monomial f: d_r = sign * (f's exponent of row r's pivot),
+accepted only when prod R_r^d_r == f.  Every check is decided from the rows
+in exact integer arithmetic, without enumerating a member:
 
 - f * T_j meets T~_j in the members whose box coordinates stay in the box
   after the shift by d, a product of one interval length per row; when f
-  is not in the lattice, or names a symbol outside the generator order,
-  they share nothing;
-- sets of different patterns share nothing when some generator's exponent
+  is not in the lattice, for instance when it names a symbol the rows do
+  not, they share nothing;
+- sets of different rows share nothing when some generator's exponent
   ranges over disjoint intervals in the two; when none does, the verifier
   raises instead of guessing;
 - the receiver span is the sum of the set sizes minus those overlaps, and
@@ -37,10 +37,9 @@ from __future__ import annotations
 
 import functools
 import sys
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Mapping
-
-import numpy as np
 
 from .errors import CertificateError, ParameterError
 from .monomial import Monomial
@@ -54,9 +53,6 @@ _MAX_K = 9
 # report share these strings.
 BASE_LABELS = {i: f"T_{i}" for i in range(1, _MAX_K + 2)}
 EXTENDED_LABELS = {i: f"T~_{i}" for i in range(1, _MAX_K + 2)}
-
-# an exponent vector as {generator column: exponent}, without zeros
-Shift = dict[int, int]
 
 
 def gain_name(tx: int, rx: int) -> str:
@@ -106,97 +102,77 @@ def exponent_slots(K: int) -> int:
     return K * (K - 1) + 2
 
 
-def _generator_order(K: int) -> tuple[str, ...]:
-    """Column order of the exponent rows: h_11..h_KK, then c_1..c_{K+1}."""
-    gains = tuple(gain_name(j, k) for j in range(1, K + 1) for k in range(1, K + 1))
-    return gains + tuple(f"c_{i}" for i in range(1, K + 2))
-
-
 @functools.lru_cache(maxsize=None)
-def _patterns(K: int) -> tuple[np.ndarray, ...]:
-    """The read-only pattern matrices of sets 1..K+1, one row per free
-    exponent: the distinct nonzero factors of the alignment equations that
-    land in set i, with beta_k = 1/h_den(k), then the c_i row."""
-    generators = _generator_order(K)
-    column = {g: c for c, g in enumerate(generators)}
+def _rows(K: int) -> tuple[tuple[Monomial, ...], ...]:
+    """The rows of sets 1..K+1, one per free exponent: the distinct nonzero
+    factors of the alignment equations that land in set i, with
+    beta_k = 1/h_den(k), then c_i."""
     betas = _denominator_betas(K)
     factors: dict[int, dict[Monomial, None]] = {i: {} for i in range(1, K + 2)}
     for l, k, block, j in alignment_equations(K):
         factor = _factor(l, k, block, betas)
         if factor != Monomial.one():
             factors[j].setdefault(factor)
-    patterns = []
     for i, distinct in factors.items():
         if len(distinct) + 1 != exponent_slots(K):
             raise CertificateError(f"set {i} has {len(distinct)} gain rows, "
                                    f"expected {exponent_slots(K) - 1}")
-        pattern = np.zeros((exponent_slots(K), len(generators)), np.int8)
-        for r, factor in enumerate([*distinct, Monomial.gen(f"c_{i}")]):
-            for name, e in factor.exponents:
-                pattern[r, column[name]] = e
-        pattern.setflags(write=False)
-        patterns.append(pattern)
-    return tuple(patterns)
+    return tuple((*distinct, Monomial.gen(f"c_{i}")) for i, distinct in factors.items())
 
 
 @dataclass(frozen=True, eq=False)
 class DimensionSet:
-    """The monomials e @ pattern for e in {1..top}^s, over `generators`.
+    """The monomials rows[0]**e_0 * rows[1]**e_1 * ... for e in {1..top}^s.
 
-    The pattern's pivots are found when the set is built, and a pattern with
-    a row that has none is refused: its size and lattice would be unproven.
+    The rows' pivots are found when the set is built, and a row that has
+    none is refused: the set's size and lattice would be unproven.
     """
 
     label: str
-    generators: tuple[str, ...]
-    pattern: np.ndarray
+    rows: tuple[Monomial, ...]
     top: int
-    # the nonzero (column, entry) pairs of each pattern row
-    _support: tuple[tuple[tuple[int, int], ...], ...] = field(init=False, repr=False)
-    # pivot column -> (its row, its entry)
-    _pivots: dict[int, tuple[int, int]] = field(init=False, repr=False)
+    # pivot generator -> (its row, its exponent)
+    _pivots: dict[str, tuple[int, int]] = field(init=False, repr=False)
     # least and greatest exponent of each generator over the set
-    _low: np.ndarray = field(init=False, repr=False)
-    _high: np.ndarray = field(init=False, repr=False)
+    _low: dict[str, int] = field(init=False, repr=False)
+    _high: dict[str, int] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        rows, cols = np.nonzero(self.pattern)
-        support: list[list[tuple[int, int]]] = [[] for _ in self.pattern]
-        for r, c, v in zip(rows.tolist(), cols.tolist(),
-                           self.pattern[rows, cols].tolist()):
-            support[r].append((c, v))
-        weight = np.count_nonzero(self.pattern, axis=0).tolist()
-        pivots = {}
-        for r, entries in enumerate(support):
-            pivot = next(((c, v) for c, v in entries
-                          if weight[c] == 1 and abs(v) == 1), None)
+        weight = Counter(n for row in self.rows for n, _ in row.exponents)
+        pivots: dict[str, tuple[int, int]] = {}
+        low: dict[str, int] = {}
+        high: dict[str, int] = {}
+        for r, row in enumerate(self.rows):
+            pivot = next(((n, e) for n, e in row.exponents
+                          if weight[n] == 1 and abs(e) == 1), None)
             if pivot is None:
-                raise CertificateError(f"{self.label}: pattern row {r} has no pivot column")
+                raise CertificateError(f"{self.label}: row {r} has no pivot generator")
             pivots[pivot[0]] = (r, pivot[1])
-        wide = self.pattern.astype(np.int64)
-        object.__setattr__(self, "_support", tuple(map(tuple, support)))
+            for n, e in row.exponents:
+                low[n] = low.get(n, 0) + min(e, self.top * e)
+                high[n] = high.get(n, 0) + max(e, self.top * e)
         object.__setattr__(self, "_pivots", pivots)
-        object.__setattr__(self, "_low", np.minimum(wide, self.top * wide).sum(axis=0))
-        object.__setattr__(self, "_high", np.maximum(wide, self.top * wide).sum(axis=0))
+        object.__setattr__(self, "_low", low)
+        object.__setattr__(self, "_high", high)
 
     @property
     def size(self) -> int:
         """Number of members, top^s: exact at any size, unlike len()."""
-        return _one_copy(self.top ** len(self.pattern))
+        return _one_copy(self.top ** len(self.rows))
 
-    def coordinates(self, shift: Shift) -> Shift | None:
-        """The nonzero lattice coordinates d with d @ pattern == shift, or
-        None when the shift is not in the pattern's lattice."""
+    def coordinates(self, shift: Monomial) -> dict[int, int] | None:
+        """The nonzero lattice coordinates d, row -> d_r, with
+        prod rows[r]**d_r == shift, or None when the shift is not in the
+        rows' lattice."""
         d = {}
-        for c, v in shift.items():
-            if c in self._pivots:
-                r, sign = self._pivots[c]
+        for n, v in shift.exponents:
+            if n in self._pivots:
+                r, sign = self._pivots[n]
                 d[r] = sign * v
-        image: Shift = {}
+        image = Monomial.one()
         for r, dr in d.items():
-            for c, v in self._support[r]:
-                image[c] = image.get(c, 0) + dr * v
-        return d if {c: v for c, v in image.items() if v} == shift else None
+            image = image * self.rows[r] ** dr
+        return d if image == shift else None
 
 
 @functools.lru_cache(maxsize=1024)
@@ -206,49 +182,36 @@ def _one_copy(n: int) -> int:
     return n
 
 
-def _difference(a: Shift, b: Shift) -> Shift:
-    out = dict(a)
-    for c, v in b.items():
-        out[c] = out.get(c, 0) - v
-    return {c: v for c, v in out.items() if v}
+def shared_members(a: DimensionSet, shift_a: Monomial,
+                   b: DimensionSet, shift_b: Monomial) -> int:
+    """How many members shift_a * a and shift_b * b have in common.
 
-
-def _dense(shift: Shift, width: int) -> np.ndarray:
-    out = np.zeros(width, np.int64)
-    for c, v in shift.items():
-        out[c] = v
-    return out
-
-
-def shared_members(a: DimensionSet, shift_a: Shift,
-                   b: DimensionSet, shift_b: Shift) -> int:
-    """How many members shift_a * a and shift_b * b have in common (both
-    sets over one generator order).
-
-    Raises CertificateError for sets of different patterns that no
-    generator separates: their overlap is not decided here.
+    Raises CertificateError for sets of different rows that no generator
+    separates: their overlap is not decided here.
     """
-    if np.array_equal(a.pattern, b.pattern):
-        d = a.coordinates(_difference(shift_a, shift_b))
+    offset = shift_a / shift_b
+    if a.rows == b.rows:
+        d = a.coordinates(offset)
         if d is None:
             return 0
-        # shift_a + e @ P == shift_b + e' @ P exactly when e' = e + d, so
-        # row r counts the e_r in 1..a.top with e_r + d_r in 1..b.top
-        common = min(a.top, b.top) ** (len(a.pattern) - len(d))
+        # shift_a * rows**e == shift_b * rows**e' exactly when e' = e + d,
+        # so row r counts the e_r in 1..a.top with e_r + d_r in 1..b.top
+        common = min(a.top, b.top) ** (len(a.rows) - len(d))
         for dr in d.values():
             common *= max(0, min(a.top, b.top - dr) - max(1, 1 - dr) + 1)
         return common
-    width = len(a.generators)
-    offset = _dense(shift_a, width) - _dense(shift_b, width)
-    if ((a._high + offset < b._low).any()
-            or (b._high < a._low + offset).any()):
-        return 0
-    raise CertificateError(f"{a.label} and {b.label} have different patterns "
+    moved = dict(offset.exponents)
+    for n in a._low.keys() | b._low.keys() | moved.keys():
+        o = moved.get(n, 0)
+        if (a._high.get(n, 0) + o < b._low.get(n, 0)
+                or b._high.get(n, 0) < a._low.get(n, 0) + o):
+            return 0
+    raise CertificateError(f"{a.label} and {b.label} have different rows "
                            f"and no separating generator")
 
 
-def _new_members(image: tuple[DimensionSet, Shift],
-                 earlier: list[tuple[DimensionSet, Shift]]) -> int:
+def _new_members(image: tuple[DimensionSet, Monomial],
+                 earlier: list[tuple[DimensionSet, Monomial]]) -> int:
     """Members of a scaled set that lie in none of the earlier ones."""
     dset, shift = image
     overlaps = [n for n in (shared_members(dset, shift, *other) for other in earlier) if n]
@@ -261,9 +224,7 @@ def _new_members(image: tuple[DimensionSet, Shift],
 def _build_family(K: int, m: int, top: int,
                   labels: Mapping[int, str]) -> list[DimensionSet]:
     _check_km(K, m)
-    generators = _generator_order(K)
-    return [DimensionSet(labels[i], generators, pattern, top)
-            for i, pattern in enumerate(_patterns(K), start=1)]
+    return [DimensionSet(labels[i], rows, top) for i, rows in enumerate(_rows(K), start=1)]
 
 
 def build_base_dimension_sets(K: int, m: int) -> list[DimensionSet]:
@@ -379,7 +340,6 @@ def verify_interference_alignment(K: int, m: int,
     """
     base = {i + 1: s for i, s in enumerate(build_base_dimension_sets(K, m))}
     extended = {i + 1: s for i, s in enumerate(build_extended_dimension_sets(K, m))}
-    column = {g: c for c, g in enumerate(base[1].generators)}
 
     betas = beta_three_user() if K == 3 else beta_general(K)
     if beta_override:
@@ -394,7 +354,7 @@ def verify_interference_alignment(K: int, m: int,
     s = exponent_slots(K)
     exp_base = expected_base_cardinality(K, m)
     exp_ext = expected_extended_cardinality(K, m)
-    none: Shift = {}
+    one = Monomial.one()
     for i in range(1, K + 2):
         b, e = base[i], extended[i]
         cardinalities[b.label] = b.size
@@ -407,16 +367,14 @@ def verify_interference_alignment(K: int, m: int,
             "pass" if e.size == exp_ext else "fail", f"{e.size} vs {exp_ext}"))
         checks.append(AlignmentCheck(
             None, f"{b.label} subset of {e.label}",
-            "pass" if shared_members(b, none, e, none) == b.size else "fail"))
+            "pass" if shared_members(b, one, e, one) == b.size else "fail"))
 
     def containment(rx: int, k: int, block: str, j: int,
                     rule: Mapping[int, Monomial], tag: str = "") -> None:
         factor = _factor(rx, k, block, rule)
-        escaped = base[j].size
-        # every member escapes a factor that names a symbol outside the order
-        if all(n in column for n, _ in factor.exponents):
-            shift = {column[n]: e for n, e in factor.exponents}
-            escaped -= shared_members(base[j], shift, extended[j], none)
+        # a factor off the lattice (one naming a symbol outside the rows, say)
+        # moves every member out
+        escaped = base[j].size - shared_members(base[j], factor, extended[j], one)
         ok = escaped == 0
         what = f"message V{k},{j}" if block == "V" else f"jamming {block}{k}"
         checks.append(AlignmentCheck(
@@ -425,7 +383,7 @@ def verify_interference_alignment(K: int, m: int,
             "" if ok else f"{escaped} members escape"))
 
     # the extended sets are common to every receiver's span
-    ext_images = [(extended[i], none) for i in range(1, K + 2)]
+    ext_images = [(extended[i], one) for i in range(1, K + 2)]
     ext_union = sum(_new_members(image, ext_images[:n])
                     for n, image in enumerate(ext_images))
 
@@ -443,7 +401,7 @@ def verify_interference_alignment(K: int, m: int,
 
         # desired sets: pairwise disjoint and clear of every extended set
         own_name = gain_name(l, l)
-        own = {column[own_name]: 1}
+        own = Monomial.gen(own_name)
         slots = message_slots(K, l)
         for a_idx, ja in enumerate(slots):
             for jb in slots[a_idx + 1:]:
@@ -453,7 +411,7 @@ def verify_interference_alignment(K: int, m: int,
                        f"{own_name}*{base[jb].label}",
                     "pass" if ok else "fail"))
             for i in range(1, K + 2):
-                ok = not shared_members(base[ja], own, extended[i], none)
+                ok = not shared_members(base[ja], own, extended[i], one)
                 checks.append(AlignmentCheck(
                     l, f"rx{l}: {own_name}*{base[ja].label} disjoint from {extended[i].label}",
                     "pass" if ok else "fail"))

@@ -3,22 +3,31 @@
 A monomial is a product of generator symbols (channel gains, auxiliary
 constants) raised to integer powers.  Two monomials with different exponent
 vectors are rationally independent almost surely when the generators are
-drawn from continuous distributions, so exact exponent equality is the
-alignment test of both interference schemes: multiplying by a gain shifts
-the exponent vector, and the shifted set must land inside the extended set.
+drawn from continuous distributions (Cadambe & Jafar, IEEE Trans. IT 2008,
+Lemma 1), so exact exponent equality is the alignment test of both
+interference schemes: multiplying by a gain shifts the exponent vector, and
+the shifted set must land inside the extended set.
 
-`Monomial` is the symbolic form, a canonical zero-free exponent map.  A set
-of monomials over one fixed generator order is an int8 exponent row per
-monomial; `box_image` builds one as the image of an integer box.
+`Monomial` is the one form of a gain product: a canonical zero-free map from
+generator name to a Python int, so exponents have no width to overflow.  A
+dimension set is a tuple of `Monomial` rows raised to the powers of an
+integer box (see interference_sets).  Exponents are integers by
+`operator.index`; anything else is refused, never truncated.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Mapping
 
-import numpy as np
+from .errors import ParameterError
 
-from .errors import CapacityError
+
+def _exponent(e) -> int:
+    try:
+        return operator.index(e)
+    except TypeError:
+        raise ParameterError(f"monomial exponents must be integers, got {e!r}") from None
 
 
 @dataclass(frozen=True)
@@ -29,8 +38,8 @@ class Monomial:
 
     @staticmethod
     def from_dict(exponents: Mapping[str, int]) -> "Monomial":
-        items = tuple(sorted((n, int(e)) for n, e in exponents.items() if e != 0))
-        return Monomial(items)
+        items = ((n, _exponent(e)) for n, e in exponents.items())
+        return Monomial(tuple(sorted((n, e) for n, e in items if e != 0)))
 
     @staticmethod
     def one() -> "Monomial":
@@ -44,7 +53,7 @@ class Monomial:
         merged = dict(self.exponents)
         for n, e in other.exponents:
             merged[n] = merged.get(n, 0) + e
-        return Monomial.from_dict(merged)
+        return Monomial(tuple(sorted((n, e) for n, e in merged.items() if e)))
 
     def __truediv__(self, other: "Monomial") -> "Monomial":
         return self * other.inverse()
@@ -53,9 +62,10 @@ class Monomial:
         return Monomial(tuple((n, -e) for n, e in self.exponents))
 
     def __pow__(self, power: int) -> "Monomial":
+        power = _exponent(power)
         if power == 0:
             return Monomial.one()
-        return Monomial(tuple(sorted((n, e * power) for n, e in self.exponents)))
+        return Monomial(tuple((n, e * power) for n, e in self.exponents))
 
     def evaluate(self, values: Mapping[str, float]) -> float:
         out = 1.0
@@ -70,19 +80,3 @@ class Monomial:
         for n, e in self.exponents:
             parts.append(n if e == 1 else f"{n}^{e}")
         return "*".join(parts)
-
-
-def box_image(pattern: np.ndarray, top: int) -> np.ndarray:
-    """Rows e @ pattern for every e in {1..top}^s, one free exponent at a
-    time, the first varying slowest (itertools.product order)."""
-    # int8 must hold every row and its shift by one generator
-    reach = int(np.abs(pattern).sum(axis=0).max()) * top + 1
-    if reach > 127:
-        raise CapacityError(f"exponents up to {reach} overflow int8 rows")
-    values = np.arange(1, top + 1, dtype=np.int8)[:, None]
-    width = pattern.shape[1]
-    rows = np.zeros((1, width), np.int8)
-    for step in pattern:
-        rows = (rows[:, None, :] + values * step).reshape(-1, width)
-    return rows
-

@@ -29,7 +29,7 @@ from .channel import (ChannelRealization, HelperModel, InterferenceModel,
 from .errors import CapacityError, ModeError, ParameterError
 from .interference_sets import (alignment_equations, beta_links, gain_name, message_slots,
                                 unintended_messages)
-from .monomial import Monomial, box_image
+from .monomial import Monomial
 
 DEFAULT_RANK_TOL = 1e-10
 DEFAULT_PRECODER_BUDGET = 200_000_000  # total matrix entries
@@ -458,23 +458,25 @@ class PrecoderSet:
 
 def _power_tables(generators: Sequence[DiagonalChannelMatrix], top: int,
                   slots: int) -> list[np.ndarray]:
+    """Each generator's powers 1..top, row e - 1 holding power e."""
     tables = []
     for g in generators:
-        t = np.empty((top + 1, slots))
-        t[0] = 1.0
-        for e in range(1, top + 1):
+        t = np.empty((top, slots))
+        t[0] = g.entries
+        for e in range(1, top):
             t[e] = t[e - 1] * g.entries
         tables.append(t)
     return tables
 
 
-def _columns(w: np.ndarray, tables: list[np.ndarray],
-             exponents: np.ndarray) -> np.ndarray:
+def _columns(w: np.ndarray, tables: list[np.ndarray]) -> np.ndarray:
     """w times tables[0][e_0] times tables[1][e_1] ..., in that order, for
-    every exponent row e; one column per row."""
-    cols = np.tile(w[:, None], (1, len(exponents)))
-    for gi, table in enumerate(tables):
-        cols *= table.T[:, exponents[:, gi]]
+    every exponent row e of the box, the first exponent varying slowest;
+    one column per row, built by one outer product per table (in C order:
+    later products round according to memory layout)."""
+    cols = w[:, None]
+    for table in tables:
+        cols = np.multiply(cols[:, :, None], table.T[:, None, :], order="C").reshape(len(w), -1)
     return cols
 
 
@@ -509,7 +511,6 @@ def build_asymptotic_precoders(K: int, n: int, realization: ChannelRealization
     check_precoder_budget(K, n)
 
     generators = build_cj_generators(K, realization)
-    exponents = box_image(np.eye(gamma, dtype=np.int8), n + 1)
     # a column's products depend only on its exponent row, so the base
     # columns are copies of extended ones (take: C order, unlike [:, idx])
     base_index = _base_index(n, gamma)
@@ -518,7 +519,7 @@ def build_asymptotic_precoders(K: int, n: int, realization: ChannelRealization
                                key_grid(range(1, K + 2), range(1, m_n + 1))).reshape(K + 1, m_n)
     targets: dict[int, PrecoderTarget] = {}
     for idx, w in enumerate(seed_vectors, 1):
-        extended = _columns(w, _power_tables(generators[idx], n + 1, m_n), exponents)
+        extended = _columns(w, _power_tables(generators[idx], n + 1, m_n))
         targets[idx] = PrecoderTarget(generators=generators[idx],
                                       base=extended.take(base_index, axis=1),
                                       extended=extended)

@@ -13,7 +13,7 @@ from sdof import interference_sets
 from sdof.errors import CapacityError, CertificateError, ParameterError
 from sdof.interference_sets import (AlignmentCheck,
                                     AlignmentReport, DimensionSet,
-                                    _new_members, _patterns,
+                                    _new_members, _rows,
                                     beta_general, beta_three_user,
                                     build_base_dimension_sets,
                                     build_extended_dimension_sets,
@@ -136,8 +136,8 @@ def test_expected_span_formula():
 # the oracle for the engine's report
 # ---------------------------------------------------------------------------
 
-# the hand-written pattern table the derived patterns replaced, kept as the
-# oracle of interference_sets._patterns and of the string-keyed reference
+# the hand-written pattern table the derived rows replaced, kept as the
+# oracle of interference_sets._rows and of the string-keyed reference
 def _set_pattern(K: int, i: int) -> tuple[list[tuple[int, int]],
                                           list[tuple[tuple[int, int], tuple[int, int]]]]:
     """Factor layout of set i: plain gain factors and ratio factors.
@@ -170,25 +170,18 @@ def _set_pattern(K: int, i: int) -> tuple[list[tuple[int, int]],
     return plain, ratios
 
 
-def _table_row(column, exponents):
-    row = [0] * len(column)
-    for name, e in exponents:
-        row[column[name]] = e
-    return tuple(row)
-
-
 @pytest.mark.parametrize("K", range(3, 10))
 def test_derived_patterns_match_the_published_table(K):
-    column = {g: c for c, g in enumerate(build_base_dimension_sets(K, 1)[0].generators)}
-    for i, pattern in enumerate(_patterns(K), start=1):
+    for i, rows in enumerate(_rows(K), start=1):
         plain, ratios = _set_pattern(K, i)
-        want = ({_table_row(column, [(gain_name(j, k), 1)]) for j, k in plain}
-                | {_table_row(column, [(gain_name(*num), 1), (gain_name(*den), -1)])
+        want = ({Monomial.gen(gain_name(j, k)) for j, k in plain}
+                | {Monomial.gen(gain_name(*num)) / Monomial.gen(gain_name(*den))
                    for num, den in ratios}
-                | {_table_row(column, [(f"c_{i}", 1)])})
-        assert len(pattern) == len(want) == exponent_slots(K)
-        assert set(map(tuple, pattern.tolist())) == want
-        assert not pattern.flags.writeable
+                | {Monomial.gen(f"c_{i}")})
+        assert len(rows) == len(want) == exponent_slots(K)
+        assert set(rows) == want
+        # the c_i row comes last, after the gain factors
+        assert rows[-1] == Monomial.gen(f"c_{i}")
 
 
 def test_an_equation_list_short_of_a_row_is_refused(monkeypatch):
@@ -196,8 +189,7 @@ def test_an_equation_list_short_of_a_row_is_refused(monkeypatch):
     dropped = next(e for e in equations if e[2] == "V")
     monkeypatch.setattr(interference_sets, "alignment_equations",
                         lambda K: [e for e in equations if e != dropped])
-    monkeypatch.setattr(interference_sets, "_patterns",
-                        interference_sets._patterns.__wrapped__)
+    monkeypatch.setattr(interference_sets, "_rows", interference_sets._rows.__wrapped__)
     with pytest.raises(CertificateError, match=r"set \d+ has 12 gain rows, expected 13"):
         build_base_dimension_sets(4, 1)
 
@@ -300,8 +292,9 @@ def _reference_verify(K, m, beta_override=None):
 
 ONE = Monomial.one()
 # (K, m, beta_override): the mutations, a symbol outside the generator
-# order (every member escapes), exponents past the int8 range of the rows
-# (those members escape), and factors in and out of the target's lattice
+# order (every member escapes), exponents past the int8 range of the
+# enumerator's rows (those members escape), and factors in and out of the
+# target's lattice
 ORACLE_CASES = [
     (3, 1, None), (3, 2, None), (4, 1, None),
     (3, 1, {1: ONE}),
@@ -335,20 +328,28 @@ def test_set_members_match_reference(K, m):
 # with every overlap counted from enumerated exponent rows
 # ---------------------------------------------------------------------------
 
+def _names(*monomials):
+    return {n for m in monomials for n, _ in m.exponents}
+
+
 @functools.lru_cache(maxsize=64)
-def _sorted_keys(dset, shift):
-    """The members of shift * dset as int64 exponent rows, each viewed as
-    one byte string, sorted."""
-    rows = enumerator.rows(dset).astype(np.int64)
-    for c, v in shift:
-        rows[:, c] += v
+def _sorted_keys(dset, shift, names):
+    """The members of shift * dset as int64 exponent rows over names, each
+    viewed as one byte string, sorted."""
+    own = enumerator.rows(dset).astype(np.int64)
+    rows = np.zeros((len(own), len(names)), np.int64)
+    rows[:, [names.index(n) for n in enumerator.generators(dset)]] = own
+    for n, v in shift.exponents:
+        rows[:, names.index(n)] += v
     return np.sort(rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel())
 
 
 def _enumerated_shared(a, shift_a, b, shift_b):
-    """shared_members by enumeration of both scaled sets."""
-    return len(np.intersect1d(_sorted_keys(a, tuple(sorted(shift_a.items()))),
-                              _sorted_keys(b, tuple(sorted(shift_b.items()))),
+    """shared_members by enumeration of both scaled sets over one sorted
+    order of every name the sets and the shifts use."""
+    names = tuple(sorted(_names(*a.rows, *b.rows, shift_a, shift_b)))
+    return len(np.intersect1d(_sorted_keys(a, shift_a, names),
+                              _sorted_keys(b, shift_b, names),
                               assume_unique=True))
 
 
@@ -364,9 +365,10 @@ def test_report_matches_rows_enumerator(K, m, override, monkeypatch):
 @functools.lru_cache(maxsize=None)
 def _families(K, m, sign):
     """The base and extended sets of (K, m), built once; with sign -1 every
-    pattern is negated, so that every pivot entry is -1."""
+    row is inverted, so that every pivot exponent is -1."""
     def signed(dset):
-        return DimensionSet(dset.label, dset.generators, sign * dset.pattern, dset.top)
+        rows = dset.rows if sign == 1 else tuple(row.inverse() for row in dset.rows)
+        return DimensionSet(dset.label, rows, dset.top)
     return ([signed(d) for d in build_base_dimension_sets(K, m)],
             [signed(d) for d in build_extended_dimension_sets(K, m)])
 
@@ -378,56 +380,61 @@ def test_escape_counts_match_enumeration(K, m, data):
     j = data.draw(st.integers(1, K + 1), label="set")
     bases, exts = _families(K, m, data.draw(st.sampled_from([1, -1]), label="sign"))
     base, ext = bases[j - 1], exts[j - 1]
-    # a lattice vector d @ pattern, sometimes moved off the lattice
+    # a lattice vector prod rows[r]**d_r, sometimes moved off the lattice,
+    # also by a name outside the rows
     d = data.draw(st.lists(st.sampled_from([0, 0, 0, 1, -1, 2, -2]),
-                           min_size=len(base.pattern), max_size=len(base.pattern)),
+                           min_size=len(base.rows), max_size=len(base.rows)),
                   label="d")
-    vector = np.array(d) @ base.pattern.astype(np.int64)
-    width = len(base.generators)
-    for c, v in data.draw(st.dictionaries(st.integers(0, width - 1),
-                                          st.integers(-2, 2), max_size=2),
-                          label="off lattice").items():
-        vector[c] += v
-    shift = {c: int(v) for c, v in enumerate(vector) if v}
-    assert shared_members(base, shift, ext, {}) == _enumerated_shared(base, shift, ext, {})
-    # a set of another pattern: decided exactly, or refused
+    shift = ONE
+    for row, dr in zip(base.rows, d):
+        shift = shift * row ** dr
+    names = sorted(_names(*base.rows)) + ["x"]
+    shift = shift * Monomial.from_dict(data.draw(
+        st.dictionaries(st.sampled_from(names), st.integers(-2, 2), max_size=2),
+        label="off lattice"))
+    assert shared_members(base, shift, ext, ONE) == _enumerated_shared(base, shift, ext, ONE)
+    # a set of other rows: decided exactly, or refused
     other = exts[j % (K + 1)]
     try:
-        got = shared_members(base, shift, other, {})
+        got = shared_members(base, shift, other, ONE)
     except CertificateError:
         return
-    assert got == _enumerated_shared(base, shift, other, {})
+    assert got == _enumerated_shared(base, shift, other, ONE)
 
 
 def test_overlap_without_a_separating_generator_is_refused():
-    # two patterns with the same image: no generator separates them, so the
-    # closed form refuses to call them disjoint
-    a = DimensionSet("A", ("x", "y"), np.array([[1, 0], [0, 1]], np.int8), 2)
-    b = DimensionSet("B", ("x", "y"), np.array([[0, 1], [1, 0]], np.int8), 2)
-    assert _enumerated_shared(a, {}, b, {}) == 4
+    # two row orders with the same image: no generator separates them, so
+    # the closed form refuses to call them disjoint
+    x, y = Monomial.gen("x"), Monomial.gen("y")
+    a = DimensionSet("A", (x, y), 2)
+    b = DimensionSet("B", (y, x), 2)
+    assert _enumerated_shared(a, ONE, b, ONE) == 4
     with pytest.raises(CertificateError, match="no separating generator"):
-        shared_members(a, {}, b, {})
-    # shifted apart in y, they are separated and share nothing
-    assert shared_members(a, {1: 5}, b, {}) == 0 == _enumerated_shared(a, {1: 5}, b, {})
+        shared_members(a, ONE, b, ONE)
+    # shifted apart in y, or by a name neither set uses, they are separated
+    # and share nothing
+    for shift in (y ** 5, Monomial.gen("z")):
+        assert shared_members(a, shift, b, ONE) == 0 == _enumerated_shared(a, shift, b, ONE)
 
 
 def test_a_set_meeting_two_earlier_sets_is_refused():
-    line = DimensionSet("L", ("x",), np.array([[1]], np.int8), 2)   # x, x^2
-    assert _new_members((line, {}), [(line, {0: 2})]) == 2
-    assert _new_members((line, {}), [(line, {0: 1})]) == 1
+    x = Monomial.gen("x")
+    line = DimensionSet("L", (x,), 2)   # x, x^2
+    assert _new_members((line, ONE), [(line, x ** 2)]) == 2
+    assert _new_members((line, ONE), [(line, x)]) == 1
     with pytest.raises(CertificateError, match="meets 2 earlier sets"):
-        _new_members((line, {}), [(line, {0: 1}), (line, {0: -1})])
+        _new_members((line, ONE), [(line, x), (line, x ** -1)])
 
 
 def test_a_pattern_row_without_a_pivot_is_refused():
     with pytest.raises(CertificateError, match="row 1 has no pivot"):
-        DimensionSet("P", ("x", "y"), np.array([[1, 1], [0, 1]], np.int8), 2)
+        DimensionSet("P", (Monomial.gen("x") * Monomial.gen("y"), Monomial.gen("y")), 2)
 
 
 def test_every_pattern_has_pivots_up_to_nine_users():
     for K in range(3, 10):
         for dset in build_extended_dimension_sets(K, 1):
-            assert sorted(r for r, _ in dset._pivots.values()) == list(range(len(dset.pattern)))
+            assert sorted(r for r, _ in dset._pivots.values()) == list(range(len(dset.rows)))
 
 
 def test_nine_users_are_exact_past_int64():

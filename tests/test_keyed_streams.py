@@ -5,6 +5,7 @@ throughout: the batched schedule must reproduce its stream for every key,
 and every caller that draws through the schedule must reproduce the
 per-draw loop that builds one such generator per scalar.
 """
+import itertools
 import math
 
 import numpy as np
@@ -17,7 +18,6 @@ from sdof.channel import (TAG_ALPHA, TAG_EVE, TAG_LEGIT, TAG_SAMPLE, TAG_SEED_VE
                           keyed_streams, sample_channel, standard_normals, substream)
 from sdof.channel import _CHUNK
 from sdof.errors import ParameterError
-from sdof.monomial import box_image
 
 # PCG64's 128-bit LCG multiplier, written out here so the tests do not take
 # it from the code under test
@@ -341,20 +341,37 @@ def test_monte_carlo_rejects_negative_seed():
         analysis.monte_carlo_error_rate(scheme, trials=10, seed=-1)
 
 
+def _reference_columns(w, generators, top):
+    """One column per exponent row e of {1..top}^Gamma in itertools.product
+    order: w * t_0[e_0] * t_1[e_1] * ..., t_i[e] the e-th power of
+    generator i by repeated multiplication."""
+    powers = []
+    for g in generators:
+        table = [g.entries]
+        while len(table) < top:
+            table.append(table[-1] * g.entries)
+        powers.append(table)
+    columns = []
+    for e in itertools.product(range(1, top + 1), repeat=len(generators)):
+        column = w
+        for table, ei in zip(powers, e):
+            column = column * table[ei - 1]
+        columns.append(column)
+    return np.column_stack(columns)
+
+
 @pytest.mark.parametrize("seed", [1, 4])
 def test_precoders_match_per_draw_seed_vectors(seed):
-    K, n = 3, 1
-    m_n = precoding.interference_slots(K, n)
-    r = sample_channel(InterferenceModel(K), fixed=False, slots=m_n, seed=seed)
-    pre = precoding.build_asymptotic_precoders(K, n, r)
-    for idx, target in pre.targets.items():
-        w = np.array([_oracle_gain(r.distribution, seed, TAG_SEED_VECTOR, idx, t)
-                      for t in range(1, m_n + 1)])
-        tables = precoding._power_tables(target.generators, n + 1, m_n)
-        unit = np.eye(precoding.interference_gamma(K), dtype=np.int8)
-        assert np.array_equal(target.base, precoding._columns(w, tables, box_image(unit, n)))
-        assert np.array_equal(target.extended,
-                              precoding._columns(w, tables, box_image(unit, n + 1)))
+    for K, n in [(3, 1), (3, 2), (4, 1)]:
+        m_n = precoding.interference_slots(K, n)
+        r = sample_channel(InterferenceModel(K), fixed=False, slots=m_n, seed=seed)
+        pre = precoding.build_asymptotic_precoders(K, n, r)
+        for idx, target in pre.targets.items():
+            w = np.array([_oracle_gain(r.distribution, seed, TAG_SEED_VECTOR, idx, t)
+                          for t in range(1, m_n + 1)])
+            assert np.array_equal(target.base, _reference_columns(w, target.generators, n))
+            assert np.array_equal(target.extended,
+                                  _reference_columns(w, target.generators, n + 1))
 
 
 @pytest.mark.parametrize("M, seed", [(1, 0), (3, 8)])

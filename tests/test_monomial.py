@@ -13,9 +13,10 @@ from hypothesis import strategies as st
 import enumerator
 import sdof
 from sdof.channel import InterferenceModel, sample_channel
-from sdof.errors import CapacityError
+from enumerator import box_image
+from sdof.errors import CapacityError, ParameterError
 from sdof.interference_sets import build_base_dimension_sets
-from sdof.monomial import Monomial, box_image
+from sdof.monomial import Monomial
 
 exponent_maps = st.dictionaries(
     st.sampled_from(["a", "b", "c", "d"]), st.integers(-4, 4), max_size=4)
@@ -34,6 +35,24 @@ def test_product_and_division():
     assert (m / n) == Monomial.from_dict({"x": 2, "y": -2, "z": -3})
     assert m ** 3 == Monomial.from_dict({"x": 6, "y": -3})
     assert m ** 0 == Monomial.one()
+
+
+@pytest.mark.parametrize("bad", [0.5, 1.7, float("nan"), "1"])
+def test_non_integral_exponents_are_refused(bad):
+    # truncating would make x^0.5 print as x^0 and differ from one
+    with pytest.raises(ParameterError, match="exponents must be integers"):
+        Monomial.gen("x", bad)
+    with pytest.raises(ParameterError, match="exponents must be integers"):
+        Monomial.from_dict({"x": 1, "y": bad})
+    with pytest.raises(ParameterError, match="exponents must be integers"):
+        Monomial.gen("x") ** bad
+
+
+def test_numpy_integer_exponents_are_accepted():
+    two = np.int64(2)
+    assert Monomial.gen("x", two) == Monomial.from_dict({"x": two}) == Monomial.gen("x") ** two
+    assert str(Monomial.gen("x", two)) == "x^2"
+    assert type(Monomial.gen("x", two).exponents[0][1]) is int
 
 
 def test_evaluate():
@@ -80,11 +99,12 @@ def test_distinct_monomials_separate_numerically():
             vp, vq = p.evaluate(values), q.evaluate(values)
             assert abs(vp - vq) > 1e-12 * max(abs(vp), abs(vq))
 
-
+# the enumerator's box image, the oracle of the dimension sets (its code is
+# in tests/enumerator.py, not in the package)
 
 @pytest.mark.parametrize("gamma, top", [(1, 3), (4, 3), (9, 2)])
 def test_unit_box_image_is_product_order_and_byte_sorted(gamma, top):
-    # the fading precoders rely on this order for their columns
+    # the enumerator lists a set's members in this order
     rows = box_image(np.eye(gamma, dtype=np.int8), top)
     assert rows.dtype == np.int8
     assert [tuple(r) for r in rows.tolist()] \
@@ -106,14 +126,15 @@ def test_box_image_refuses_rows_beyond_int8():
 def test_box_image_refusal_survives_optimized_mode():
     # python -O strips assert statements, so the guard must not be one
     code = ("import numpy as np\n"
-            "from sdof.monomial import box_image\n"
+            "from enumerator import box_image\n"
             "from sdof.errors import CapacityError\n"
             "try:\n"
             "    box_image(np.array([[1]], np.int8), 200)\n"
             "except CapacityError:\n"
             "    print('refused')\n")
     src = os.path.dirname(os.path.dirname(os.path.abspath(sdof.__file__)))
-    env = {**os.environ, "PYTHONPATH": src}
+    tests = os.path.dirname(os.path.abspath(enumerator.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, tests])}
     done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                           capture_output=True, text=True, check=True)
     assert done.stdout == "refused\n"
@@ -128,19 +149,31 @@ def test_the_package_has_no_assert_statements():
     assert found == []
 
 
+# the exact layer: the gain monomials and the fixed-gain set algebra, which
+# decide alignment in Python ints and must not depend on a float library
+EXACT_MODULES = {"errors", "monomial", "interference_sets"}
+
+
 def test_the_package_imports_only_the_standard_library_and_numpy():
     # a second BLAS (scipy's, say) brings its own thread pool, which
     # oversubscribes the cores the numpy BLAS already uses
     package = pathlib.Path(sdof.__file__).resolve().parent
     found = []
     for path in sorted(package.glob("*.py")):
+        exact = path.stem in EXACT_MODULES
+        allowed = sys.stdlib_module_names | (set() if exact else {"numpy"})
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
                 names = [node.module]
+            elif isinstance(node, ast.ImportFrom) and exact:
+                # a relative import must stay inside the exact layer
+                if node.module not in EXACT_MODULES:
+                    found.append(f"{path.name}:{node.lineno} .{node.module}")
+                continue
             else:
                 continue
             found += [f"{path.name}:{node.lineno} {name}" for name in names
-                      if name.split(".")[0] not in sys.stdlib_module_names | {"numpy"}]
+                      if name.split(".")[0] not in allowed]
     assert found == []
