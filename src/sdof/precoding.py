@@ -11,9 +11,10 @@ equations need, so multiplying by one shifts one exponent, which proves
 column-space containment exactly: the shifted column sits a fixed stride
 further along the extended box.  Ranks are decided by SVD with a relative
 threshold, unless merging parallel columns and one shifted Cholesky of the
-Gram prove the SVD's count first; the numeric alignment check factors each
-target's extended matrix once and measures every instance's residual
-outside its kept left singular vectors.
+Gram prove the SVD's count first.  The numeric alignment check builds one
+orthonormal basis of each target's extended matrix, by CholeskyQR2 once the
+certificate proves full column rank (by SVD otherwise), and measures every
+instance's residual outside it.
 """
 from __future__ import annotations
 
@@ -34,21 +35,23 @@ from .monomial import Monomial
 DEFAULT_RANK_TOL = 1e-10
 DEFAULT_PRECODER_BUDGET = 200_000_000  # total matrix entries
 ALPHA_DRAWS = 100  # mixing-coefficient draws before the helper scheme gives up
+_SCAN_ROWS = 128  # rows of G whose cosines _certified_rank holds at once
 
 
 def _equilibrate(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Row and column scalings (r, c) of four alternating 2-norm passes:
     A * r[:, None] * c has rows, then columns, of unit norm after each pass
-    (zero rows and columns stay zero).  The squares are formed once, after
-    exact power-of-two row, then column, scalings (folded into r and c) that
-    bring each row's, then each column's, largest magnitude into [0.5, 1);
-    each pass updates only the squared scalings.  Non-finite entries or
-    scalings are refused."""
-    _, e = np.frexp(np.abs(A).max(axis=1))
+    (zero rows and columns stay zero).  The squares are formed once, from
+    |A| in one buffer after exact power-of-two row, then column, scalings
+    (folded into r and c) that bring each row's, then each column's, largest
+    magnitude into [0.5, 1); each pass updates only the squared scalings.
+    Non-finite entries or scalings are refused."""
     r2, c2 = np.ones(A.shape[0]), np.ones(A.shape[1])
     with np.errstate(over="ignore", invalid="ignore"):
-        S = np.ldexp(A, -e[:, None])
-        _, f = np.frexp(np.abs(S).max(axis=0))
+        S = np.abs(A)
+        _, e = np.frexp(S.max(axis=1))
+        np.ldexp(S, -e[:, None], out=S)
+        _, f = np.frexp(S.max(axis=0))
         np.ldexp(S, -f, out=S)
         S *= S
         for _ in range(4):
@@ -62,6 +65,13 @@ def _equilibrate(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if not (np.isfinite(r).all() and np.isfinite(c).all()):
         raise ParameterError("rank needs finite matrix entries with finite scalings")
     return r, c
+
+
+def _scaled(A: np.ndarray, r: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """A * r[:, None] * c, bit for bit, in one new buffer."""
+    B = np.multiply(A, r[:, None])
+    B *= c
+    return B
 
 
 def _kept(s: np.ndarray, tol: float, shape: tuple[int, ...]) -> int:
@@ -88,13 +98,16 @@ def _certified_rank(B: np.ndarray, tol: float) -> int | None:
     one merge of parallel columns and one shifted Cholesky prove it; None
     when they cannot, and the SVD decides.
 
-    Let B be m x c, N = max(m, c), G = B^T B, t = trace(G) = ||B||_F^2,
+    Zero rows change no singular value and are dropped first (a zero B has
+    rank 0).  Let B then be m x c, N = max(B.shape) as passed in (the SVD's
+    threshold counts the zero rows), G = B^T B, t = trace(G) = ||B||_F^2,
     u = eps / 2 and tau = tol N sigma_max(B) the SVD's threshold.
 
     Merge.  Each column whose |cosine| (from G) with an earlier column
     exceeds 1 - 1e-8 is merged into the first such column p, which must be
     kept itself; zero columns are dropped.  The kept set S has r columns.
-    The merge only chooses S; the two bounds below decide.
+    The merge only chooses S; the two bounds below decide.  The cosines
+    are scanned _SCAN_ROWS rows of G at a time.
 
     Upper bound.  Replacing each merged b_j by alpha_j b_p, alpha_j =
     G[p, j] / G[p, p], leaves a matrix of rank at most r, so
@@ -121,21 +134,28 @@ def _certified_rank(B: np.ndarray, tol: float) -> int | None:
     When r > m (a wide B) the rank is at most m, and the same Cholesky of
     the row Gram B B^T proves full row rank m.
     """
+    N, u = max(B.shape), np.finfo(float).eps / 2
+    nonzero = B.any(axis=1)
+    if not nonzero.any():
+        return 0
+    if not nonzero.all():
+        B = B[nonzero]
     m, c = B.shape
-    N, u = max(m, c), np.finfo(float).eps / 2
     G = B.T @ B
     t = np.trace(G)
     d = np.sqrt(np.diag(G))
-    cos = np.abs(G)
     inv = np.divide(1.0, d, out=np.zeros(c), where=d > 0)
-    cos *= inv[:, None]
-    cos *= inv
-    near = cos > 1 - 1e-8
-    del cos
-    near &= np.tri(c, k=-1, dtype=bool)  # row j holds its earlier columns
-    merged = near.any(axis=1)
-    partner = near.argmax(axis=1)
-    del near
+    merged = np.zeros(c, dtype=bool)
+    partner = np.zeros(c, dtype=np.intp)
+    for a in range(1, c, _SCAN_ROWS):  # row j of G against its earlier columns
+        b = min(a + _SCAN_ROWS, c)
+        cos = np.abs(G[a:b, :b - 1])
+        cos *= inv[a:b, None]
+        cos *= inv[:b - 1]
+        near = cos > 1 - 1e-8
+        near &= np.tri(b - a, b - 1, k=a - 1, dtype=bool)
+        merged[a:b] = near.any(axis=1)
+        partner[a:b] = near.argmax(axis=1)
     kept = (d > 0) & ~merged
     r = int(np.count_nonzero(kept))
     if r > m:
@@ -179,8 +199,7 @@ def numeric_rank(A: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> int:
         raise ParameterError("rank needs a 2-D matrix")
     if A.size == 0:
         return 0
-    r, c = _equilibrate(A)
-    B = A * r[:, None] * c
+    B = _scaled(A, *_equilibrate(A))
     rank = _certified_rank(B, tol)
     if rank is None:
         rank = _kept(np.linalg.svd(B, compute_uv=False), tol, A.shape)
@@ -573,12 +592,43 @@ class FadingAlignmentReport:
 
 
 def _span_basis(extended: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """(r, U_r): the row scaling of the equilibrated extended matrix and an
-    orthonormal basis of its column span, the left singular vectors whose
-    singular values numeric_rank keeps."""
+    """(r, Q): the row scaling of the equilibrated extended matrix B and an
+    orthonormal basis Q of the span numeric_rank measures.
+
+    When _certified_rank proves that B has full column rank, Q is B
+    orthonormalized by CholeskyQR2: Q <- Q L^-T with L = cholesky(Q^T Q),
+    done twice (Fukaya, Nakatsukasa, Yanagisawa and Yamamoto, ScalA 2014;
+    Yamamoto et al., ETNA 44, 2015).  Within its reach, condition numbers
+    well below u^-1/2 (u = eps / 2), Q R = B + dB with ||dB|| = O(u) ||B||,
+    the backward error of the SVD's basis; past it the Cholesky breaks down
+    or Q loses orthogonality.  So Q is accepted only when
+    eta = ||Q^T Q - I||_F < tol * max(B.shape) / 100, a hundredth of the
+    relative residual cut of verify_alignment_equations.  That bound
+    suffices: with S the span of Q, Q_S = Q (Q^T Q)^-1/2 and
+    F = Q^T Q - I, ||z - Q Q^T z||^2 = dist(z, S)^2 + ||F Q_S^T z||^2, so
+    the measured residual exceeds the distance by at most eta ||z||, and a
+    verdict can differ from that of an exactly orthonormal basis only for a
+    distance within 1 % below the cut.  Otherwise, and when the rank is not
+    certified full, the thin SVD gives the left singular vectors whose
+    singular values numeric_rank keeps.
+    """
     r, c = _equilibrate(extended)
-    U, s, _ = np.linalg.svd(extended * r[:, None] * c, full_matrices=False)
-    return r, U[:, :_kept(s, tol, extended.shape)]
+    B = _scaled(extended, r, c)
+    cols = B.shape[1]
+    if _certified_rank(B, tol) == cols:
+        Q = B
+        try:
+            for _ in range(2):
+                Q = Q @ np.linalg.inv(np.linalg.cholesky(Q.T @ Q)).T
+        except np.linalg.LinAlgError:
+            pass
+        else:
+            F = Q.T @ Q
+            F.flat[::cols + 1] -= 1.0
+            if np.linalg.norm(F) < tol * max(B.shape) / 100:
+                return r, Q
+    U, s, _ = np.linalg.svd(B, full_matrices=False)
+    return r, U[:, :_kept(s, tol, B.shape)]
 
 
 def verify_alignment_equations(pre: PrecoderSet,
@@ -591,9 +641,11 @@ def verify_alignment_equations(pre: PrecoderSet,
     rhs = diag(h) E, E the target's extended matrix.  The diagonals diag(h)
     and the equilibration's diag(r) are invertible, so that holds iff
     r * lhs / h lies in the span of the equilibrated E; each column of it
-    must leave at most tol * max(E.shape) of its norm outside the left
-    singular vectors numeric_rank keeps.  That is rank([lhs rhs]) ==
-    rank(rhs) with one SVD per target instead of one per instance.
+    must leave at most tol * max(E.shape) of its norm outside the
+    orthonormal basis _span_basis gives (CholeskyQR2 under the full-rank
+    certificate, else the kept left singular vectors).  That is
+    rank([lhs rhs]) == rank(rhs) with one basis per target instead of one
+    rank per instance.
     Failures are report content, not exceptions; a tol outside (0, 1)
     raises ParameterError.
     """
@@ -664,8 +716,19 @@ class SchemeMatrices:
         self.eve_mixing.setflags(write=False)
 
 
-def _width(blocks: Sequence[np.ndarray]) -> int:
-    return sum(block.shape[1] for block in blocks)
+def _width(blocks: Sequence[tuple[np.ndarray, np.ndarray]]) -> int:
+    return sum(block.shape[1] for _, block in blocks)
+
+
+def _stacked(blocks: Sequence[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+    """np.hstack([series * block for series, block in blocks]), bit for bit,
+    with each product written straight into its columns."""
+    out = np.empty((len(blocks[0][1]), _width(blocks)))
+    j = 0
+    for series, block in blocks:
+        np.multiply(series, block, out=out[:, j:j + block.shape[1]])
+        j += block.shape[1]
+    return out
 
 
 def assemble_receiver_and_eve_matrices(pre: PrecoderSet) -> SchemeMatrices:
@@ -680,22 +743,22 @@ def assemble_receiver_and_eve_matrices(pre: PrecoderSet) -> SchemeMatrices:
     interference: dict[int, np.ndarray] = {}
     receive_mixing: dict[int, np.ndarray] = {}
     for l in range(1, K + 1):
-        desired = [hseries(l, l) * pre.targets[j].base for j in message_slots(K, l)]
-        unintended = [hseries(k, l) * pre.targets[j].base
+        desired = [(hseries(l, l), pre.targets[j].base) for j in message_slots(K, l)]
+        unintended = [(hseries(k, l), pre.targets[j].base)
                       for k, j in unintended_messages(K, l)]
-        jamming = [hseries(k, l) * pre.targets[k].extended for k in range(1, K + 1)]
-        jamming += [hseries(k, l) * pre.qtilde[k] for k in range(1, K + 1)]
+        jamming = [(hseries(k, l), pre.targets[k].extended) for k in range(1, K + 1)]
+        jamming += [(hseries(k, l), pre.qtilde[k]) for k in range(1, K + 1)]
         # aligned jamming: every Q_k, then Q~_K
-        decoders[l] = np.hstack(desired + jamming[:K] + jamming[-1:])
-        receive_mixing[l] = np.hstack(desired + unintended + jamming)
+        decoders[l] = _stacked(desired + jamming[:K] + jamming[-1:])
+        receive_mixing[l] = _stacked(desired + unintended + jamming)
         interference[l] = receive_mixing[l][:, _width(desired):]
 
     gseries = {k: realization.eve_series(k)[:, None] for k in range(1, K + 1)}
-    eve_jam = [gseries[k] * pre.targets[k].extended for k in range(1, K + 1)]
-    eve_jam += [gseries[k] * pre.qtilde[k] for k in range(1, K + 1)]
-    eve_msg = [gseries[k] * pre.targets[j].base
+    eve_jam = [(gseries[k], pre.targets[k].extended) for k in range(1, K + 1)]
+    eve_jam += [(gseries[k], pre.qtilde[k]) for k in range(1, K + 1)]
+    eve_msg = [(gseries[k], pre.targets[j].base)
                for k in range(1, K + 1) for j in message_slots(K, k)]
-    eve_mixing = np.hstack(eve_msg + eve_jam)
+    eve_mixing = _stacked(eve_msg + eve_jam)
 
     return SchemeMatrices(
         K=K, n=n, block_length=pre.block_length,

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from sdof.channel import (TAG_ALPHA, HelperModel, InterferenceModel,
 from sdof.errors import CapacityError, ModeError, ParameterError
 from sdof.interference_sets import beta_general, message_slots
 from sdof.monomial import Monomial
-from sdof.precoding import (build_asymptotic_precoders, build_cj_generators,
+from sdof.precoding import (DEFAULT_RANK_TOL, build_asymptotic_precoders, build_cj_generators,
                             build_helper_fading, build_partial_csit_fading,
                             _generator_factors, _instance_factors, _symbol,
                             alignment_instances, assemble_receiver_and_eve_matrices,
@@ -230,6 +231,32 @@ class TestNumericRank:
         assert numeric_rank(wide) == 10
         assert numeric_rank(wide.T) == 10
         assert calls == []
+
+    def test_a_wide_matrix_with_a_zero_row_needs_no_svd(self, monkeypatch):
+        # 8 columns over 5 nonzero rows: the zero row is dropped before the
+        # row Gram, whose Cholesky it would break, and full row rank 5 is
+        # certified
+        A = np.random.default_rng(3).normal(size=(6, 8))
+        A[4] = 0.0
+        B = precoding._scaled(A, *precoding._equilibrate(A))
+        assert precoding._certified_rank(B, DEFAULT_RANK_TOL) == 5
+        calls = _count_svds(monkeypatch)
+        assert numeric_rank(A) == 5
+        assert numeric_rank(np.zeros((4, 3))) == 0
+        assert calls == []
+
+    def test_the_cosine_scan_does_not_depend_on_its_block(self, precoders_n2, monkeypatch):
+        # the interference matrices merge 96 columns across blocks of 128
+        # rows; scans of other block heights merge the same columns
+        mats = assemble_receiver_and_eve_matrices(precoders_n2)
+        mutated = assemble_receiver_and_eve_matrices(mutate_qtilde(precoders_n2, 1))
+        for A, want in [(mats.interference[1], 324), (mutated.interference[2], 340),
+                        (mats.decoders[3], 356)]:
+            B = precoding._scaled(A, *precoding._equilibrate(A))
+            assert precoding._certified_rank(B, DEFAULT_RANK_TOL) == want
+            for rows in (1, 7, 500):
+                monkeypatch.setattr(precoding, "_SCAN_ROWS", rows)
+                assert precoding._certified_rank(B, DEFAULT_RANK_TOL) == want
 
     @pytest.mark.parametrize("tol", [np.nan, np.inf, 2.0, 1.0, 0.0, -1.0])
     def test_tol_outside_the_unit_interval_is_refused(self, tol, precoders_n1):
@@ -542,18 +569,43 @@ class TestAlignmentVerification:
             assert eq.exact_ok == (eq.target != 2)
 
     def test_one_factorization_per_target(self, precoders_n1, monkeypatch):
-        ranks = []
+        ranks, certified = [], []
+        certify = precoding._certified_rank
 
         def counting_rank(A, *args, **kwargs):
             ranks.append(A.shape)
             return numeric_rank(A, *args, **kwargs)
 
+        def counting_certificate(B, tol):
+            rank = certify(B, tol)
+            certified.append((B.shape, rank))
+            return rank
+
         svds = _count_svds(monkeypatch)
         monkeypatch.setattr(precoding, "numeric_rank", counting_rank)
+        monkeypatch.setattr(precoding, "_certified_rank", counting_certificate)
         assert verify_alignment_equations(precoders_n1).ok
-        # one SVD of each of the 4 extended matrices, none per instance
-        assert svds == [(66, 16)] * 4
+        # one certificate of full column rank for each of the 4 extended
+        # matrices, whose CholeskyQR2 bases need no SVD; no rank per instance
+        assert certified == [((66, 16), 16)] * 4
+        assert svds == []
         assert ranks == []
+
+    def test_a_rank_deficient_extended_matrix_falls_back_to_the_svd(self, precoders_n1,
+                                                                    monkeypatch):
+        # a copy of column 0 over column 15, which no exact check reads:
+        # target 2's extended matrix is one short of full column rank, so
+        # its basis comes from the SVD, and the verdicts are the rank oracle's
+        pre = precoders_n1
+        t = pre.targets[2]
+        copied = t.extended.copy()
+        copied[:, 15] = copied[:, 0]
+        broken = dataclasses.replace(
+            pre, targets={**pre.targets, 2: dataclasses.replace(t, extended=copied)})
+        svds = _count_svds(monkeypatch)
+        report = verify_alignment_equations(broken)
+        assert svds == [(66, 16)]
+        assert _equations(report) == _reference_report(broken)
 
     def test_off_span_perturbation_fails_both_checks(self, precoders_n1):
         # a 1e-6 relative step out of target 2's span in the derived block
@@ -605,6 +657,68 @@ def test_basis_residual_matches_rank_oracle(seed):
     pre = build_asymptotic_precoders(3, 1, r)
     for variant in [pre] + [mutate_qtilde(pre, k) for k in (1, 2, 3)]:
         assert _equations(verify_alignment_equations(variant)) == _reference_report(variant)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(k=st.integers(2, 24), extra=st.integers(1, 40), log_kappa=st.floats(0.0, 12.0),
+       tol=st.sampled_from([1e-15, 1e-13, 1e-10, 1e-6]), seed=st.integers(0, 2 ** 32 - 1))
+def test_span_basis_verdicts_match_the_svd_basis(k, extra, log_kappa, tol, seed):
+    # tall matrices with singular values planted from 1 down to 1 / kappa;
+    # columns in the span, and off it by 0.3, 3 and 1000 times the residual
+    # cut: the CholeskyQR2 basis gives the SVD basis's verdicts, and the SVD
+    # runs only where the certificate or the orthogonality guard refuses
+    rng = np.random.default_rng(seed)
+    m = k + extra
+    cut = tol * m
+    U = np.linalg.qr(rng.normal(size=(m, k)))[0]
+    V = np.linalg.qr(rng.normal(size=(k, k)))[0]
+    A = (U * np.logspace(0.0, -log_kappa, k)) @ V.T
+    rr, cc = precoding._equilibrate(A)
+    B = precoding._scaled(A, rr, cc)
+    W, s, _ = np.linalg.svd(B, full_matrices=False)
+    W = W[:, :precoding._kept(s, tol, B.shape)]
+    certified = precoding._certified_rank(B, tol) == k
+    with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
+        r, Q = precoding._span_basis(A, tol)
+    assert np.array_equal(r, rr)
+
+    def verdicts(basis):  # verify_alignment_equations' numeric check per column
+        outside = np.linalg.norm(Z - basis @ (basis.T @ Z), axis=0)
+        return outside <= cut * np.linalg.norm(Z, axis=0)
+
+    inside = np.hstack([B, B @ rng.normal(size=(k, 8))])
+    inside /= np.linalg.norm(inside, axis=0)
+    w = rng.normal(size=(m, 3))
+    w -= W @ (W.T @ w)
+    w /= np.linalg.norm(w, axis=0)
+    Z = np.hstack([inside] + [inside[:, :3] + f * cut * w for f in (0.3, 3.0, 1000.0)])
+    assert np.array_equal(verdicts(Q), verdicts(W))
+    if svd.call_count == 0:
+        assert certified
+        assert np.linalg.norm(Q.T @ Q - np.eye(k)) < cut / 100
+    else:
+        assert svd.call_count == 1
+        assert np.array_equal(Q, W)
+    if certified and cut / 100 > 1e-13:
+        # CholeskyQR2 keeps orthogonality wherever the certificate holds
+        assert svd.call_count == 0
+
+
+@pytest.mark.parametrize("tol, svds", [(1e-10, 0), (1e-13, 0), (1e-15, 1)])
+def test_the_orthogonality_guard_falls_back_below_its_bound(tol, svds):
+    # a 64 x 16 matrix of condition number 1e4, certified full rank at each
+    # tol; CholeskyQR2 is orthonormal to about 1e-15, which passes the guard
+    # tol * 64 / 100 at 1e-10 and 1e-13 but not at 1e-15: there the SVD runs
+    rng = np.random.default_rng(11)
+    U = np.linalg.qr(rng.normal(size=(64, 16)))[0]
+    V = np.linalg.qr(rng.normal(size=(16, 16)))[0]
+    A = (U * np.logspace(0.0, -4.0, 16)) @ V.T
+    B = precoding._scaled(A, *precoding._equilibrate(A))
+    assert precoding._certified_rank(B, tol) == 16
+    with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
+        _, Q = precoding._span_basis(A, tol)
+    assert svd.call_count == svds
+    assert np.linalg.norm(Q.T @ Q - np.eye(16)) < 1e-13
 
 
 class TestGeneralK:
@@ -673,12 +787,15 @@ class TestStackedMatrices:
         assert mats.desired_columns == 2
         assert mats.aligned_jamming_columns == 64
 
-    @pytest.mark.parametrize("K", [3, 4])
-    def test_column_blocks_match_separate_stacks(self, precoders_n1, precoders_k4, K):
-        # the construction that stacked every matrix from its own products:
-        # the stored views and the decoder built from shared blocks hold the
-        # same numbers, and the views share memory with the full stacks
-        pre = precoders_n1 if K == 3 else precoders_k4
+    @pytest.mark.parametrize("fixture", ["precoders_n1", "precoders_k4", "precoders_n2"],
+                             ids=["3", "4", "3-n2"])
+    def test_column_blocks_match_separate_stacks(self, fixture, request):
+        # the construction that stacked every matrix from its own products
+        # with np.hstack: the matrices written in place hold the same
+        # numbers, and interference[l] and eve_jamming are column-suffix
+        # views of the full stacks
+        pre = request.getfixturevalue(fixture)
+        K = pre.K
         mats = assemble_receiver_and_eve_matrices(pre)
         r = pre.realization
         for l in range(1, K + 1):
@@ -690,14 +807,22 @@ class TestStackedMatrices:
             aligned = [h[k] * pre.targets[k].extended for k in range(1, K + 1)]
             aligned.append(h[K] * pre.qtilde[K])
             desired = [h[l] * pre.targets[j].base for j in message_slots(K, l)]
+            assert np.array_equal(mats.receive_mixing[l],
+                                  np.hstack(desired + unintended + jamming))
             assert np.array_equal(mats.interference[l], np.hstack(unintended + jamming))
             assert np.array_equal(mats.decoders[l], np.hstack(desired + aligned))
-            assert np.shares_memory(mats.interference[l], mats.receive_mixing[l])
+            assert mats.interference[l].base is mats.receive_mixing[l]
+            assert mats.receive_mixing[l].flags.c_contiguous
+            assert mats.decoders[l].flags.c_contiguous
         g = {k: r.eve_series(k)[:, None] for k in range(1, K + 1)}
         eve_jam = [g[k] * pre.targets[k].extended for k in range(1, K + 1)]
         eve_jam += [g[k] * pre.qtilde[k] for k in range(1, K + 1)]
+        eve_msg = [g[k] * pre.targets[j].base
+                   for k in range(1, K + 1) for j in message_slots(K, k)]
+        assert np.array_equal(mats.eve_mixing, np.hstack(eve_msg + eve_jam))
         assert np.array_equal(mats.eve_jamming, np.hstack(eve_jam))
-        assert np.shares_memory(mats.eve_jamming, mats.eve_mixing)
+        assert mats.eve_jamming.base is mats.eve_mixing
+        assert mats.eve_mixing.flags.c_contiguous
 
     def test_stored_matrices_are_read_only(self, precoders_n1):
         pre = precoders_n1
