@@ -166,8 +166,7 @@ def _validate(cfg: ExperimentConfig) -> None:
 
 @dataclass
 class ExperimentResult:
-    report: dict
-    ok: bool
+    report: dict  # its "assertions" decide the exit status
     csv_rows: list[dict]
     plot_rows: list[tuple[str, float, float]]  # (series, half_log10_P, value)
 
@@ -208,36 +207,36 @@ def _run_helper_fading_mi(cfg: ExperimentConfig) -> ExperimentResult:
     tol = cfg.slope_tolerance(0.05)
     M = cfg.M
     target = analysis.sdof_formula(HelperModel(M))
-    rows, plot, per_real, checks = [], [], [], []
+    rows, plot, per_real = [], [], []
 
     def one(seed: int):
         realization = sample_channel(HelperModel(M), fixed=False, slots=M + 1,
                                      seed=seed)
-        return (seed, *_mi_sweep(cfg.grid, precoding.build_helper_fading(M, realization)))
+        scheme = precoding.build_helper_fading(M, realization)
+        return (seed, Fraction(len(scheme.message_streams), scheme.slots),
+                *_mi_sweep(cfg.grid, scheme))
 
-    ok = True
-    for seed, mis, s_z in _per_realization(cfg, one):
+    accounting = True
+    for seed, dimensions, mis, s_z in _per_realization(cfg, one):
         legit = [mi.legit[1] for mi in mis]
         leak = [mi.leak for mi in mis]
         s_y = _slope(cfg.grid, legit)
         good = abs(s_y - M) <= tol and abs(s_z) <= tol
-        ok &= good
+        accounting &= dimensions == target
         per_real.append({"seed": seed, "legit_slope": s_y, "leak_slope": s_z,
                          "ok": good})
         rows += [{"seed": seed, "P": P, "I_legit_nats": ly, "I_leak_nats": lz}
                  for P, ly, lz in zip(cfg.grid, legit, leak)]
         plot += _dof_plot_rows(cfg.grid, {f"legit_seed{seed}": legit,
                                           f"leak_seed{seed}": leak})
-    accounting = Fraction(M, M + 1) == target
-    ok &= accounting
-    checks.append(_assertion(f"slopes within {tol} of ({M}, 0) for all realizations",
-                             all(r["ok"] for r in per_real)))
-    checks.append(_assertion("dimension accounting M/(M+1) exact", accounting,
-                             str(target)))
     report = {"experiment": cfg.experiment, "M": M, "grid": list(cfg.grid),
-              "slope_tol": tol, "target": str(target),
-              "realizations": per_real, "assertions": checks}
-    return ExperimentResult(report, ok, rows, plot)
+              "slope_tol": tol, "target": str(target), "realizations": per_real,
+              "assertions": [
+                  _assertion(f"slopes within {tol} of ({M}, 0) for all realizations",
+                             all(r["ok"] for r in per_real)),
+                  _assertion("dimension accounting M/(M+1) exact", accounting,
+                             str(target))]}
+    return ExperimentResult(report, rows, plot)
 
 
 def _run_helper_fixed_mc(cfg: ExperimentConfig) -> ExperimentResult:
@@ -258,7 +257,6 @@ def _run_helper_fixed_mc(cfg: ExperimentConfig) -> ExperimentResult:
     slope_rep = analysis.fit_dof_slope(
         *slope_fit_grid(cfg.grid, reliables), target=Fraction(M, M + 1))
     slope_ok = abs(slope_rep.slope - float(Fraction(M, M + 1))) <= tol
-    ok = monotone and slope_ok
 
     rows, plot, points = [], [], []
     for rep in reports:
@@ -288,13 +286,12 @@ def _run_helper_fixed_mc(cfg: ExperimentConfig) -> ExperimentResult:
                        slope_ok, f"{slope_rep.slope:.4f}"),
         ],
     }
-    return ExperimentResult(report, ok, rows, plot)
+    return ExperimentResult(report, rows, plot)
 
 
 def _run_interference_fixed_verify(cfg: ExperimentConfig) -> ExperimentResult:
     report = interference_sets.verify_interference_alignment(cfg.K, cfg.m)
     doc = report.to_json_dict()
-    ok = report.ok
     doc["assertions"] = [
         _assertion("all containment/disjointness/cardinality checks pass",
                    report.ok, f"{len(report.violations)} violations"),
@@ -302,15 +299,13 @@ def _run_interference_fixed_verify(cfg: ExperimentConfig) -> ExperimentResult:
     if cfg.mutate:
         mutated = interference_sets.verify_interference_alignment(
             cfg.K, cfg.m, beta_override={1: Monomial.one()})
-        flagged = not mutated.ok
         doc["mutation"] = {"violations": mutated.violations}
         doc["assertions"].append(_assertion(
-            "beta_1 := 1 mutation is flagged", flagged,
+            "beta_1 := 1 mutation is flagged", not mutated.ok,
             f"{len(mutated.violations)} violations"))
-        ok &= flagged
     rows = [{"check": c.claim, "receiver": c.receiver, "status": c.status}
             for c in report.checks]
-    return ExperimentResult(doc, ok, rows, [])
+    return ExperimentResult(doc, rows, [])
 
 
 def _run_interference_fading_verify(cfg: ExperimentConfig) -> ExperimentResult:
@@ -346,16 +341,16 @@ def _run_interference_fading_verify(cfg: ExperimentConfig) -> ExperimentResult:
         }
 
     per_real = _per_realization(cfg, one)
-    ok = all(r["ok"] for r in per_real)
     report = {
         "experiment": cfg.experiment, "K": K, "n": n, "M_n": slots,
         "rank_tol": cfg.rank_tol, "realizations": per_real,
         "assertions": [_assertion(
-            "all equations and rank conditions hold for every realization", ok)],
+            "all equations and rank conditions hold for every realization",
+            all(r["ok"] for r in per_real))],
     }
     rows = [{k: v for k, v in r.items() if not isinstance(v, dict)}
             for r in per_real]
-    return ExperimentResult(report, ok, rows, [])
+    return ExperimentResult(report, rows, [])
 
 
 def _run_interference_fading_mi(cfg: ExperimentConfig) -> ExperimentResult:
@@ -372,7 +367,6 @@ def _run_interference_fading_mi(cfg: ExperimentConfig) -> ExperimentResult:
     series = [analysis.interference_fading_sdof(K, i) for i in range(1, 7)]
     monotone = all(a < b for a, b in zip(series, series[1:])) and series[-1] < 1
 
-    ok = abs(leak_slope) <= tol and monotone
     rows = [{"P": P, "I_leak_nats": mi.leak,
              **{f"I_rx{l}_nats": v for l, v in mi.legit.items()}}
             for P, mi in zip(cfg.grid, mis)]
@@ -392,7 +386,7 @@ def _run_interference_fading_mi(cfg: ExperimentConfig) -> ExperimentResult:
                        " < ".join(str(f) for f in series)),
         ],
     }
-    return ExperimentResult(report, ok, rows, plot)
+    return ExperimentResult(report, rows, plot)
 
 
 def _run_mac_partial(cfg: ExperimentConfig) -> ExperimentResult:
@@ -422,7 +416,6 @@ def _run_mac_partial(cfg: ExperimentConfig) -> ExperimentResult:
     structure_ok = (len(fixed_scheme.message_streams) == m * (K - 1)
                     and len(eve_classes) == K)
 
-    ok = decode_ok and leak_ok and structure_ok
     rows = [{"P": P, "I_leak_nats": mi.leak, "I_legit_nats": mi.legit[1]}
             for P, mi in zip(cfg.grid, mis)]
     plot = _dof_plot_rows(cfg.grid, {"leak_dof": [mi.leak for mi in mis]})
@@ -439,7 +432,7 @@ def _run_mac_partial(cfg: ExperimentConfig) -> ExperimentResult:
                        structure_ok),
         ],
     }
-    return ExperimentResult(report, ok, rows, plot)
+    return ExperimentResult(report, rows, plot)
 
 
 def _run_entropy_bound(cfg: ExperimentConfig) -> ExperimentResult:
@@ -447,7 +440,6 @@ def _run_entropy_bound(cfg: ExperimentConfig) -> ExperimentResult:
                                          seed=cfg.seed)
     canonical = converse.floor_conditional_entropy(0.5, 16)
     canonical_ok = abs(canonical.entropy_nats - 0.8 * math.log(2)) < 1e-12
-    ok = sweep.ok and canonical_ok
     rows = [r.to_json_dict() for r in sweep.reports]
     report = {
         "experiment": cfg.experiment,
@@ -460,7 +452,7 @@ def _run_entropy_bound(cfg: ExperimentConfig) -> ExperimentResult:
                        f"{canonical.entropy_nats:.12f}"),
         ],
     }
-    return ExperimentResult(report, ok, rows, [])
+    return ExperimentResult(report, rows, [])
 
 
 def _run_sdof_table(cfg: ExperimentConfig) -> ExperimentResult:
@@ -482,8 +474,7 @@ def _run_sdof_table(cfg: ExperimentConfig) -> ExperimentResult:
                        comparisons[0].loss == 0),
         ],
     }
-    ok = loss_ok and comparisons[0].loss == 0
-    return ExperimentResult(report, ok, rows, [])
+    return ExperimentResult(report, rows, [])
 
 
 def _run_region(cfg: ExperimentConfig) -> ExperimentResult:
@@ -493,7 +484,6 @@ def _run_region(cfg: ExperimentConfig) -> ExperimentResult:
     uniform_ok = region.contains(uniform)
     over = [region.sum_bound, Fraction(1, 100)] + [Fraction(0)] * (cfg.K - 2)
     reject_ok = cfg.K < 2 or not region.contains(over)
-    ok = corners_ok and uniform_ok and reject_ok
     report = {
         "experiment": cfg.experiment,
         "region": region.to_json_dict(),
@@ -505,7 +495,7 @@ def _run_region(cfg: ExperimentConfig) -> ExperimentResult:
     }
     rows = [{"corner": i, "point": "(" + ", ".join(str(c) for c in p) + ")"}
             for i, p in enumerate(region.corner_points)]
-    return ExperimentResult(report, ok, rows, [])
+    return ExperimentResult(report, rows, [])
 
 
 EXPERIMENTS: dict[str, Callable[[ExperimentConfig], ExperimentResult]] = {
@@ -577,12 +567,13 @@ def run(cfg: ExperimentConfig) -> int:
     _validate(cfg)
     started = time.time()
     result = EXPERIMENTS[cfg.experiment](cfg)
+    ok = all(a["status"] == "pass" for a in result.report["assertions"])
     report = {
         "schema_version": SCHEMA_VERSION,
         "config": {f.name: (list(cfg.grid) if f.name == "grid"
                             else getattr(cfg, f.name))
                    for f in dataclasses.fields(cfg) if f.name not in _OUTPUT_KEYS},
-        "ok": result.ok,
+        "ok": ok,
         **result.report,
     }
     with open(cfg.out_json, "w", encoding="utf-8") as fh:
@@ -592,7 +583,7 @@ def run(cfg: ExperimentConfig) -> int:
                              "finished_unix": time.time()}) + "\n")
     _write_csv(cfg.out_csv, result.csv_rows)
     _write_plot(cfg.out_plot, result.plot_rows)
-    return 0 if result.ok else 1
+    return 0 if ok else 1
 
 
 def print_schema(file=None) -> None:

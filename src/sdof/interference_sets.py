@@ -221,10 +221,14 @@ def _new_members(image: tuple[DimensionSet, Monomial],
     return dset.size - sum(overlaps)
 
 
+# a set depends only on its label, rows and top: each is built once
+_dimension_set = functools.lru_cache(maxsize=256)(DimensionSet)
+
+
 def _build_family(K: int, m: int, top: int,
                   labels: Mapping[int, str]) -> list[DimensionSet]:
     _check_km(K, m)
-    return [DimensionSet(labels[i], rows, top) for i, rows in enumerate(_rows(K), start=1)]
+    return [_dimension_set(labels[i], rows, top) for i, rows in enumerate(_rows(K), start=1)]
 
 
 def build_base_dimension_sets(K: int, m: int) -> list[DimensionSet]:

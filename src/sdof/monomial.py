@@ -30,42 +30,57 @@ def _exponent(e) -> int:
         raise ParameterError(f"monomial exponents must be integers, got {e!r}") from None
 
 
+def _summed(merged: dict[str, int], pairs) -> tuple[tuple[str, int], ...]:
+    """The canonical pairs of merged plus pairs, repeated names summed."""
+    for n, e in pairs:
+        merged[n] = merged.get(n, 0) + e
+    return tuple(sorted((n, e) for n, e in merged.items() if e))
+
+
 @dataclass(frozen=True)
 class Monomial:
-    """Canonical exponent vector: sorted (name, exponent) pairs, no zeros."""
+    """Canonical exponent vector: sorted (name, exponent) pairs, no zeros.
+    The constructor sums repeated names and refuses non-integral exponents;
+    products, powers and inverses are canonical already and skip that."""
 
     exponents: tuple[tuple[str, int], ...] = ()
 
+    def __post_init__(self) -> None:
+        pairs = ((n, _exponent(e)) for n, e in self.exponents)
+        object.__setattr__(self, "exponents", _summed({}, pairs))
+
+    @staticmethod
+    def _trusted(exponents: tuple[tuple[str, int], ...]) -> "Monomial":
+        m = object.__new__(Monomial)
+        object.__setattr__(m, "exponents", exponents)
+        return m
+
     @staticmethod
     def from_dict(exponents: Mapping[str, int]) -> "Monomial":
-        items = ((n, _exponent(e)) for n, e in exponents.items())
-        return Monomial(tuple(sorted((n, e) for n, e in items if e != 0)))
+        return Monomial(tuple(exponents.items()))
 
     @staticmethod
     def one() -> "Monomial":
-        return Monomial(())
+        return Monomial._trusted(())
 
     @staticmethod
     def gen(name: str, power: int = 1) -> "Monomial":
-        return Monomial.from_dict({name: power})
+        return Monomial(((name, power),))
 
     def __mul__(self, other: "Monomial") -> "Monomial":
-        merged = dict(self.exponents)
-        for n, e in other.exponents:
-            merged[n] = merged.get(n, 0) + e
-        return Monomial(tuple(sorted((n, e) for n, e in merged.items() if e)))
+        return Monomial._trusted(_summed(dict(self.exponents), other.exponents))
 
     def __truediv__(self, other: "Monomial") -> "Monomial":
         return self * other.inverse()
 
     def inverse(self) -> "Monomial":
-        return Monomial(tuple((n, -e) for n, e in self.exponents))
+        return Monomial._trusted(tuple((n, -e) for n, e in self.exponents))
 
     def __pow__(self, power: int) -> "Monomial":
         power = _exponent(power)
         if power == 0:
             return Monomial.one()
-        return Monomial(tuple((n, e * power) for n, e in self.exponents))
+        return Monomial._trusted(tuple((n, e * power) for n, e in self.exponents))
 
     def evaluate(self, values: Mapping[str, float]) -> float:
         out = 1.0

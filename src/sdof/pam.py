@@ -1,18 +1,18 @@
 """PAM signalling for the fixed-gain alignment schemes.
 
-Streams (message symbols V and jamming symbols U) are placed on scale
-factors that are rationally independent except where alignment is wanted:
-at the legitimate receiver every jamming stream arrives with coefficient
-exactly 1, so the whole jamming load collapses onto a single dimension,
-while at the eavesdropper the jamming streams fan out and saturate its
-signal space.  Coefficients are tracked symbolically as `Monomial`s over
-the gain and constant generators, with a numeric value table alongside.
+Each scheme is stated once, as a `StreamTable`: its message streams V and
+jamming streams U, each stream's transmitter and its transmit coefficient,
+a `Monomial` over the gain and constant generators.  Every transmitter jams
+on 1/h_i, so at the legitimate receiver all jamming arrives on coefficient
+exactly 1, one dimension, while at the eavesdropper it fans out over g_i/h_i
+and saturates its signal space.  The builders here realize a table by PAM;
+those of `precoding` realize the same tables slot by slot for fading gains.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -28,14 +28,79 @@ K_DELTA = 1.0
 
 
 @dataclass(frozen=True)
-class PamScheme:
-    """A PAM constellation scheme plus its symbolic coefficient tables.
+class StreamTable:
+    """A scheme's streams, each with its owner and transmit coefficient.
 
-    The constellation is the 2Q+1 points a*{-Q..Q}.  ``tx_coeffs`` holds the
-    scale factor each transmitter applies to each of its streams,
-    ``rx_coeffs``/``eve_coeffs`` the factors the streams arrive with at the
-    legitimate receiver and the eavesdropper.  ``values`` maps generator
-    names (h_i, g_i, alpha_k) to their sampled numeric values.
+    A stream arrives at a receiver with its transmit coefficient times its
+    owner's gain to that receiver, the channel law of Xie & Ulukus (IEEE
+    Trans. IT 2014): ``arrivals("h")`` gives the legitimate receiver's
+    coefficients and ``arrivals("g")`` the eavesdropper's.
+    """
+
+    message_streams: tuple[str, ...]
+    jamming_streams: tuple[str, ...]
+    owner: Mapping[str, int]
+    tx_coeffs: Mapping[str, Monomial]
+
+    @property
+    def streams(self) -> tuple[str, ...]:
+        return self.message_streams + self.jamming_streams
+
+    def arrivals(self, gain: str) -> dict[str, Monomial]:
+        """Each stream's coefficient at the receiver whose gain from
+        transmitter i is named gain_i."""
+        return {s: self.tx_coeffs[s] * Monomial.gen(f"{gain}_{self.owner[s]}")
+                for s in self.streams}
+
+    def gains(self, h: Callable[[int], object], g: Callable[[int], object],
+              constants: Mapping[str, object]) -> dict[str, object]:
+        """The value of every generator the arrivals name: h(i) and g(i) for
+        each transmitter i, and the given constants."""
+        values = dict(constants)
+        for i in set(self.owner.values()):
+            values[f"h_{i}"], values[f"g_{i}"] = h(i), g(i)
+        return values
+
+
+def _jamming_aligned(messages: Mapping[str, tuple[int, Monomial]], transmitters: int
+                     ) -> StreamTable:
+    """The message streams, as stream -> (owner, transmit coefficient), plus
+    one jamming stream U_i on 1/h_i from every transmitter i."""
+    jamming = {f"U{i}": (i, Monomial.gen(f"h_{i}", -1)) for i in range(1, transmitters + 1)}
+    streams = {**messages, **jamming}
+    return StreamTable(message_streams=tuple(messages), jamming_streams=tuple(jamming),
+                       owner={s: i for s, (i, _) in streams.items()},
+                       tx_coeffs={s: c for s, (_, c) in streams.items()})
+
+
+def helper_streams(M: int) -> StreamTable:
+    """Helper wiretap scheme: the legitimate transmitter sends message V_k
+    on alpha_k, k = 2..M+1, and transmitter j = 1..M+1 jams U_j on 1/h_j.
+    At the receiver V_k arrives on h_1 alpha_k, at the eavesdropper on
+    g_1 alpha_k."""
+    return _jamming_aligned({f"V{k}": (1, Monomial.gen(f"alpha_{k}")) for k in range(2, M + 2)},
+                            M + 1)
+
+
+def partial_csit_streams(K: int, m_informed: int) -> StreamTable:
+    """Partially informed MAC scheme: informed transmitter i sends V_ij on
+    g_j/(h_j g_i) for every j != i, and every transmitter i jams U_i on
+    1/h_i.  At the eavesdropper V_ij arrives on g_j/h_j, exactly underneath
+    U_j."""
+    return _jamming_aligned({
+        f"V{i}_{j}": (i, Monomial.from_dict({f"g_{j}": 1, f"h_{j}": -1, f"g_{i}": -1}))
+        for i in range(1, m_informed + 1) for j in range(1, K + 1) if j != i
+    }, K)
+
+
+@dataclass(frozen=True)
+class PamScheme(StreamTable):
+    """A stream table realized by PAM, with its coefficient values.
+
+    The constellation is the 2Q+1 points a*{-Q..Q}.  ``rx_coeffs`` and
+    ``eve_coeffs`` are the table's arrivals at the legitimate receiver and
+    the eavesdropper.  ``values`` maps generator names (h_i, g_i, alpha_k)
+    to their sampled numeric values.
     """
 
     model: HelperModel | MacPartialModel
@@ -45,17 +110,9 @@ class PamScheme:
     Q: int
     a: float
     gamma: float
-    message_streams: tuple[str, ...]
-    jamming_streams: tuple[str, ...]
-    owner: Mapping[str, int]
-    tx_coeffs: Mapping[str, Monomial]
     rx_coeffs: Mapping[str, Monomial]
     eve_coeffs: Mapping[str, Monomial]
     values: Mapping[str, float]
-
-    @property
-    def streams(self) -> tuple[str, ...]:
-        return self.message_streams + self.jamming_streams
 
     def rx_value(self, stream: str) -> float:
         """Numeric receive coefficient of one stream at the legitimate receiver."""
@@ -64,11 +121,9 @@ class PamScheme:
     def with_power(self, P: float, delta: float | None = None) -> "PamScheme":
         """Same coefficients and gains, parameters re-derived for a new power."""
         delta = self.delta if delta is None else delta
-        Q, a, gamma = _pam_params(P, self._receive_dimension(), delta, self._peak_sums())
+        # receive dimensions: the messages and the aligned jamming
+        Q, a, gamma = _pam_params(P, len(self.message_streams) + 1, delta, self._peak_sums())
         return replace(self, P=P, delta=delta, Q=Q, a=a, gamma=gamma)
-
-    def _receive_dimension(self) -> int:
-        return len(self.message_streams) + 1
 
     def _peak_sums(self) -> list[float]:
         """Per transmitter, the sum of |coefficient| over its streams."""
@@ -106,71 +161,39 @@ def khintchine_groshev_bound(a: float, Q: int, M: int, delta: float) -> float:
     return K_DELTA * a / ((M + 1) * Q) ** (M + delta)
 
 
+def _pam_scheme(table: StreamTable, realization: ChannelRealization, P: float, delta: float,
+                constants: Mapping[str, float]) -> PamScheme:
+    # placeholders: with_power derives (Q, a, gamma) from the coefficient tables
+    return PamScheme(
+        table.message_streams, table.jamming_streams, table.owner, table.tx_coeffs,
+        model=realization.model, realization=realization,
+        P=P, delta=delta, Q=0, a=0.0, gamma=0.0,
+        rx_coeffs=table.arrivals("h"), eve_coeffs=table.arrivals("g"),
+        values=table.gains(realization.h, realization.g, constants),
+    ).with_power(P)
+
+
 def build_helper_scheme(M: int, realization: ChannelRealization,
                         P: float = 1e6, delta: float = 0.05) -> PamScheme:
-    """Helper wiretap scheme for fixed gains.
-
-    The legitimate transmitter sends U_1/h_1 plus alpha_k-weighted messages
-    V_k; helper j sends U_j/h_j.  All jamming then lands on receive
-    coefficient 1 while the eavesdropper sees it spread over g_j/h_j.
-    The alpha_k are drawn from the gain distribution, independent of all
-    gains, which makes them rationally independent almost surely.
-    """
+    """Helper wiretap scheme for fixed gains (see helper_streams).  The
+    alpha_k are drawn from the gain distribution, independent of all gains,
+    which makes them rationally independent almost surely."""
     if not isinstance(realization.model, HelperModel) or realization.model.M != M:
         raise ModeError(f"realization is not a helper({M}) model")
     if not realization.fixed:
         raise ModeError("the PAM helper scheme requires fixed gains")
 
-    values: dict[str, float] = {}
-    for i in range(1, M + 2):
-        values[f"h_{i}"] = realization.h(i)
-        values[f"g_{i}"] = realization.g(i)
     alphas = keyed_gains(realization.distribution, (realization.seed, TAG_ALPHA, 0),
                          key_grid(range(2, M + 2)))
-    for k, alpha in enumerate(alphas.tolist(), 2):
-        values[f"alpha_{k}"] = alpha
-
-    message_streams = tuple(f"V{k}" for k in range(2, M + 2))
-    jamming_streams = tuple(f"U{j}" for j in range(1, M + 2))
-    owner = {f"V{k}": 1 for k in range(2, M + 2)}
-    owner.update({f"U{j}": j for j in range(1, M + 2)})
-
-    tx_coeffs = {f"U{j}": Monomial.gen(f"h_{j}", -1) for j in range(1, M + 2)}
-    tx_coeffs.update({f"V{k}": Monomial.gen(f"alpha_{k}") for k in range(2, M + 2)})
-
-    rx_coeffs = {f"U{j}": Monomial.one() for j in range(1, M + 2)}
-    rx_coeffs.update({
-        f"V{k}": Monomial.gen("h_1") * Monomial.gen(f"alpha_{k}") for k in range(2, M + 2)
-    })
-
-    eve_coeffs = {
-        f"U{j}": Monomial.gen(f"g_{j}") * Monomial.gen(f"h_{j}", -1)
-        for j in range(1, M + 2)
-    }
-    eve_coeffs.update({
-        f"V{k}": Monomial.gen("g_1") * Monomial.gen(f"alpha_{k}") for k in range(2, M + 2)
-    })
-
-    # placeholders: with_power derives (Q, a, gamma) from the coefficient tables
-    return PamScheme(
-        model=realization.model, realization=realization,
-        P=P, delta=delta, Q=0, a=0.0, gamma=0.0,
-        message_streams=message_streams, jamming_streams=jamming_streams,
-        owner=owner, tx_coeffs=tx_coeffs, rx_coeffs=rx_coeffs,
-        eve_coeffs=eve_coeffs, values=values,
-    ).with_power(P)
+    return _pam_scheme(helper_streams(M), realization, P, delta,
+                       {f"alpha_{k}": alpha for k, alpha in enumerate(alphas.tolist(), 2)})
 
 
 def build_partial_csit_fixed(K: int, m_informed: int,
                              realization: ChannelRealization,
                              P: float = 1e6, delta: float = 0.05) -> PamScheme:
-    """Partially informed MAC scheme for fixed gains.
-
-    Informed transmitter i sends V_ij on g_j/(h_j g_i) for every j != i plus
-    U_i/h_i; uninformed transmitters jam only.  At the receiver all U_i align
-    on coefficient 1; at the eavesdropper V_ij arrives on g_j/h_j, exactly
-    underneath U_j.
-    """
+    """Partially informed MAC scheme for fixed gains (see
+    partial_csit_streams): at the receiver all U_i align on coefficient 1."""
     model = realization.model
     if not isinstance(model, MacPartialModel) or model.K != K:
         raise ModeError(f"realization is not a mac_partial({K}, ...) model")
@@ -180,44 +203,7 @@ def build_partial_csit_fixed(K: int, m_informed: int,
         raise ModeError("the fixed-gain scheme requires fixed gains")
     if m_informed * (K - 1) == 0:
         raise ParameterError(f"mac_partial({K}, {m_informed}) has no message streams")
-
-    values: dict[str, float] = {}
-    for i in range(1, K + 1):
-        values[f"h_{i}"] = realization.h(i)
-        values[f"g_{i}"] = realization.g(i)
-
-    message_streams = tuple(
-        f"V{i}_{j}" for i in range(1, m_informed + 1)
-        for j in range(1, K + 1) if j != i
-    )
-    jamming_streams = tuple(f"U{i}" for i in range(1, K + 1))
-    owner: dict[str, int] = {f"U{i}": i for i in range(1, K + 1)}
-    tx_coeffs: dict[str, Monomial] = {
-        f"U{i}": Monomial.gen(f"h_{i}", -1) for i in range(1, K + 1)
-    }
-    rx_coeffs: dict[str, Monomial] = {f"U{i}": Monomial.one() for i in range(1, K + 1)}
-    eve_coeffs: dict[str, Monomial] = {
-        f"U{i}": Monomial.gen(f"g_{i}") * Monomial.gen(f"h_{i}", -1)
-        for i in range(1, K + 1)
-    }
-    for i in range(1, m_informed + 1):
-        for j in range(1, K + 1):
-            if j == i:
-                continue
-            s = f"V{i}_{j}"
-            owner[s] = i
-            tx_coeffs[s] = Monomial.from_dict({f"g_{j}": 1, f"h_{j}": -1, f"g_{i}": -1})
-            rx_coeffs[s] = tx_coeffs[s] * Monomial.gen(f"h_{i}")
-            eve_coeffs[s] = tx_coeffs[s] * Monomial.gen(f"g_{i}")
-
-    # placeholders: with_power derives (Q, a, gamma) from the coefficient tables
-    return PamScheme(
-        model=model, realization=realization,
-        P=P, delta=delta, Q=0, a=0.0, gamma=0.0,
-        message_streams=message_streams, jamming_streams=jamming_streams,
-        owner=owner, tx_coeffs=tx_coeffs, rx_coeffs=rx_coeffs,
-        eve_coeffs=eve_coeffs, values=values,
-    ).with_power(P)
+    return _pam_scheme(partial_csit_streams(K, m_informed), realization, P, delta, {})
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,10 @@
 """Vector-space alignment schemes for fading channels.
 
-Mixing schemes (helper wiretap, partially informed MAC): every transmitter
-jams on 1/h_i(t), so all jamming collapses onto the all-ones column at the
-receiver while the eavesdropper's jamming matrix stays full rank; the
-messages fill the other receiver dimensions.  Interference scheme:
+Mixing schemes (helper wiretap, partially informed MAC) evaluate the stream
+tables of `pam` slot by slot: every transmitter jams on 1/h_i(t), so all
+jamming collapses onto the all-ones column at the receiver while the
+eavesdropper's jamming matrix stays full rank; the messages fill the other
+receiver dimensions.  Interference scheme:
 precoder columns are products of commuting diagonal generator matrices
 raised to the exponent rows of the box {1..n+1}^Gamma, in lexicographic
 order; each target's generators are the distinct shifts its alignment
@@ -31,6 +32,7 @@ from .errors import CapacityError, ModeError, ParameterError
 from .interference_sets import (alignment_equations, beta_links, gain_name, message_slots,
                                 unintended_messages)
 from .monomial import Monomial
+from .pam import StreamTable, helper_streams, partial_csit_streams
 
 DEFAULT_RANK_TOL = 1e-10
 DEFAULT_PRECODER_BUDGET = 200_000_000  # total matrix entries
@@ -212,7 +214,8 @@ def numeric_rank(A: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> int:
 
 @dataclass(frozen=True, eq=False)
 class MixingScheme:
-    """Stacked per-slot coefficients of a jamming-aligned vector scheme.
+    """Stacked per-slot coefficients of a jamming-aligned vector scheme: a
+    `pam` stream table's arrivals, evaluated slot by slot.
 
     Every transmitter jams on 1/h_i(t), so all jamming lands on the all-ones
     column at the receiver (A_U is all ones) and on g_i(t)/h_i(t) at the
@@ -245,18 +248,36 @@ class MixingScheme:
         return np.hstack([self.A_V, np.ones((self.slots, 1))])
 
 
-def _gain_tables(realization: ChannelRealization, transmitters: int,
-                 slots: int) -> tuple[np.ndarray, np.ndarray]:
-    """(slots, transmitters) tables of h_i(t) toward receiver 1 and g_i(t)."""
-    tx = range(1, transmitters + 1)
-    H = np.column_stack([realization.legit_series(i, 1)[:slots] for i in tx])
-    G = np.column_stack([realization.eve_series(i)[:slots] for i in tx])
-    return H, G
+def _mixing_scheme(realization: ChannelRealization, table: StreamTable, slots: int,
+                   constants: Mapping[str, np.ndarray]) -> MixingScheme:
+    """The table's arrival coefficients in the first `slots` slots, from
+    h_i(t) toward receiver 1, g_i(t) and the given per-slot constants: in
+    each slot, the product of a coefficient's power +1 gains over the
+    product of its power -1 gains (the only powers a table holds), each
+    product in name order."""
+    gains = table.gains(lambda i: realization.legit_series(i, 1)[:slots],
+                        lambda i: realization.eve_series(i)[:slots], constants)
+
+    def column(coeff: Monomial) -> np.ndarray:
+        parts = {1: np.ones(slots), -1: np.ones(slots)}
+        for name, e in coeff.exponents:
+            parts[e] = parts[e] * gains[name]
+        return parts[1] / parts[-1]
+
+    def block(arrivals: Mapping[str, Monomial], streams: Sequence[str]) -> np.ndarray:
+        return np.reshape([column(arrivals[s]) for s in streams], (len(streams), slots)).T
+
+    rx, eve = table.arrivals("h"), table.arrivals("g")
+    return MixingScheme(
+        realization=realization, message_streams=table.message_streams,
+        A_V=block(rx, table.message_streams), A_U=block(rx, table.jamming_streams),
+        B_V=block(eve, table.message_streams), B_U=block(eve, table.jamming_streams),
+    )
 
 
 def build_helper_fading(M: int, realization: ChannelRealization) -> MixingScheme:
-    """(M+1)-slot helper scheme: the transmitter mixes message V_k on
-    h_1(t) alpha_k(t); the alphas are re-drawn until the receiver system is
+    """(M+1)-slot helper scheme (pam.helper_streams) with alpha_k(t) drawn
+    per slot; the alphas are re-drawn until the receiver system is
     numerically full rank."""
     if not isinstance(realization.model, HelperModel) or realization.model.M != M:
         raise ModeError(f"realization is not a helper({M}) model")
@@ -266,29 +287,23 @@ def build_helper_fading(M: int, realization: ChannelRealization) -> MixingScheme
         raise ModeError(f"need at least {M + 1} slots, got {realization.slots}")
 
     slots = M + 1
-    H, G = _gain_tables(realization, M + 1, slots)
+    h1 = realization.legit_series(1, 1)[:slots]
     for attempt in range(1, ALPHA_DRAWS + 1):
         alphas = keyed_gains(realization.distribution, (realization.seed, TAG_ALPHA, attempt),
                              key_grid(range(2, M + 2), range(1, slots + 1))).reshape(M, slots)
         # rows: the aggregate-jamming row (all ones), then one row per message
-        if numeric_rank(np.vstack([np.ones(slots), alphas * H[:, 0]])) == M + 1:
+        if numeric_rank(np.vstack([np.ones(slots), alphas * h1])) == M + 1:
             break
     else:
         raise RuntimeError(f"no full-rank mixing matrix after {ALPHA_DRAWS} draws")
-
-    return MixingScheme(
-        realization=realization,
-        message_streams=tuple(f"V{k}" for k in range(2, M + 2)),
-        A_V=H[:, :1] * alphas.T, A_U=np.ones((slots, slots)),
-        B_V=G[:, :1] * alphas.T, B_U=G / H,
-    )
+    return _mixing_scheme(realization, helper_streams(M), slots,
+                          {f"alpha_{k}": row for k, row in enumerate(alphas, 2)})
 
 
 def build_partial_csit_fading(K: int, m_informed: int,
                               realization: ChannelRealization) -> MixingScheme:
-    """m(K-1)+1-slot partially informed MAC scheme: informed transmitter i
-    sends V_ij on g_j(t)/(h_j(t) g_i(t)), so at the eavesdropper the column
-    of V_ij equals the column of U_j exactly."""
+    """m(K-1)+1-slot partially informed MAC scheme (pam.partial_csit_streams):
+    at the eavesdropper the column of V_ij equals the column of U_j exactly."""
     model = realization.model
     if not isinstance(model, MacPartialModel) or (model.K, model.m_informed) != (K, m_informed):
         raise ModeError(f"realization is not a mac_partial({K}, {m_informed}) model")
@@ -299,17 +314,7 @@ def build_partial_csit_fading(K: int, m_informed: int,
     slots = m_informed * (K - 1) + 1
     if realization.slots < slots:
         raise ModeError(f"need at least {slots} slots, got {realization.slots}")
-
-    streams = [(i, j) for i in range(1, m_informed + 1)
-               for j in range(1, K + 1) if j != i]
-    i, j = np.array(streams, dtype=int).reshape(-1, 2).T - 1
-    H, G = _gain_tables(realization, K, slots)
-    return MixingScheme(
-        realization=realization,
-        message_streams=tuple(f"V{a}_{b}" for (a, b) in streams),
-        A_V=(H[:, i] * G[:, j]) / (H[:, j] * G[:, i]), A_U=np.ones((slots, K)),
-        B_V=G[:, j] / H[:, j], B_U=G / H,
-    )
+    return _mixing_scheme(realization, partial_csit_streams(K, m_informed), slots, {})
 
 
 def zero_force_decode(observations: Sequence[float],
@@ -352,10 +357,7 @@ def interference_slots(K: int, n: int) -> int:
 
 
 def _symbol(factors: Sequence[tuple[int, int, int]]) -> Monomial:
-    exponents: dict[str, int] = {}
-    for (j, k, e) in factors:
-        exponents[gain_name(j, k)] = exponents.get(gain_name(j, k), 0) + e
-    return Monomial.from_dict(exponents)
+    return Monomial(tuple((gain_name(j, k), e) for j, k, e in factors))
 
 
 def _diag(realization: ChannelRealization, factors: Sequence[tuple[int, int, int]]
@@ -691,10 +693,10 @@ def verify_alignment_equations(pre: PrecoderSet,
 class SchemeMatrices:
     """Stacked mixing matrices of the interference scheme over M_n slots.
 
-    Each column block is stored once: interference[l] is the column suffix
-    of receive_mixing[l] after the desired blocks, and eve_jamming the
-    suffix of eve_mixing after the message blocks.  Every array is
-    read-only.
+    interference[l] and eve_jamming are views: the column suffixes of
+    receive_mixing[l] after the desired blocks and of eve_mixing after the
+    message blocks.  decoders[l] is a second copy of receive_mixing[l]'s
+    desired and aligned-jamming blocks.  Every array is read-only.
     """
 
     K: int

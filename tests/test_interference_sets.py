@@ -480,3 +480,22 @@ class TestBudget:
         assert report.ok
         assert expected_span(4, 3) == 3 * 3 ** 14 + 5 * 4 ** 14 == 1_356_526_187
         assert report.receiver_span == dict.fromkeys(range(1, 5), 1_356_526_187)
+
+
+def test_the_sets_are_built_once_per_k_and_top(monkeypatch):
+    # verify_interference_alignment reuses the sets of an earlier call, but
+    # still asks build_extended_dimension_sets for them (the benchmark probes
+    # that call)
+    verify_interference_alignment(3, 1)
+    built, asked = [], []
+    post_init, build = DimensionSet.__post_init__, build_extended_dimension_sets
+    monkeypatch.setattr(DimensionSet, "__post_init__",
+                        lambda self: built.append(self.label) or post_init(self))
+    monkeypatch.setattr(interference_sets, "build_extended_dimension_sets",
+                        lambda K, m: asked.append((K, m)) or build(K, m))
+    first = verify_interference_alignment(3, 1)
+    assert built == [] and asked == [(3, 1)]
+    assert first.to_json_dict() == verify_interference_alignment(3, 1).to_json_dict()
+    # m = 2's base sets share top = 2 with m = 1's extended sets, not their labels
+    assert [s.label for s in build_base_dimension_sets(3, 2)] == [f"T_{i}" for i in range(1, 5)]
+    assert build_base_dimension_sets(3, 1) is not build_base_dimension_sets(3, 1)

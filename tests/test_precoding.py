@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sdof import precoding
+from sdof import pam, precoding
 from sdof.channel import (TAG_ALPHA, HelperModel, InterferenceModel,
                           MacPartialModel, sample_channel)
 from sdof.errors import CapacityError, ModeError, ParameterError
@@ -890,10 +890,10 @@ class TestPartialCsitFading:
             build_partial_csit_fading(1, 1, r)
 
 
-def _reference_helper(M, r):
-    """Per-slot loop construction of the helper matrices, the reference for
-    the array expressions of build_helper_fading; each alpha from its own
-    numpy SeedSequence generator."""
+def _reference_alphas(M, r):
+    """The helper scheme's alpha_k(t) as an (M, slots) array, re-drawn until
+    the receiver system has full rank; each alpha from its own numpy
+    SeedSequence generator."""
     slots = M + 1
     h1 = np.array([r.h(1, 1, t) for t in range(1, slots + 1)])
     for attempt in range(1, 101):
@@ -904,7 +904,14 @@ def _reference_helper(M, r):
             for k in range(2, M + 2)
         ]).reshape(M, slots)
         if numeric_rank(np.vstack([np.ones(slots), alphas * h1])) == M + 1:
-            break
+            return alphas
+
+
+def _reference_helper(M, r):
+    """Per-slot loop construction of the helper matrices, the reference for
+    the array expressions of build_helper_fading."""
+    slots = M + 1
+    alphas = _reference_alphas(M, r)
     A_V = np.empty((slots, M))
     B_V = np.empty((slots, M))
     B_U = np.empty((slots, M + 1))
@@ -955,3 +962,44 @@ def test_partial_matrices_match_per_slot_reference(m, seed):
     r = sample_channel(MacPartialModel(3, m), fixed=False, slots=2 * m + 1, seed=seed)
     _assert_bit_identical(build_partial_csit_fading(3, m, r),
                           _reference_partial(3, m, r))
+
+
+def _assert_fixed_table_matches(fixed, fading, slot_values):
+    """The fixed-gain scheme's receive and eavesdropper tables, evaluated by
+    Monomial.evaluate at each slot's gains, against the fading matrices."""
+    assert fixed.message_streams == fading.message_streams
+    for table, V, U in ((fixed.rx_coeffs, fading.A_V, fading.A_U),
+                        (fixed.eve_coeffs, fading.B_V, fading.B_U)):
+        for streams, block in ((fixed.message_streams, V), (fixed.jamming_streams, U)):
+            want = np.array([[table[s].evaluate(values) for s in streams]
+                             for values in slot_values]).reshape(block.shape)
+            np.testing.assert_allclose(block, want, rtol=1e-15, atol=0)
+
+
+def _slot_values(r, transmitters, slots):
+    return [{**{f"h_{i}": r.h(i, 1, t) for i in range(1, transmitters + 1)},
+             **{f"g_{i}": r.g(i, t) for i in range(1, transmitters + 1)}}
+            for t in range(1, slots + 1)]
+
+
+@pytest.mark.parametrize("seed", [3, 11])
+@pytest.mark.parametrize("M", [0, 1, 2, 3])
+def test_helper_fading_matrices_are_the_fixed_gain_tables_per_slot(M, seed):
+    fixed = pam.build_helper_scheme(M, sample_channel(HelperModel(M), fixed=True, seed=seed))
+    r = sample_channel(HelperModel(M), fixed=False, slots=M + 1, seed=seed)
+    alphas = _reference_alphas(M, r)
+    values = _slot_values(r, M + 1, M + 1)
+    for t, slot in enumerate(values):
+        slot.update({f"alpha_{k}": alphas[k - 2, t] for k in range(2, M + 2)})
+    _assert_fixed_table_matches(fixed, build_helper_fading(M, r), values)
+
+
+@pytest.mark.parametrize("seed", [3, 11])
+@pytest.mark.parametrize("K, m", [(3, 1), (3, 2), (3, 3), (4, 2)])
+def test_partial_fading_matrices_are_the_fixed_gain_tables_per_slot(K, m, seed):
+    fixed = pam.build_partial_csit_fixed(
+        K, m, sample_channel(MacPartialModel(K, m), fixed=True, seed=seed))
+    slots = m * (K - 1) + 1
+    r = sample_channel(MacPartialModel(K, m), fixed=False, slots=slots, seed=seed)
+    _assert_fixed_table_matches(fixed, build_partial_csit_fading(K, m, r),
+                                _slot_values(r, K, slots))
