@@ -54,7 +54,8 @@ def _gram_entropy(gram: np.ndarray, P: float, sigma2: float) -> float:
     if P <= 0 or sigma2 <= 0:
         raise ParameterError("P and sigma2 must be positive")
     M = gram.shape[0]
-    cov = P * gram + sigma2 * np.eye(M)
+    cov = P * gram
+    cov.flat[::M + 1] += sigma2
     sign, logdet = np.linalg.slogdet(cov)
     if sign <= 0:
         raise ParameterError("covariance lost positive definiteness")
@@ -251,9 +252,26 @@ GramPair = tuple[np.ndarray, np.ndarray]  # Grams of (everything received, its j
 _SCHEME_GRAMS = weakref.WeakKeyDictionary()
 
 
+def _receiver_grams(pre: PrecoderSet, l: int) -> GramPair:
+    """Receiver l's Grams, from its mixing alone, dropped on return."""
+    mats = assemble_receiver_and_eve_matrices(pre, (l,), eve=False, decoders=False)
+    return _gram(mats.receive_mixing[l]), _gram(mats.interference[l])
+
+
+def _eavesdropper_grams(pre: PrecoderSet) -> GramPair:
+    """The eavesdropper's Grams, from its mixing alone, dropped on return."""
+    mats = assemble_receiver_and_eve_matrices(pre, ())
+    return _gram(mats.eve_mixing), _gram(mats.eve_jamming)
+
+
 def _scheme_grams(scheme) -> tuple[dict[int, GramPair], GramPair]:
     """Per legitimate receiver and for the eavesdropper, the Grams of the
-    received mixing and of its jamming part; computed once per scheme."""
+    received mixing and of its jamming part; computed once per scheme.
+
+    An interference scheme's mixing matrices are assembled one at a time,
+    for receiver 1..K and then the eavesdropper, and each is dropped once
+    its two Grams are formed: only the Grams outlive the call, and no
+    decoder is built."""
     if not isinstance(scheme, (MixingScheme, PrecoderSet)):
         raise ParameterError(f"no mutual-information rule for {type(scheme).__name__}")
     grams = _SCHEME_GRAMS.get(scheme)
@@ -263,10 +281,8 @@ def _scheme_grams(scheme) -> tuple[dict[int, GramPair], GramPair]:
         legit = {1: (_gram(np.hstack([scheme.A_V, scheme.A_U])), _gram(scheme.A_U))}
         leak = (_gram(np.hstack([scheme.B_V, scheme.B_U])), _gram(scheme.B_U))
     else:
-        mats = assemble_receiver_and_eve_matrices(scheme)
-        legit = {l: (_gram(mats.receive_mixing[l]), _gram(mats.interference[l]))
-                 for l in range(1, scheme.K + 1)}
-        leak = (_gram(mats.eve_mixing), _gram(mats.eve_jamming))
+        legit = {l: _receiver_grams(scheme, l) for l in range(1, scheme.K + 1)}
+        leak = _eavesdropper_grams(scheme)
     grams = _SCHEME_GRAMS[scheme] = (legit, leak)
     return grams
 

@@ -75,8 +75,16 @@ def _hash_steps(h: int, mult: int) -> Iterator[tuple[int, int]]:
         h = nxt
 
 
-def _hashmix(value: np.ndarray, step: tuple[int, int]) -> np.ndarray:
-    xor, mult = step
+@functools.lru_cache(maxsize=None)
+def _hash_constants(init: int, mult: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (xor, multiplier) of the first ``count`` hash steps, as read-only
+    uint32 columns, one row per step."""
+    steps = np.array(list(itertools.islice(_hash_steps(init, mult), count)), np.uint32)
+    steps.setflags(write=False)
+    return steps[:, :1], steps[:, 1:]
+
+
+def _hashmix(value: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
     value = (value ^ xor) * mult
     return value ^ (value >> _XSHIFT)
 
@@ -86,27 +94,38 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return result ^ (result >> _XSHIFT)
 
 
-def _hash_chunk(head: list[int], rows: np.ndarray) -> list[np.ndarray]:
+def _hash_chunk(head: list[int], rows: np.ndarray) -> np.ndarray:
     """SeedSequence(head + row).generate_state(4, uint64) of each row of a
-    uint32 chunk, as 4 uint64 arrays (seed high, seed low, inc high, inc low)."""
-    n = len(rows)
-    entropy = [np.full(n, w, np.uint32) for w in head] + list(rows.T)
-    steps = _hash_steps(_INIT_A, _MULT_A)
-    zero = np.zeros(n, np.uint32)
-    pool = [_hashmix(entropy[i] if i < len(entropy) else zero, next(steps))
-            for i in range(_POOL_SIZE)]
+    uint32 chunk, as a (4, n) uint64 array (seed high, seed low, inc high,
+    inc low).
+
+    The pool is one (4, n) array.  The hash steps that feed one source word
+    into the pool differ only in their constants, so each source word costs
+    one hashmix and one mix over all its destinations."""
+    n, c = rows.shape
+    entropy = np.zeros((max(len(head) + c, _POOL_SIZE), n), np.uint32)
+    entropy[:len(head)] = np.array(head, np.uint32)[:, None]
+    entropy[len(head):len(head) + c] = rows.T
+    extra = entropy[_POOL_SIZE:]
+    # pool word i from entropy word i (0 past the end); then every pool word
+    # into each other one, in source order; then each further word into all
+    xor, mult = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE ** 2 + _POOL_SIZE * len(extra))
+    pool = _hashmix(entropy[:_POOL_SIZE], xor[:_POOL_SIZE], mult[:_POOL_SIZE])
+    step = _POOL_SIZE
     for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hashmix(pool[src], next(steps)))
-    for word in entropy[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = _mix(pool[dst], _hashmix(word, next(steps)))
+        dst = [d for d in range(_POOL_SIZE) if d != src]
+        steps = slice(step, step + len(dst))
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], xor[steps], mult[steps]))
+        step += len(dst)
+    for word in extra:
+        steps = slice(step, step + _POOL_SIZE)
+        pool = _mix(pool, _hashmix(word, xor[steps], mult[steps]))
+        step += _POOL_SIZE
     # generate_state(4, uint64): 8 words cycling over the pool, paired
     # little-endian into 64-bit halves
-    steps = _hash_steps(_INIT_B, _MULT_B)
-    out = [_hashmix(pool[i % _POOL_SIZE], next(steps)).astype(np.uint64) for i in range(8)]
-    return [out[2 * j] | out[2 * j + 1] << _U32 for j in range(4)]
+    xor, mult = _hash_constants(_INIT_B, _MULT_B, 8)
+    out = _hashmix(np.tile(pool, (2, 1)), xor, mult).astype(np.uint64)
+    return out[0::2] | out[1::2] << _U32
 
 
 # The 128-bit PCG64 arithmetic runs on uint64 (high, low) halves; numpy

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, replace
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -248,31 +248,44 @@ class MixingScheme:
         return np.hstack([self.A_V, np.ones((self.slots, 1))])
 
 
-def _mixing_scheme(realization: ChannelRealization, table: StreamTable, slots: int,
+@functools.lru_cache(maxsize=None)
+def _stream_arrivals(streams: Callable[..., StreamTable], *args: int
+                     ) -> tuple[StreamTable, tuple[Monomial, ...], list[list[int]]]:
+    """The stream table streams(*args), its distinct arrival coefficients
+    and, for the message and the jamming streams at receiver 1 and then at
+    the eavesdropper, the position of each stream's coefficient among them;
+    derived once per table, and only read."""
+    table = streams(*args)
+    coeffs: dict[Monomial, int] = {}
+    blocks = []
+    for gain in ("h", "g"):
+        arrivals = table.arrivals(gain)
+        for group in (table.message_streams, table.jamming_streams):
+            blocks.append([coeffs.setdefault(arrivals[s], len(coeffs)) for s in group])
+    return table, tuple(coeffs), blocks
+
+
+def _mixing_scheme(realization: ChannelRealization, streams: Callable[..., StreamTable],
+                   args: tuple[int, ...], slots: int,
                    constants: Mapping[str, np.ndarray]) -> MixingScheme:
-    """The table's arrival coefficients in the first `slots` slots, from
-    h_i(t) toward receiver 1, g_i(t) and the given per-slot constants: in
-    each slot, the product of a coefficient's power +1 gains over the
-    product of its power -1 gains (the only powers a table holds), each
-    product in name order."""
+    """The arrival coefficients of the table streams(*args) in the first
+    `slots` slots, from h_i(t) toward receiver 1, g_i(t) and the given
+    per-slot constants: in each slot, the product of a coefficient's power
+    +1 gains over the product of its power -1 gains (the only powers a
+    table holds), each product in name order.  Each distinct coefficient
+    is evaluated once."""
+    table, coeffs, blocks = _stream_arrivals(streams, *args)
     gains = table.gains(lambda i: realization.legit_series(i, 1)[:slots],
                         lambda i: realization.eve_series(i)[:slots], constants)
-
-    def column(coeff: Monomial) -> np.ndarray:
-        parts = {1: np.ones(slots), -1: np.ones(slots)}
+    columns = np.empty((len(coeffs), slots))
+    for out, coeff in zip(columns, coeffs):
+        parts = {1: 1.0, -1: 1.0}
         for name, e in coeff.exponents:
             parts[e] = parts[e] * gains[name]
-        return parts[1] / parts[-1]
-
-    def block(arrivals: Mapping[str, Monomial], streams: Sequence[str]) -> np.ndarray:
-        return np.reshape([column(arrivals[s]) for s in streams], (len(streams), slots)).T
-
-    rx, eve = table.arrivals("h"), table.arrivals("g")
-    return MixingScheme(
-        realization=realization, message_streams=table.message_streams,
-        A_V=block(rx, table.message_streams), A_U=block(rx, table.jamming_streams),
-        B_V=block(eve, table.message_streams), B_U=block(eve, table.jamming_streams),
-    )
+        np.divide(parts[1], parts[-1], out=out)
+    A_V, A_U, B_V, B_U = (columns[index].T for index in blocks)
+    return MixingScheme(realization=realization, message_streams=table.message_streams,
+                        A_V=A_V, A_U=A_U, B_V=B_V, B_U=B_U)
 
 
 def build_helper_fading(M: int, realization: ChannelRealization) -> MixingScheme:
@@ -296,7 +309,7 @@ def build_helper_fading(M: int, realization: ChannelRealization) -> MixingScheme
             break
     else:
         raise RuntimeError(f"no full-rank mixing matrix after {ALPHA_DRAWS} draws")
-    return _mixing_scheme(realization, helper_streams(M), slots,
+    return _mixing_scheme(realization, helper_streams, (M,), slots,
                           {f"alpha_{k}": row for k, row in enumerate(alphas, 2)})
 
 
@@ -314,7 +327,7 @@ def build_partial_csit_fading(K: int, m_informed: int,
     slots = m_informed * (K - 1) + 1
     if realization.slots < slots:
         raise ModeError(f"need at least {slots} slots, got {realization.slots}")
-    return _mixing_scheme(realization, partial_csit_streams(K, m_informed), slots, {})
+    return _mixing_scheme(realization, partial_csit_streams, (K, m_informed), slots, {})
 
 
 def zero_force_decode(observations: Sequence[float],
@@ -352,8 +365,13 @@ def interference_gamma(K: int) -> int:
 
 def interference_slots(K: int, n: int) -> int:
     """Block length M_n = (K-1) n^Gamma + (K+1) (n+1)^Gamma."""
-    g = interference_gamma(K)
-    return (K - 1) * n ** g + (K + 1) * (n + 1) ** g
+    return (K - 1) * n ** interference_gamma(K) + aligned_jamming_columns(K, n)
+
+
+def aligned_jamming_columns(K: int, n: int) -> int:
+    """(K+1) (n+1)^Gamma: the columns of a decoder's aligned jamming, the
+    bound on every receiver's interference rank."""
+    return (K + 1) * (n + 1) ** interference_gamma(K)
 
 
 def _symbol(factors: Sequence[tuple[int, int, int]]) -> Monomial:
@@ -691,7 +709,10 @@ def verify_alignment_equations(pre: PrecoderSet,
 
 @dataclass(frozen=True)
 class SchemeMatrices:
-    """Stacked mixing matrices of the interference scheme over M_n slots.
+    """Stacked mixing matrices of the interference scheme over M_n slots,
+    for the receivers and the parts that assemble_receiver_and_eve_matrices
+    was asked for (by default every receiver's, decoders included, and the
+    eavesdropper's).
 
     interference[l] and eve_jamming are views: the column suffixes of
     receive_mixing[l] after the desired blocks and of eve_mixing after the
@@ -710,64 +731,96 @@ class SchemeMatrices:
     desired_columns: int
     aligned_jamming_columns: int
 
-    def __post_init__(self) -> None:
-        for group in (self.decoders, self.interference, self.receive_mixing):
-            for matrix in group.values():
-                matrix.setflags(write=False)
-        self.eve_jamming.setflags(write=False)
-        self.eve_mixing.setflags(write=False)
+
+Blocks = list[tuple[np.ndarray, np.ndarray]]  # (per-slot gain column, precoder block)
 
 
-def _width(blocks: Sequence[tuple[np.ndarray, np.ndarray]]) -> int:
+def _width(blocks: Blocks) -> int:
     return sum(block.shape[1] for _, block in blocks)
 
 
-def _stacked(blocks: Sequence[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+def _stacked(blocks: Blocks) -> np.ndarray:
     """np.hstack([series * block for series, block in blocks]), bit for bit,
-    with each product written straight into its columns."""
+    with each product written straight into its columns; read-only."""
     out = np.empty((len(blocks[0][1]), _width(blocks)))
     j = 0
     for series, block in blocks:
         np.multiply(series, block, out=out[:, j:j + block.shape[1]])
         j += block.shape[1]
+    out.setflags(write=False)
     return out
 
 
-def assemble_receiver_and_eve_matrices(pre: PrecoderSet) -> SchemeMatrices:
-    realization = pre.realization
-    K, n = pre.K, pre.n
-    gamma = pre.gamma
+def _receiver_blocks(pre: PrecoderSet, l: int) -> tuple[Blocks, Blocks, Blocks]:
+    """The blocks arriving at receiver l: (desired, unintended, jamming), the
+    jamming every Q_k, then every Q~_k."""
+    K = pre.K
 
-    def hseries(tx: int, rx: int) -> np.ndarray:
-        return realization.legit_series(tx, rx)[:, None]
+    def hseries(tx: int) -> np.ndarray:
+        return pre.realization.legit_series(tx, l)[:, None]
 
-    decoders: dict[int, np.ndarray] = {}
+    desired = [(hseries(l), pre.targets[j].base) for j in message_slots(K, l)]
+    unintended = [(hseries(k), pre.targets[j].base) for k, j in unintended_messages(K, l)]
+    jamming = [(hseries(k), pre.targets[k].extended) for k in range(1, K + 1)]
+    jamming += [(hseries(k), pre.qtilde[k]) for k in range(1, K + 1)]
+    return desired, unintended, jamming
+
+
+def _receiver_mixing(pre: PrecoderSet, l: int) -> tuple[np.ndarray, int]:
+    """Every block arriving at receiver l, [desired | unintended | jamming],
+    and the desired width: the interference is the column suffix after it."""
+    desired, unintended, jamming = _receiver_blocks(pre, l)
+    return _stacked(desired + unintended + jamming), _width(desired)
+
+
+def _receiver_decoder(pre: PrecoderSet, l: int) -> np.ndarray:
+    """Lambda_l: the desired blocks and the aligned jamming, every Q_k then Q~_K."""
+    desired, _, jamming = _receiver_blocks(pre, l)
+    return _stacked(desired + jamming[:pre.K] + jamming[-1:])
+
+
+def _eavesdropper_mixing(pre: PrecoderSet) -> tuple[np.ndarray, int]:
+    """Every block arriving at the eavesdropper, [messages | jamming], and
+    the message width: the jamming I_E is the column suffix after it."""
+    K = pre.K
+    gseries = {k: pre.realization.eve_series(k)[:, None] for k in range(1, K + 1)}
+    messages = [(gseries[k], pre.targets[j].base)
+                for k in range(1, K + 1) for j in message_slots(K, k)]
+    jamming = [(gseries[k], pre.targets[k].extended) for k in range(1, K + 1)]
+    jamming += [(gseries[k], pre.qtilde[k]) for k in range(1, K + 1)]
+    return _stacked(messages + jamming), _width(messages)
+
+
+def assemble_receiver_and_eve_matrices(pre: PrecoderSet,
+                                       receivers: Sequence[int] | None = None, *,
+                                       eve: bool = True, decoders: bool = True
+                                       ) -> SchemeMatrices:
+    """The stacked matrices of the given receivers (by default 1..K), their
+    decoders unless decoders is False, and the eavesdropper's unless eve is
+    False, when eve_mixing and eve_jamming have no columns.  A consumer that
+    reads one receiver at a time calls this once per receiver, receivers=(l,)
+    with eve=False, and once with receivers=() for the eavesdropper: it then
+    holds one receiver's matrices, not all of them."""
+    K = pre.K
+    lambdas: dict[int, np.ndarray] = {}
     interference: dict[int, np.ndarray] = {}
     receive_mixing: dict[int, np.ndarray] = {}
-    for l in range(1, K + 1):
-        desired = [(hseries(l, l), pre.targets[j].base) for j in message_slots(K, l)]
-        unintended = [(hseries(k, l), pre.targets[j].base)
-                      for k, j in unintended_messages(K, l)]
-        jamming = [(hseries(k, l), pre.targets[k].extended) for k in range(1, K + 1)]
-        jamming += [(hseries(k, l), pre.qtilde[k]) for k in range(1, K + 1)]
-        # aligned jamming: every Q_k, then Q~_K
-        decoders[l] = _stacked(desired + jamming[:K] + jamming[-1:])
-        receive_mixing[l] = _stacked(desired + unintended + jamming)
-        interference[l] = receive_mixing[l][:, _width(desired):]
-
-    gseries = {k: realization.eve_series(k)[:, None] for k in range(1, K + 1)}
-    eve_jam = [(gseries[k], pre.targets[k].extended) for k in range(1, K + 1)]
-    eve_jam += [(gseries[k], pre.qtilde[k]) for k in range(1, K + 1)]
-    eve_msg = [(gseries[k], pre.targets[j].base)
-               for k in range(1, K + 1) for j in message_slots(K, k)]
-    eve_mixing = _stacked(eve_msg + eve_jam)
-
+    for l in range(1, K + 1) if receivers is None else receivers:
+        if decoders:
+            lambdas[l] = _receiver_decoder(pre, l)
+        receive_mixing[l], width = _receiver_mixing(pre, l)
+        interference[l] = receive_mixing[l][:, width:]
+    if eve:
+        eve_mixing, width = _eavesdropper_mixing(pre)
+    else:
+        eve_mixing, width = np.empty((pre.block_length, 0)), 0
+        eve_mixing.setflags(write=False)
     return SchemeMatrices(
-        K=K, n=n, block_length=pre.block_length,
-        decoders=decoders, interference=interference,
-        eve_jamming=eve_mixing[:, _width(eve_msg):],
+        K=K, n=pre.n, block_length=pre.block_length,
+        decoders=lambdas, interference=interference,
+        eve_jamming=eve_mixing[:, width:],
         receive_mixing=receive_mixing,
         eve_mixing=eve_mixing,
-        desired_columns=(K - 1) * n ** gamma,
-        aligned_jamming_columns=(K + 1) * (n + 1) ** gamma,
+        desired_columns=(K - 1) * pre.n ** pre.gamma,
+        aligned_jamming_columns=aligned_jamming_columns(K, pre.n),
     )

@@ -824,6 +824,29 @@ class TestStackedMatrices:
         assert mats.eve_jamming.base is mats.eve_mixing
         assert mats.eve_mixing.flags.c_contiguous
 
+    @pytest.mark.parametrize("fixture", ["precoders_n1", "precoders_k4"], ids=["3", "4"])
+    def test_one_receiver_at_a_time_matches_the_full_assembly(self, fixture, request):
+        # the same numbers with the same strides, and only what was asked for
+        pre = request.getfixturevalue(fixture)
+        full = assemble_receiver_and_eve_matrices(pre)
+        for l in range(1, pre.K + 1):
+            one = assemble_receiver_and_eve_matrices(pre, (l,), eve=False)
+            mixing_only = assemble_receiver_and_eve_matrices(pre, (l,), eve=False,
+                                                             decoders=False)
+            assert list(one.receive_mixing) == list(one.decoders) == [l]
+            assert mixing_only.decoders == {}
+            for mats in (one, mixing_only):
+                for got, want in ((mats.receive_mixing[l], full.receive_mixing[l]),
+                                  (mats.interference[l], full.interference[l])):
+                    assert np.array_equal(got, want) and got.strides == want.strides
+                assert mats.eve_mixing.shape == (pre.block_length, 0)
+                assert mats.eve_jamming.shape == (pre.block_length, 0)
+            assert np.array_equal(one.decoders[l], full.decoders[l])
+        eve = assemble_receiver_and_eve_matrices(pre, ())
+        assert eve.receive_mixing == eve.interference == eve.decoders == {}
+        for got, want in ((eve.eve_mixing, full.eve_mixing), (eve.eve_jamming, full.eve_jamming)):
+            assert np.array_equal(got, want) and got.strides == want.strides
+
     def test_stored_matrices_are_read_only(self, precoders_n1):
         pre = precoders_n1
         mats = assemble_receiver_and_eve_matrices(pre)
