@@ -21,7 +21,7 @@ from .channel import (HelperModel, InterferenceModel, MacModel,
 from .errors import CapacityError, ParameterError
 from .pam import PamScheme, decode_indices, receive_decode_table
 from .precoding import (MixingScheme, PrecoderSet,
-                        assemble_receiver_and_eve_matrices, interference_gamma,
+                        assemble_receiver_and_eve_matrices, desired_columns,
                         interference_slots)
 
 SdofQuery = Union[HelperModel, MacModel, MacPartialModel, InterferenceModel]
@@ -142,15 +142,6 @@ class CsitComparison:
     def loss(self) -> Fraction:
         return self.with_csit - self.without_csit
 
-    def to_json_dict(self) -> dict:
-        return {
-            "model": self.query.name,
-            **self.query.params(),
-            "with_csit": str(self.with_csit),
-            "without_csit": str(self.without_csit),
-            "loss": str(self.loss),
-        }
-
 
 def sdof_formula_with_csit(query: SdofQuery) -> CsitComparison:
     """Known-eavesdropper-CSIT value next to the blind value.
@@ -177,8 +168,7 @@ def sdof_formula_with_csit(query: SdofQuery) -> CsitComparison:
 
 def interference_fading_sdof(K: int, n: int) -> Fraction:
     """Sum d.o.f. of the finite-n fading scheme: K(K-1)n^Gamma / M_n."""
-    g = interference_gamma(K)
-    return Fraction(K * (K - 1) * n ** g, interference_slots(K, n))
+    return Fraction(K * desired_columns(K, n), interference_slots(K, n))
 
 
 @dataclass(frozen=True)

@@ -180,27 +180,27 @@ def _assertion(name: str, ok: bool, detail: str = "") -> dict:
             **({"detail": detail} if detail else {})}
 
 
-def _per_realization(cfg: ExperimentConfig, one: Callable[[int], object]) -> list:
-    """one(seed) for each realization seed, in order."""
-    return [one(seed) for seed in range(cfg.seed, cfg.seed + cfg.realizations)]
-
-
 def _slope(grid: Sequence[float], values: Sequence[float]) -> float:
     return analysis.fit_dof_slope(*slope_fit_grid(grid, values)).slope
 
 
-def _mi_sweep(grid: Sequence[float], scheme
-              ) -> tuple[list[analysis.MutualInformationReport], float]:
-    """Scheme mutual information at every grid power, and the leakage slope."""
+def _sweep(grid: Sequence[float], scheme, suffix: str = ""
+           ) -> tuple[dict[str, float], list[dict], list[tuple[str, float, float]]]:
+    """Mutual information over the grid as the series "leak", then "rx<l>"
+    for each legitimate receiver l: the fitted slope of each series, one CSV
+    row per power (P, I_leak_nats, I_rx<l>_nats...), and the plot rows of
+    value / (1/2) log P, series leak_dof and legit_rx<l>_dof + suffix."""
     mis = [analysis.scheme_mutual_information(scheme, P) for P in grid]
-    return mis, _slope(grid, [mi.leak for mi in mis])
-
-
-def _dof_plot_rows(grid: Sequence[float], series: dict[str, Sequence[float]]
-                   ) -> list[tuple[str, float, float]]:
-    """Per grid power, one (series, half log10 P, value / (1/2) log P) row per series."""
-    return [(name, 0.5 * math.log10(P), _dof(values[k], P))
+    series = {"leak": [mi.leak for mi in mis]}
+    for l in mis[0].legit if mis else ():
+        series[f"rx{l}"] = [mi.legit[l] for mi in mis]
+    slopes = {name: _slope(grid, values) for name, values in series.items()}
+    rows = [{"P": P, **{f"I_{name}_nats": values[k] for name, values in series.items()}}
+            for k, P in enumerate(grid)]
+    plot = [(("leak" if name == "leak" else f"legit_{name}") + "_dof" + suffix,
+             0.5 * math.log10(P), _dof(values[k], P))
             for k, P in enumerate(grid) for name, values in series.items()]
+    return slopes, rows, plot
 
 
 def _run_helper_fading_mi(cfg: ExperimentConfig) -> ExperimentResult:
@@ -208,27 +208,18 @@ def _run_helper_fading_mi(cfg: ExperimentConfig) -> ExperimentResult:
     M = cfg.M
     target = analysis.sdof_formula(HelperModel(M))
     rows, plot, per_real = [], [], []
-
-    def one(seed: int):
+    accounting = True
+    for seed in range(cfg.seed, cfg.seed + cfg.realizations):
         realization = sample_channel(HelperModel(M), fixed=False, slots=M + 1,
                                      seed=seed)
         scheme = precoding.build_helper_fading(M, realization)
-        return (seed, Fraction(len(scheme.message_streams), scheme.slots),
-                *_mi_sweep(cfg.grid, scheme))
-
-    accounting = True
-    for seed, dimensions, mis, s_z in _per_realization(cfg, one):
-        legit = [mi.legit[1] for mi in mis]
-        leak = [mi.leak for mi in mis]
-        s_y = _slope(cfg.grid, legit)
-        good = abs(s_y - M) <= tol and abs(s_z) <= tol
-        accounting &= dimensions == target
+        accounting &= Fraction(len(scheme.message_streams), scheme.slots) == target
+        slopes, seed_rows, seed_plot = _sweep(cfg.grid, scheme, f"_seed{seed}")
+        s_y, s_z = slopes["rx1"], slopes["leak"]
         per_real.append({"seed": seed, "legit_slope": s_y, "leak_slope": s_z,
-                         "ok": good})
-        rows += [{"seed": seed, "P": P, "I_legit_nats": ly, "I_leak_nats": lz}
-                 for P, ly, lz in zip(cfg.grid, legit, leak)]
-        plot += _dof_plot_rows(cfg.grid, {f"legit_seed{seed}": legit,
-                                          f"leak_seed{seed}": leak})
+                         "ok": abs(s_y - M) <= tol and abs(s_z) <= tol})
+        rows += [{"seed": seed, **row} for row in seed_rows]
+        plot += seed_plot
     report = {"experiment": cfg.experiment, "M": M, "grid": list(cfg.grid),
               "slope_tol": tol, "target": str(target), "realizations": per_real,
               "assertions": [
@@ -321,39 +312,51 @@ def _run_interference_fading_verify(cfg: ExperimentConfig) -> ExperimentResult:
         return (precoding.numeric_rank(mats.decoders[l], cfg.rank_tol),
                 precoding.numeric_rank(mats.interference[l], cfg.rank_tol))
 
+    def verify(pre) -> dict:
+        """Alignment equations passed and checked, and every receiver's
+        decoder and interference rank."""
+        eq_report = precoding.verify_alignment_equations(pre, tol=cfg.rank_tol)
+        ranks = {str(l): receiver_ranks(pre, l) for l in range(1, K + 1)}
+        return {"equations_passed": sum(1 for e in eq_report.equations
+                                        if e.exact_ok and e.numeric_ok),
+                "equations_total": len(eq_report.equations),
+                "decoder_ranks": {l: r[0] for l, r in ranks.items()},
+                "interference_ranks": {l: r[1] for l, r in ranks.items()}}
+
     def one(seed: int) -> dict:
         realization = sample_channel(InterferenceModel(K), fixed=False,
                                      slots=slots, seed=seed)
         pre = precoding.build_asymptotic_precoders(K, n, realization)
-        eq_report = precoding.verify_alignment_equations(pre, tol=cfg.rank_tol)
-        lam_ranks, int_ranks = {}, {}
-        for l in range(1, K + 1):
-            lam_ranks[l], int_ranks[l] = receiver_ranks(pre, l)
-        eve_rank = precoding.numeric_rank(
-            precoding.assemble_receiver_and_eve_matrices(pre, ()).eve_jamming, cfg.rank_tol)
-        good = (eq_report.ok
-                and all(v == slots for v in lam_ranks.values())
-                and all(v <= bound for v in int_ranks.values())
-                and eve_rank == slots)
-        return {
-            "seed": realization.seed,
-            "equations_passed": sum(1 for e in eq_report.equations
-                                    if e.exact_ok and e.numeric_ok),
-            "equations_total": len(eq_report.equations),
-            "decoder_ranks": {str(k): v for k, v in lam_ranks.items()},
-            "interference_ranks": {str(k): v for k, v in int_ranks.items()},
-            "interference_rank_bound": bound,
-            "eve_rank": eve_rank,
-            "ok": good,
-        }
+        doc = {"seed": realization.seed, **verify(pre),
+               "interference_rank_bound": bound,
+               "eve_rank": precoding.numeric_rank(
+                   precoding.assemble_receiver_and_eve_matrices(pre, ()).eve_jamming,
+                   cfg.rank_tol)}
+        doc["ok"] = (doc["equations_passed"] == doc["equations_total"]
+                     and all(v == slots for v in doc["decoder_ranks"].values())
+                     and all(v <= bound for v in doc["interference_ranks"].values())
+                     and doc["eve_rank"] == slots)
+        if cfg.mutate:
+            # a fresh random Q~_1 must fail an equation or leak out of an
+            # interference space
+            mutation = doc["mutation"] = verify(precoding.mutate_qtilde(pre, 1, seed=seed))
+            mutation["flagged"] = (
+                mutation["equations_passed"] < mutation["equations_total"]
+                or any(v > bound for v in mutation["interference_ranks"].values()))
+        return doc
 
-    per_real = _per_realization(cfg, one)
+    per_real = [one(seed) for seed in range(cfg.seed, cfg.seed + cfg.realizations)]
+    assertions = [_assertion(
+        "all equations and rank conditions hold for every realization",
+        all(r["ok"] for r in per_real))]
+    if cfg.mutate:
+        assertions.append(_assertion(
+            "Q~_1 := random mutation is flagged for every realization",
+            all(r["mutation"]["flagged"] for r in per_real)))
     report = {
         "experiment": cfg.experiment, "K": K, "n": n, "M_n": slots,
         "rank_tol": cfg.rank_tol, "realizations": per_real,
-        "assertions": [_assertion(
-            "all equations and rank conditions hold for every realization",
-            all(r["ok"] for r in per_real))],
+        "assertions": assertions,
     }
     rows = [{k: v for k, v in r.items() if not isinstance(v, dict)}
             for r in per_real]
@@ -368,22 +371,15 @@ def _run_interference_fading_mi(cfg: ExperimentConfig) -> ExperimentResult:
     realization = sample_channel(InterferenceModel(K), fixed=False,
                                  slots=slots, seed=cfg.seed)
     pre = precoding.build_asymptotic_precoders(K, n, realization)
-    mis, leak_slope = _mi_sweep(cfg.grid, pre)
-    desired = (K - 1) * n ** precoding.interference_gamma(K)
+    slopes, rows, plot = _sweep(cfg.grid, pre)
+    leak_slope = slopes["leak"]
     fraction = analysis.interference_fading_sdof(K, n)
     series = [analysis.interference_fading_sdof(K, i) for i in range(1, 7)]
     monotone = all(a < b for a, b in zip(series, series[1:])) and series[-1] < 1
-
-    rows = [{"P": P, "I_leak_nats": mi.leak,
-             **{f"I_rx{l}_nats": v for l, v in mi.legit.items()}}
-            for P, mi in zip(cfg.grid, mis)]
-    plot = _dof_plot_rows(cfg.grid, {
-        "leak_dof": [mi.leak for mi in mis],
-        **{f"legit_rx{l}_dof": [mi.legit[l] for mi in mis] for l in range(1, K + 1)}})
     report = {
         "experiment": cfg.experiment, "K": K, "n": n, "M_n": slots,
         "grid": list(cfg.grid), "leak_slope": leak_slope,
-        "desired_dimensions_per_receiver": desired,
+        "desired_dimensions_per_receiver": precoding.desired_columns(K, n),
         "sum_sdof_fraction": str(fraction),
         "sum_sdof_series": [str(f) for f in series],
         "assertions": [
@@ -412,7 +408,8 @@ def _run_mac_partial(cfg: ExperimentConfig) -> ExperimentResult:
     decode_err = float(np.max(np.abs(v_hat - v)))
     decode_ok = decode_err <= 1e-9
 
-    mis, leak_slope = _mi_sweep(cfg.grid, scheme)
+    slopes, rows, plot = _sweep(cfg.grid, scheme)
+    leak_slope = slopes["leak"]
     leak_ok = abs(leak_slope) <= tol
 
     formula = analysis.sdof_formula(MacPartialModel(K, m))
@@ -423,9 +420,6 @@ def _run_mac_partial(cfg: ExperimentConfig) -> ExperimentResult:
     structure_ok = (len(fixed_scheme.message_streams) == m * (K - 1)
                     and len(eve_classes) == K)
 
-    rows = [{"P": P, "I_leak_nats": mi.leak, "I_legit_nats": mi.legit[1]}
-            for P, mi in zip(cfg.grid, mis)]
-    plot = _dof_plot_rows(cfg.grid, {"leak_dof": [mi.leak for mi in mis]})
     report = {
         "experiment": cfg.experiment, "K": K, "m_informed": m, "slots": slots,
         "decode_error": decode_err, "leak_slope": leak_slope,

@@ -266,11 +266,6 @@ def _denominator_betas(K: int) -> dict[int, Monomial]:
     return betas
 
 
-def beta_three_user() -> dict[int, Monomial]:
-    """The K=3 rule: beta_i = 1/h_ii for i=1,2 and beta_3 = 1."""
-    return _denominator_betas(3)
-
-
 def expected_base_cardinality(K: int, m: int) -> int:
     return m ** exponent_slots(K)
 
@@ -345,13 +340,12 @@ def verify_interference_alignment(K: int, m: int,
     base = {i + 1: s for i, s in enumerate(build_base_dimension_sets(K, m))}
     extended = {i + 1: s for i, s in enumerate(build_extended_dimension_sets(K, m))}
 
-    betas = beta_three_user() if K == 3 else beta_general(K)
+    betas = beta_general(K)
     if beta_override:
         unknown = [k for k in beta_override if k not in betas]
         if unknown:
             raise ParameterError(f"beta_override keys must lie in 1..{K}, got {unknown}")
         betas = {**betas, **dict(beta_override)}
-    check_secondary = K == 3 and not beta_override
 
     cardinalities: dict[str, int] = {}
     checks: list[AlignmentCheck] = []
@@ -373,16 +367,15 @@ def verify_interference_alignment(K: int, m: int,
             None, f"{b.label} subset of {e.label}",
             "pass" if shared_members(b, one, e, one) == b.size else "fail"))
 
-    def containment(rx: int, k: int, block: str, j: int,
-                    rule: Mapping[int, Monomial], tag: str = "") -> None:
-        factor = _factor(rx, k, block, rule)
+    def containment(rx: int, k: int, block: str, j: int) -> None:
+        factor = _factor(rx, k, block, betas)
         # a factor off the lattice (one naming a symbol outside the rows, say)
         # moves every member out
         escaped = base[j].size - shared_members(base[j], factor, extended[j], one)
         ok = escaped == 0
         what = f"message V{k},{j}" if block == "V" else f"jamming {block}{k}"
         checks.append(AlignmentCheck(
-            rx, f"rx{rx}: {factor}*{base[j].label} within {extended[j].label} ({what}){tag}",
+            rx, f"rx{rx}: {factor}*{base[j].label} within {extended[j].label} ({what})",
             "pass" if ok else "fail",
             "" if ok else f"{escaped} members escape"))
 
@@ -394,14 +387,9 @@ def verify_interference_alignment(K: int, m: int,
     equations = alignment_equations(K)
     receiver_span: dict[int, int] = {}
     for l in range(1, K + 1):
-        mine = [eq for eq in equations if eq[0] == l]
-        for eq in mine:
-            containment(*eq, betas)
-        if check_secondary:
-            general = beta_general(K)
-            for eq in mine:
-                if eq[2] == "U~":
-                    containment(*eq, general, " [general beta rule]")
+        for eq in equations:
+            if eq[0] == l:
+                containment(*eq)
 
         # desired sets: pairwise disjoint and clear of every extended set
         own_name = gain_name(l, l)

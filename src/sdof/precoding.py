@@ -365,7 +365,13 @@ def interference_gamma(K: int) -> int:
 
 def interference_slots(K: int, n: int) -> int:
     """Block length M_n = (K-1) n^Gamma + (K+1) (n+1)^Gamma."""
-    return (K - 1) * n ** interference_gamma(K) + aligned_jamming_columns(K, n)
+    return desired_columns(K, n) + aligned_jamming_columns(K, n)
+
+
+def desired_columns(K: int, n: int) -> int:
+    """(K-1) n^Gamma: the columns of a decoder's desired blocks, the
+    dimensions each receiver decodes."""
+    return (K - 1) * n ** interference_gamma(K)
 
 
 def aligned_jamming_columns(K: int, n: int) -> int:
@@ -821,6 +827,6 @@ def assemble_receiver_and_eve_matrices(pre: PrecoderSet,
         eve_jamming=eve_mixing[:, width:],
         receive_mixing=receive_mixing,
         eve_mixing=eve_mixing,
-        desired_columns=(K - 1) * pre.n ** pre.gamma,
+        desired_columns=desired_columns(K, pre.n),
         aligned_jamming_columns=aligned_jamming_columns(K, pre.n),
     )

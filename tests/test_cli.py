@@ -1,4 +1,6 @@
+import csv
 import dataclasses
+import hashlib
 import json
 import re
 
@@ -119,6 +121,99 @@ class TestRun:
     def test_seed_is_mandatory(self):
         with pytest.raises(UsageError):
             run(ExperimentConfig(experiment="region"))
+
+
+# the MI experiments, with the legitimate receivers of their scheme and the
+# realization seeds of their fast config
+MI_LAYOUTS = {
+    "helper_fading_mi": (1, [1, 2]),
+    "interference_fading_mi": (3, [None]),
+    "mac_partial": (1, [None]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MI_LAYOUTS))
+def test_mi_experiments_share_one_layout(name, tmp_path):
+    receivers, seeds = MI_LAYOUTS[name]
+    assert run(fast_config(name, tmp_path)) == 0
+    columns = ["P", "I_leak_nats"] + [f"I_rx{l}_nats" for l in range(1, receivers + 1)]
+    series = ["leak_dof"] + [f"legit_rx{l}_dof" for l in range(1, receivers + 1)]
+    grid = ExperimentConfig().grid
+    with open(tmp_path / f"{name}.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    with open(tmp_path / f"{name}_plot.csv", newline="") as fh:
+        plot = list(csv.reader(fh))
+    if seeds == [None]:
+        assert rows[0] == columns
+        assert [float(r[0]) for r in rows[1:]] == list(grid)
+        want = [s for _ in grid for s in series]
+    else:
+        # one block per realization seed: a leading seed column, and every
+        # series name tagged _seed<s>
+        assert rows[0] == ["seed"] + columns
+        assert [(int(r[0]), float(r[1])) for r in rows[1:]] == [
+            (seed, P) for seed in seeds for P in grid]
+        want = [f"{s}_seed{seed}" for seed in seeds for _ in grid for s in series]
+    assert plot[0] == ["series", "half_log10_P", "value"]
+    assert [r[0] for r in plot[1:]] == want
+    assert all(len(r) == len(rows[0]) for r in rows)
+
+
+class TestFadingVerifyMutation:
+    def test_mutation_is_flagged_in_every_realization(self, tmp_path):
+        # a random Q~_1 fails the three target-2 equations and lifts every
+        # interference rank one past the bound (K=3, n=1)
+        cfg = fast_config("interference_fading_verify", tmp_path)
+        cfg.mutate = True
+        assert run(cfg) == 0
+        report = json.loads((tmp_path / "interference_fading_verify.json").read_text())
+        assert [r["mutation"] for r in report["realizations"]] == [{
+            "equations_passed": 13, "equations_total": 16,
+            "decoder_ranks": dict.fromkeys("123", 66),
+            "interference_ranks": dict.fromkeys("123", 65),
+            "flagged": True}] * 2
+        assert report["assertions"][-1] == {
+            "assertion": "Q~_1 := random mutation is flagged for every realization",
+            "status": "pass"}
+        header = (tmp_path / "interference_fading_verify.csv").read_text().splitlines()[0]
+        assert "mutation" not in header
+
+    def test_an_unflagged_mutation_fails_the_run(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli.precoding, "mutate_qtilde", lambda pre, k, seed: pre)
+        cfg = fast_config("interference_fading_verify", tmp_path)
+        cfg.mutate = True
+        assert run(cfg) == 1
+        report = json.loads((tmp_path / "interference_fading_verify.json").read_text())
+        assert [a["status"] for a in report["assertions"]] == ["pass", "fail"]
+
+
+# SHA-256 of the JSON report of each experiment whose report is exact in
+# floating point (no BLAS reduction reaches it), at seed 1: a change that
+# moves one of these reports must say so here
+PINNED_REPORTS = {
+    ("interference_fixed_verify", "--K=3", "--m=1", "--mutate=true"):
+        "f293a7dce7d4f00af24a740456315753677d18c628b685b0f5e22e801289008b",
+    ("interference_fixed_verify", "--K=4", "--m=1", "--mutate=true"):
+        "5718ea957785bc9a3980b1fe52eca014fd8bfca7466edd670af49cfc2410955b",
+    ("sdof_table", "--K=3", "--M=2"):
+        "6b82984ad6ec188281fa534a25c46f96f0d2ef4ab23957be98e6017c59376d3d",
+    ("region", "--K=3"):
+        "218f2f7f01318a658b89faad635eb523c3fb9dfd8cbc1ce8d247b74cfd88e1d2",
+    ("entropy_bound", "--P=1e4", "--samples=30"):
+        "5706d8d9e689b1ed070c4719d1a62eaf3671b8ca22f7631d136819475739d262",
+}
+
+
+@pytest.mark.parametrize("args", sorted(PINNED_REPORTS), ids=" ".join)
+def test_exact_reports_are_pinned(args, tmp_path):
+    name, *overrides = args
+    cfg = parse_config(None, [f"--experiment={name}", "--seed=1",
+                              f"--out_json={tmp_path}/r.json",
+                              f"--out_csv={tmp_path}/r.csv",
+                              f"--out_plot={tmp_path}/r_plot.csv", *overrides])
+    assert run(cfg) == 0
+    digest = hashlib.sha256((tmp_path / "r.json").read_bytes()).hexdigest()
+    assert digest == PINNED_REPORTS[args]
 
 
 class TestSchema:

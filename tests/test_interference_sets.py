@@ -13,8 +13,8 @@ from sdof import interference_sets
 from sdof.errors import CapacityError, CertificateError, ParameterError
 from sdof.interference_sets import (AlignmentCheck,
                                     AlignmentReport, DimensionSet,
-                                    _new_members, _rows,
-                                    beta_general, beta_three_user,
+                                    _denominator_betas, _new_members, _rows,
+                                    beta_general,
                                     build_base_dimension_sets,
                                     build_extended_dimension_sets,
                                     expected_base_cardinality,
@@ -95,10 +95,14 @@ class TestVerification:
         assert report.ok
         assert report.expected_span_size == 3 + 5 * 2 ** 14
 
-    def test_both_beta_rules_pass_at_k3(self):
+    def test_general_beta_rule_passes_at_k3(self):
+        # one U~ containment per (receiver, k), each scaled by the general
+        # rule's beta_k: at rx1, h_11 * h_31/h_11 = h_31
         report = verify_interference_alignment(3, 1)
-        general = [c for c in report.checks if "[general beta rule]" in c.claim]
-        assert general and all(c.status == "pass" for c in general)
+        u_tilde = [c for c in report.checks if "(jamming U~" in c.claim]
+        assert len(u_tilde) == 9
+        assert all(c.status == "pass" for c in u_tilde)
+        assert u_tilde[0].claim == "rx1: h_31*T_2 within T~_2 (jamming U~1)"
 
     def test_beta_mutation_is_flagged_precisely(self):
         report = verify_interference_alignment(3, 1,
@@ -118,7 +122,7 @@ class TestVerification:
 def test_beta_rules_differ_by_an_in_range_shift():
     # the two published beta conventions for K=3 differ by one free
     # generator of the target set, so both keep the shifted exponents in range
-    table = beta_three_user()
+    table = _denominator_betas(3)
     general = beta_general(3)
     assert table[3] == general[3] == Monomial.one()
     assert general[1] / table[1] == Monomial.gen("h_31")
@@ -217,8 +221,7 @@ def _reference_set(K, i, top):
 def _reference_verify(K, m, beta_override=None):
     base = {i: _reference_set(K, i, m) for i in range(1, K + 2)}
     extended = {i: _reference_set(K, i, m + 1) for i in range(1, K + 2)}
-    betas = beta_three_user() if K == 3 else beta_general(K)
-    check_secondary = K == 3 and beta_override is None
+    betas = beta_general(K)
     if beta_override:
         betas = {**betas, **dict(beta_override)}
 
@@ -240,11 +243,11 @@ def _reference_verify(K, m, beta_override=None):
             None, f"T_{i} subset of T~_{i}",
             "pass" if base[i] <= extended[i] else "fail"))
 
-    def containment(rx, factor, src, dst, what, tag=""):
+    def containment(rx, factor, src, dst, what):
         scaled = frozenset(factor * mono for mono in base[src])
         ok = scaled <= extended[dst]
         checks.append(AlignmentCheck(
-            rx, f"rx{rx}: {factor}*T_{src} within T~_{dst} ({what}){tag}",
+            rx, f"rx{rx}: {factor}*T_{src} within T~_{dst} ({what})",
             "pass" if ok else "fail",
             "" if ok else f"{len(scaled - extended[dst])} members escape"))
 
@@ -261,12 +264,6 @@ def _reference_verify(K, m, beta_override=None):
         for k in range(1, K + 1):
             factor = Monomial.gen(gain_name(k, l)) * betas[k]
             containment(l, factor, k + 1, k + 1, f"jamming U~{k}")
-        if check_secondary:
-            general = beta_general(K)
-            for k in range(1, K + 1):
-                factor = Monomial.gen(gain_name(k, l)) * general[k]
-                containment(l, factor, k + 1, k + 1, f"jamming U~{k}",
-                            tag=" [general beta rule]")
 
         own = Monomial.gen(gain_name(l, l))
         slots = message_slots(K, l)
@@ -456,7 +453,7 @@ class TestBetaOverride:
 
     def test_empty_override_is_no_override(self):
         empty = verify_interference_alignment(3, 1, beta_override={})
-        assert len(empty.checks) == 81
+        assert len(empty.checks) == 72
         assert json.dumps(empty.to_json_dict()) == json.dumps(
             verify_interference_alignment(3, 1).to_json_dict())
 
