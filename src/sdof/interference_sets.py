@@ -20,8 +20,11 @@ its c_i.  Every row has a pivot, a generator that appears in that row only,
 with exponent +1 or -1.  The pivots make e -> prod R_r^e_r injective on
 Z^s, so the set has exactly top^s members, and they give the lattice
 coordinates of a monomial f: d_r = sign * (f's exponent of row r's pivot),
-accepted only when prod R_r^d_r == f.  Every check is decided from the rows
-in exact integer arithmetic, without enumerating a member:
+accepted only when prod R_r^d_r == f.  A set keeps its rows as plain
+name -> exponent dicts next to their `Monomial`s, so a check reads the
+coordinates and the generator ranges without building a monomial.  Every
+check is decided from the rows in exact integer arithmetic, without
+enumerating a member:
 
 - f * T_j meets T~_j in the members whose box coordinates stay in the box
   after the shift by d, a product of one interval length per row; when f
@@ -91,15 +94,22 @@ def alignment_equations(K: int) -> list[tuple[int, int, str, int]]:
     return rows
 
 
-def _factor(l: int, k: int, block: str, betas: Mapping[int, Monomial]) -> Monomial:
+def _factor(K: int, l: int, k: int, block: str, betas: Mapping[int, Monomial]) -> Monomial:
     """The factor an alignment equation puts on its base set."""
-    gain = Monomial.gen(gain_name(k, l))
+    gain = _gains(K)[k, l]
     return gain * betas[k] if block == "U~" else gain
 
 
 def exponent_slots(K: int) -> int:
     """Number of free exponents per set: K(K-1) + 2 (including the constant)."""
     return K * (K - 1) + 2
+
+
+@functools.lru_cache(maxsize=None)
+def _gains(K: int) -> dict[tuple[int, int], Monomial]:
+    """The gain h_kl of every (tx k, rx l), built once per K."""
+    return {(k, l): Monomial.gen(gain_name(k, l))
+            for k in range(1, K + 1) for l in range(1, K + 1)}
 
 
 @functools.lru_cache(maxsize=None)
@@ -110,7 +120,7 @@ def _rows(K: int) -> tuple[tuple[Monomial, ...], ...]:
     betas = _denominator_betas(K)
     factors: dict[int, dict[Monomial, None]] = {i: {} for i in range(1, K + 2)}
     for l, k, block, j in alignment_equations(K):
-        factor = _factor(l, k, block, betas)
+        factor = _factor(K, l, k, block, betas)
         if factor != Monomial.one():
             factors[j].setdefault(factor)
     for i, distinct in factors.items():
@@ -131,48 +141,41 @@ class DimensionSet:
     label: str
     rows: tuple[Monomial, ...]
     top: int
+    # each row as a plain name -> exponent dict
+    _maps: tuple[dict[str, int], ...] = field(init=False, repr=False)
     # pivot generator -> (its row, its exponent)
     _pivots: dict[str, tuple[int, int]] = field(init=False, repr=False)
-    # least and greatest exponent of each generator over the set
-    _low: dict[str, int] = field(init=False, repr=False)
-    _high: dict[str, int] = field(init=False, repr=False)
+    # least and greatest exponent of each generator over the set, as
+    # name -> (low, high) and as (name, low, high) with the last row's
+    # names first: in a built family that row is the set's own constant
+    # c_i, which separates it from every other set of the family at once
+    _bounds: dict[str, tuple[int, int]] = field(init=False, repr=False)
+    _ranges: tuple[tuple[str, int, int], ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        weight = Counter(n for row in self.rows for n, _ in row.exponents)
+        maps = tuple(dict(row.exponents) for row in self.rows)
+        weight = Counter(n for row in maps for n in row)
         pivots: dict[str, tuple[int, int]] = {}
-        low: dict[str, int] = {}
-        high: dict[str, int] = {}
-        for r, row in enumerate(self.rows):
-            pivot = next(((n, e) for n, e in row.exponents
+        for r, row in enumerate(maps):
+            pivot = next(((n, e) for n, e in row.items()
                           if weight[n] == 1 and abs(e) == 1), None)
             if pivot is None:
                 raise CertificateError(f"{self.label}: row {r} has no pivot generator")
             pivots[pivot[0]] = (r, pivot[1])
-            for n, e in row.exponents:
-                low[n] = low.get(n, 0) + min(e, self.top * e)
-                high[n] = high.get(n, 0) + max(e, self.top * e)
+        bounds: dict[str, tuple[int, int]] = {}
+        for row in reversed(maps):
+            for n, e in row.items():
+                low, high = bounds.get(n, (0, 0))
+                bounds[n] = (low + min(e, self.top * e), high + max(e, self.top * e))
+        object.__setattr__(self, "_maps", maps)
         object.__setattr__(self, "_pivots", pivots)
-        object.__setattr__(self, "_low", low)
-        object.__setattr__(self, "_high", high)
+        object.__setattr__(self, "_bounds", bounds)
+        object.__setattr__(self, "_ranges", tuple((n, *b) for n, b in bounds.items()))
 
     @property
     def size(self) -> int:
         """Number of members, top^s: exact at any size, unlike len()."""
         return _one_copy(self.top ** len(self.rows))
-
-    def coordinates(self, shift: Monomial) -> dict[int, int] | None:
-        """The nonzero lattice coordinates d, row -> d_r, with
-        prod rows[r]**d_r == shift, or None when the shift is not in the
-        rows' lattice."""
-        d = {}
-        for n, v in shift.exponents:
-            if n in self._pivots:
-                r, sign = self._pivots[n]
-                d[r] = sign * v
-        image = Monomial.one()
-        for r, dr in d.items():
-            image = image * self.rows[r] ** dr
-        return d if image == shift else None
 
 
 @functools.lru_cache(maxsize=1024)
@@ -182,6 +185,28 @@ def _one_copy(n: int) -> int:
     return n
 
 
+class _ReadOnlyDict(dict):
+    """A dict that refuses mutation, so that one instance can stand for
+    every report with the same contents."""
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("a report's mappings are shared and read-only")
+
+    __setitem__ = __delitem__ = __ior__ = _refuse
+    clear = pop = popitem = setdefault = update = _refuse
+
+    def __reduce__(self):
+        return type(self), (dict(self),)
+
+
+@functools.lru_cache(maxsize=256)
+def _shared(items: tuple) -> _ReadOnlyDict:
+    """The read-only dict of items, one instance per distinct contents: a
+    caller that keeps thousands of reports keeps one copy of each
+    cardinality table and span map."""
+    return _ReadOnlyDict(items)
+
+
 def shared_members(a: DimensionSet, shift_a: Monomial,
                    b: DimensionSet, shift_b: Monomial) -> int:
     """How many members shift_a * a and shift_b * b have in common.
@@ -189,23 +214,42 @@ def shared_members(a: DimensionSet, shift_a: Monomial,
     Raises CertificateError for sets of different rows that no generator
     separates: their overlap is not decided here.
     """
-    offset = shift_a / shift_b
+    # shift_a / shift_b, zeros kept
+    offset = dict(shift_a.exponents)
+    for n, e in shift_b.exponents:
+        offset[n] = offset.get(n, 0) - e
     if a.rows == b.rows:
-        d = a.coordinates(offset)
-        if d is None:
+        # the lattice coordinates d_r = sign * (offset's exponent of row r's
+        # pivot); offset is in the lattice when offset - sum_r d_r * R_r is 0
+        d = []
+        residual = dict(offset)
+        for n, v in offset.items():
+            if n in a._pivots:
+                r, sign = a._pivots[n]
+                d.append(sign * v)
+                for g, e in a._maps[r].items():
+                    residual[g] = residual.get(g, 0) - sign * v * e
+        if any(residual.values()):
             return 0
         # shift_a * rows**e == shift_b * rows**e' exactly when e' = e + d,
         # so row r counts the e_r in 1..a.top with e_r + d_r in 1..b.top
         common = min(a.top, b.top) ** (len(a.rows) - len(d))
-        for dr in d.values():
+        for dr in d:
             common *= max(0, min(a.top, b.top - dr) - max(1, 1 - dr) + 1)
         return common
-    moved = dict(offset.exponents)
-    for n in a._low.keys() | b._low.keys() | moved.keys():
-        o = moved.get(n, 0)
-        if (a._high.get(n, 0) + o < b._low.get(n, 0)
-                or b._high.get(n, 0) < a._low.get(n, 0) + o):
+    # a generator separates the sets when its range over shift_a * a and
+    # its range over shift_b * b are disjoint; a set that lacks it holds
+    # it at 0
+    for n, low, high in a._ranges:
+        o = offset.get(n, 0)
+        b_low, b_high = b._bounds.get(n, (0, 0))
+        if high + o < b_low or b_high < low + o:
             return 0
+    for n, low, high in b._ranges:
+        if n not in a._bounds and not low <= offset.get(n, 0) <= high:
+            return 0
+    if any(o for n, o in offset.items() if n not in a._bounds and n not in b._bounds):
+        return 0
     raise CertificateError(f"{a.label} and {b.label} have different rows "
                            f"and no separating generator")
 
@@ -252,8 +296,8 @@ def beta_links(K: int) -> dict[int, tuple[tuple[int, int], tuple[int, int]]]:
 
 def beta_general(K: int) -> dict[int, Monomial]:
     """Scaling beta_i of the second jamming block, general-K rule."""
-    betas = {i: Monomial.gen(gain_name(*num)) / Monomial.gen(gain_name(*den))
-             for i, (num, den) in beta_links(K).items()}
+    gains = _gains(K)
+    betas = {i: gains[num] / gains[den] for i, (num, den) in beta_links(K).items()}
     betas[K] = Monomial.one()
     return betas
 
@@ -368,7 +412,7 @@ def verify_interference_alignment(K: int, m: int,
             "pass" if shared_members(b, one, e, one) == b.size else "fail"))
 
     def containment(rx: int, k: int, block: str, j: int) -> None:
-        factor = _factor(rx, k, block, betas)
+        factor = _factor(K, rx, k, block, betas)
         # a factor off the lattice (one naming a symbol outside the rows, say)
         # moves every member out
         escaped = base[j].size - shared_members(base[j], factor, extended[j], one)
@@ -393,7 +437,7 @@ def verify_interference_alignment(K: int, m: int,
 
         # desired sets: pairwise disjoint and clear of every extended set
         own_name = gain_name(l, l)
-        own = Monomial.gen(own_name)
+        own = _gains(K)[l, l]
         slots = message_slots(K, l)
         for a_idx, ja in enumerate(slots):
             for jb in slots[a_idx + 1:]:
@@ -420,8 +464,8 @@ def verify_interference_alignment(K: int, m: int,
 
     return AlignmentReport(
         K=K, m=m,
-        set_cardinalities=cardinalities,
-        receiver_span=receiver_span,
+        set_cardinalities=_shared(tuple(cardinalities.items())),
+        receiver_span=_shared(tuple(receiver_span.items())),
         expected_span_size=expected_span(K, m),
         checks=checks,
     )

@@ -7,10 +7,12 @@ library name the workloads call, fail the suite and not only the benchmark
 run.  The same goes for the library functions that perfbench/run.py patches
 with probes in traced runs.  Nothing under perfbench/ is written.
 """
+import gc
 import importlib.util
 import json
 import os
 import sys
+import tracemalloc
 
 import pytest
 
@@ -71,3 +73,23 @@ def test_mutated_units_name_their_failures():
     assert (K, m) == (3, 1)
     assert fixed.problems == [f"(3,1): {len(violations)} violations"]
     assert violations and all("U~1" in v and "T~_2" in v for v in violations)
+
+
+def test_kept_fixed_verify_units_stay_small():
+    # perfbench/run.py keeps every unit's result for the whole run, so the
+    # bytes a unit retains, times the units run in a window, show in
+    # peak_rss_mb; the digest reads the report's mappings as dicts
+    unit = workloads.WORKLOADS["fixed_verify"].unit
+    first = unit(tracing.Tracer(), 0, workloads.FULL, False)
+    for K, m, cardinalities, span, _ in first.verdict[:-1]:
+        assert isinstance(cardinalities, dict) and isinstance(span, dict), (K, m)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        kept = [unit(tracing.Tracer(), seed, workloads.FULL, False) for seed in range(500)]
+        gc.collect()
+        retained = (tracemalloc.get_traced_memory()[0] - before) / len(kept)
+    finally:
+        tracemalloc.stop()
+    assert retained < 1024, f"{retained:.0f} bytes retained per unit"

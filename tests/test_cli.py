@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import json
 import re
+from fractions import Fraction
 
 import pytest
 
@@ -159,6 +160,36 @@ def test_mi_experiments_share_one_layout(name, tmp_path):
     assert all(len(r) == len(rows[0]) for r in rows)
 
 
+class TestFadingSeriesLimit:
+    """The finite-n sum d.o.f. series of interference_fading_mi is judged
+    against the blind limit (K-1)/2, which is 1 only at K = 3."""
+
+    def _series_assertion(self, K, monkeypatch, series=None):
+        # the series check needs no mutual information: the sweep is stubbed
+        monkeypatch.setattr(cli, "_sweep", lambda grid, scheme: ({"leak": 0.0}, [], []))
+        if series is not None:
+            monkeypatch.setattr(cli.analysis, "interference_fading_sdof",
+                                lambda K, n: series[n - 1])
+        cfg = parse_config(None, ["--experiment=interference_fading_mi", "--seed=1",
+                                  f"--K={K}", "--n=1"])
+        return cli._run_interference_fading_mi(cfg).report["assertions"][1]
+
+    def test_four_users_converge_toward_three_halves(self, monkeypatch):
+        got = self._series_assertion(4, monkeypatch)
+        assert got["assertion"] == "finite-n sum d.o.f. increases toward 3/2"
+        assert got["status"] == "pass"
+        assert got["detail"].startswith("12/2563 < 2048/33317 < ")
+
+    @pytest.mark.parametrize("last, status", [
+        (Fraction(5, 4), "pass"),   # past 1, still short of the K = 4 limit
+        (Fraction(3, 2), "fail"),
+        (Fraction(1, 2), "fail"),   # not increasing
+    ])
+    def test_the_bound_is_the_limit_not_one(self, last, status, monkeypatch):
+        series = [Fraction(1, 2), Fraction(2, 3), Fraction(4, 5), 1, Fraction(9, 8), last]
+        assert self._series_assertion(4, monkeypatch, series)["status"] == status
+
+
 class TestFadingVerifyMutation:
     def test_mutation_is_flagged_in_every_realization(self, tmp_path):
         # a random Q~_1 fails the three target-2 equations and lifts every
@@ -289,6 +320,8 @@ class TestMain:
          "usage error: rank_tol must be in (0, 1)"),
         (["--experiment=interference_fading_verify", "--rank_tol=2"],
          "usage error: rank_tol must be in (0, 1)"),
+        (["--experiment=mac_partial", "--grid=1,1e2,1e4"],
+         "usage error: grid powers must be > 1"),
     ])
     def test_degenerate_experiment_is_refused(self, overrides, message, tmp_path, capsys):
         config = _region_config(tmp_path, seed=1)

@@ -1,6 +1,9 @@
+import copy
 import functools
+import hashlib
 import itertools
 import json
+import pickle
 import time
 
 import numpy as np
@@ -329,15 +332,20 @@ def _names(*monomials):
     return {n for m in monomials for n, _ in m.exponents}
 
 
-@functools.lru_cache(maxsize=64)
-def _sorted_keys(dset, shift, names):
-    """The members of shift * dset as int64 exponent rows over names, each
-    viewed as one byte string, sorted."""
+def _member_rows(dset, shift, names):
+    """The members of shift * dset as int64 exponent rows over names."""
     own = enumerator.rows(dset).astype(np.int64)
     rows = np.zeros((len(own), len(names)), np.int64)
     rows[:, [names.index(n) for n in enumerator.generators(dset)]] = own
     for n, v in shift.exponents:
         rows[:, names.index(n)] += v
+    return rows
+
+
+@functools.lru_cache(maxsize=64)
+def _sorted_keys(dset, shift, names):
+    """The member rows of shift * dset, each viewed as one byte string, sorted."""
+    rows = _member_rows(dset, shift, names)
     return np.sort(rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel())
 
 
@@ -348,6 +356,14 @@ def _enumerated_shared(a, shift_a, b, shift_b):
     return len(np.intersect1d(_sorted_keys(a, shift_a, names),
                               _sorted_keys(b, shift_b, names),
                               assume_unique=True))
+
+
+def _enumerated_separation(a, shift_a, b, shift_b):
+    """Whether some name's exponent ranges over the enumerated members of
+    shift_a * a and of shift_b * b are disjoint."""
+    names = tuple(sorted(_names(*a.rows, *b.rows, shift_a, shift_b)))
+    rows_a, rows_b = _member_rows(a, shift_a, names), _member_rows(b, shift_b, names)
+    return bool(np.any((rows_a.max(0) < rows_b.min(0)) | (rows_b.max(0) < rows_a.min(0))))
 
 
 @pytest.mark.parametrize("K,m,override", ORACLE_CASES + [
@@ -370,33 +386,49 @@ def _families(K, m, sign):
             [signed(d) for d in build_extended_dimension_sets(K, m)])
 
 
-@pytest.mark.parametrize("K,m", [(3, 1), (3, 2)])
+def _drawn_shift(data, base, label):
+    """A lattice vector prod rows[r]**d_r, sometimes moved off the lattice,
+    also by a name outside the rows."""
+    d = data.draw(st.lists(st.sampled_from([0, 0, 0, 1, -1, 2, -2]),
+                           min_size=len(base.rows), max_size=len(base.rows)),
+                  label=f"{label} d")
+    shift = ONE
+    for row, dr in zip(base.rows, d):
+        shift = shift * row ** dr
+    names = sorted(_names(*base.rows)) + ["x"]
+    return shift * Monomial.from_dict(data.draw(
+        st.dictionaries(st.sampled_from(names), st.integers(-2, 2), max_size=2),
+        label=f"{label} off lattice"))
+
+
+@pytest.mark.parametrize("K,m", [(3, 1), (3, 2), (4, 1)])
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_escape_counts_match_enumeration(K, m, data):
     j = data.draw(st.integers(1, K + 1), label="set")
     bases, exts = _families(K, m, data.draw(st.sampled_from([1, -1]), label="sign"))
     base, ext = bases[j - 1], exts[j - 1]
-    # a lattice vector prod rows[r]**d_r, sometimes moved off the lattice,
-    # also by a name outside the rows
-    d = data.draw(st.lists(st.sampled_from([0, 0, 0, 1, -1, 2, -2]),
-                           min_size=len(base.rows), max_size=len(base.rows)),
-                  label="d")
-    shift = ONE
-    for row, dr in zip(base.rows, d):
-        shift = shift * row ** dr
-    names = sorted(_names(*base.rows)) + ["x"]
-    shift = shift * Monomial.from_dict(data.draw(
-        st.dictionaries(st.sampled_from(names), st.integers(-2, 2), max_size=2),
-        label="off lattice"))
-    assert shared_members(base, shift, ext, ONE) == _enumerated_shared(base, shift, ext, ONE)
-    # a set of other rows: decided exactly, or refused
+    shift = _drawn_shift(data, base, "shift_a")
+    shift_b = ONE
+    if data.draw(st.booleans(), label="shift_b"):
+        shift_b = _drawn_shift(data, ext, "shift_b")
+        if shift.exponents and data.draw(st.booleans(), label="cancel"):
+            # shift_b takes one name of shift_a at its exponent, so the
+            # offset shift / shift_b drops that name
+            n, e = data.draw(st.sampled_from(shift.exponents), label="cancelled")
+            shift_b = Monomial.from_dict({**dict(shift_b.exponents), n: e})
+            assert n not in dict((shift / shift_b).exponents)
+    assert shared_members(base, shift, ext, shift_b) == _enumerated_shared(base, shift,
+                                                                           ext, shift_b)
+    # a set of other rows: decided exactly, or refused when no generator
+    # separates the two
     other = exts[j % (K + 1)]
     try:
-        got = shared_members(base, shift, other, ONE)
+        got = shared_members(base, shift, other, shift_b)
     except CertificateError:
+        assert not _enumerated_separation(base, shift, other, shift_b)
         return
-    assert got == _enumerated_shared(base, shift, other, ONE)
+    assert got == _enumerated_shared(base, shift, other, shift_b)
 
 
 def test_overlap_without_a_separating_generator_is_refused():
@@ -412,6 +444,12 @@ def test_overlap_without_a_separating_generator_is_refused():
     # and share nothing
     for shift in (y ** 5, Monomial.gen("z")):
         assert shared_members(a, shift, b, ONE) == 0 == _enumerated_shared(a, shift, b, ONE)
+    # a name that only one set uses separates them when its range there
+    # misses the other set's 0: here z, first in b's rows, then in a's
+    c = DimensionSet("C", (x, Monomial.gen("z")), 1)
+    d = DimensionSet("D", (x, y), 1)
+    for pair in ((d, y.inverse(), c, ONE), (c, ONE, d, y.inverse())):
+        assert shared_members(*pair) == 0 == _enumerated_shared(*pair)
 
 
 def test_a_set_meeting_two_earlier_sets_is_refused():
@@ -496,3 +534,53 @@ def test_the_sets_are_built_once_per_k_and_top(monkeypatch):
     # m = 2's base sets share top = 2 with m = 1's extended sets, not their labels
     assert [s.label for s in build_base_dimension_sets(3, 2)] == [f"T_{i}" for i in range(1, 5)]
     assert build_base_dimension_sets(3, 1) is not build_base_dimension_sets(3, 1)
+
+
+# SHA-256 of json.dumps(verify_interference_alignment(K, m, override)
+# .to_json_dict()): a change that moves one of these reports must say so here
+PINNED_REPORTS = {
+    (3, 2, None): "7f6f42e052f2f199079e99ce9fc3428323444132635ed7fd1bdc4eff2d298161",
+    (4, 2, None): "ae721e4e8a55b47ff7a14decbc594ab6bd623215da1708f041392f97fb962111",
+    (5, 1, None): "c73bc1559c2baa6ed65a52d96812b7d290988261b53e41c9fa0c6277563dff9e",
+    (6, 1, None): "9ef3e1cd5677c04b0653aaf03bf051899a3b1ffc33842e5990caf0c08201002f",
+    (9, 1, None): "ad67be683b99b4514f9ec432f5ad39bcad7a354a857669804a74c6e868ae6ad8",
+    (4, 1, "beta_1 := 1"): "9e617ed2fbb9b4a56c3af2fd200194eca092b5d1f11c3f4c6e2a194c389ad02d",
+}
+
+
+@pytest.mark.parametrize("K,m,override", list(PINNED_REPORTS))
+def test_reports_are_pinned(K, m, override):
+    report = verify_interference_alignment(K, m, beta_override={1: ONE} if override else None)
+    digest = hashlib.sha256(json.dumps(report.to_json_dict()).encode()).hexdigest()
+    assert digest == PINNED_REPORTS[K, m, override]
+
+
+def test_a_repeated_call_decides_every_check_again(monkeypatch):
+    # nothing keyed on m, the set tops or the betas is kept from call to call
+    calls = []
+    counted = interference_sets.shared_members
+    monkeypatch.setattr(interference_sets, "shared_members",
+                        lambda *args: calls.append(args) or counted(*args))
+    per_call = []
+    for override in (None, None, {1: ONE}, {1: ONE}):
+        calls.clear()
+        verify_interference_alignment(4, 1, beta_override=override)
+        per_call.append(len(calls))
+    assert per_call[0] == per_call[1] == per_call[2] == per_call[3] > 0
+
+
+def test_report_mappings_are_shared_and_read_only():
+    first, again = verify_interference_alignment(3, 1), verify_interference_alignment(3, 1)
+    for name in ("set_cardinalities", "receiver_span"):
+        shared = getattr(first, name)
+        assert isinstance(shared, dict) and shared is getattr(again, name)
+        key = next(iter(shared))
+        for mutate in (lambda d: d.__setitem__(key, 0), lambda d: d.__delitem__(key),
+                       lambda d: d.update({key: 0}), lambda d: d.pop(key),
+                       lambda d: d.popitem(), lambda d: d.setdefault(key, 0),
+                       lambda d: d.clear(), lambda d: d.__ior__({key: 0})):
+            with pytest.raises(TypeError, match="read-only"):
+                mutate(shared)
+        assert copy.deepcopy(shared) == shared == pickle.loads(pickle.dumps(shared))
+    assert first.set_cardinalities["T~_4"] == 256
+    assert first.receiver_span == dict.fromkeys(range(1, 4), 1026)
