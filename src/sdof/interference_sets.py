@@ -8,8 +8,8 @@ transmitters; jamming rides on T_i and beta_i * T_{i+1}.  Multiplying any
 T_j by a cross gain only shifts exponents by one, which lands inside T~_j,
 so all interference at a legitimate receiver collapses into the K+1
 extended sets while the K-1 desired sets stay disjoint from everything.
-alignment_equations(K) states which block lands under which set, once for
-the set rows, the verifier's claims and the fading instances.
+blind_table(K) is the one statement of this block layout: the set rows,
+the verifier's claims, and the fading precoders and matrices all read it.
 
 As in real interference alignment, a set is the image of the integer box
 {1..top}^s, s = K(K-1) + 2, under its rows R_1..R_s, `Monomial`s over the
@@ -42,7 +42,7 @@ import functools
 import sys
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .errors import CertificateError, ParameterError
 from .monomial import Monomial
@@ -63,41 +63,80 @@ def gain_name(tx: int, rx: int) -> str:
 
 
 def _check_km(K: int, m: int) -> None:
-    if not (3 <= K <= _MAX_K):
-        raise ParameterError(f"construction needs 3 <= K <= {_MAX_K}, got K={K}")
+    blind_table(K)  # refuses a K outside 3..9
     if m < 1:
         raise ParameterError(f"exponent range m must be >= 1, got {m}")
 
 
-def message_slots(K: int, tx: int) -> list[int]:
-    """Sub-message indices transmitter tx uses: 1..K+1 minus {tx, tx+1}."""
-    return [j for j in range(1, K + 2) if j not in (tx, tx + 1)]
+class Block(NamedTuple):
+    """One block of a scheme: transmitter `owner` sends the precoder of set
+    `target` over the exponent box {1..n+top} (top 0: the base box, 1: the
+    extended box), scaled by `coefficient`.  At receiver l it arrives on
+    h_{owner,l} * coefficient, at the eavesdropper on g_owner * coefficient."""
+
+    name: str
+    owner: int
+    target: int
+    top: int
+    coefficient: Monomial
 
 
-def unintended_messages(K: int, rx: int) -> list[tuple[int, int]]:
-    """The (tx, slot) message blocks that reach receiver rx unintended:
-    every slot of every other transmitter, transmitter-major."""
-    return [(k, j) for k in range(1, K + 1) if k != rx for j in message_slots(K, k)]
+@dataclass(frozen=True, eq=False)
+class BlockTable:
+    """A scheme's blocks, in stacking order, and the groups its consumers
+    read.  Receiver l decodes its desired blocks, the messages of
+    transmitter l, against the aligned jamming; every other block must
+    arrive inside the arrival of its target's aligned block."""
+
+    K: int
+    blocks: tuple[Block, ...]    # the messages, then every U_k, then every U~_k
+    messages: tuple[Block, ...]  # transmitter by transmitter
+    scaled: tuple[Block, ...]    # U~_1..U~_K
+    aligned: tuple[Block, ...]   # the blocks over an extended box, one per target
+
+    def desired(self, l: int) -> tuple[Block, ...]:
+        """The blocks receiver l decodes: the messages of transmitter l."""
+        if not 1 <= l <= self.K:
+            raise ParameterError(f"transmitter must lie in 1..{self.K}, got {l}")
+        return tuple(b for b in self.messages if b.owner == l)
+
+    def decoder(self, l: int) -> tuple[Block, ...]:
+        """Receiver l's decoder: its desired blocks, then the aligned jamming."""
+        return self.desired(l) + self.aligned
 
 
-def alignment_equations(K: int) -> list[tuple[int, int, str, int]]:
-    """The scheme's alignment equations as (rx l, tx k, block, set j): at
-    receiver l, h_kl times the block's base set T_j (times beta_k for a
-    "U~" block) must lie in the extended set T~_j.  Per receiver: the
-    unintended messages "V", then every first jamming block "U" under its
-    own set, then every second jamming block "U~" one set ahead."""
-    rows = []
-    for l in range(1, K + 1):
-        rows += [(l, k, "V", j) for k, j in unintended_messages(K, l)]
-        rows += [(l, k, "U", k) for k in range(1, K + 1)]
-        rows += [(l, k, "U~", k + 1) for k in range(1, K + 1)]
-    return rows
+@functools.lru_cache(maxsize=None)
+def blind_table(K: int) -> BlockTable:
+    """The cooperative-jamming scheme without eavesdropper CSIT (Xie &
+    Ulukus, IEEE Trans. IT 2014), the one statement of its block layout,
+    built once per K.  Transmitter k sends message V_kj on the base set T_j
+    for every j in 1..K+1 but k and k+1, jamming U_k on its own extended set
+    T~_k, and jamming U~_k on beta_k T_{k+1}, with beta_k = h_{k+2,1}/h_{k,1}
+    for k <= K-2 and h_12/h_{K-1,2} for k = K-1; U~_K is T~_{K+1} itself."""
+    if not (3 <= K <= _MAX_K):
+        raise ParameterError(f"construction needs 3 <= K <= {_MAX_K}, got K={K}")
+    gains, one = _gains(K), Monomial.one()
+    messages = tuple(Block(f"V{k},{j}", k, j, 0, one)
+                     for k in range(1, K + 1) for j in range(1, K + 2) if j not in (k, k + 1))
+    jamming = tuple(Block(f"U{k}", k, k, 1, one) for k in range(1, K + 1))
+    betas = [gains[k + 2, 1] / gains[k, 1] for k in range(1, K - 1)]
+    betas.append(gains[1, 2] / gains[K - 1, 2])
+    scaled = tuple(Block(f"U~{k}", k, k + 1, 0, beta) for k, beta in enumerate(betas, 1))
+    scaled += (Block(f"U~{K}", K, K + 1, 1, one),)
+    blocks = messages + jamming + scaled
+    return BlockTable(K, blocks, messages, scaled, tuple(b for b in blocks if b.top))
 
 
-def _factor(K: int, l: int, k: int, block: str, betas: Mapping[int, Monomial]) -> Monomial:
-    """The factor an alignment equation puts on its base set."""
-    gain = _gains(K)[k, l]
-    return gain * betas[k] if block == "U~" else gain
+@functools.lru_cache(maxsize=None)
+def alignment_equations(K: int) -> tuple[tuple[int, Block, Monomial], ...]:
+    """The scheme's alignment equations as (receiver l, block, arrival):
+    every block but the desired ones arrives at receiver l on
+    h_{owner,l} * coefficient, which must carry the base set T_j of its
+    target j into the extended set T~_j.  Receiver by receiver, each in
+    table order; derived once per K."""
+    table, gains = blind_table(K), _gains(K)
+    return tuple((l, b, gains[b.owner, l] * b.coefficient)
+                 for l in range(1, K + 1) for b in table.blocks if b not in table.desired(l))
 
 
 def exponent_slots(K: int) -> int:
@@ -115,14 +154,15 @@ def _gains(K: int) -> dict[tuple[int, int], Monomial]:
 @functools.lru_cache(maxsize=None)
 def _rows(K: int) -> tuple[tuple[Monomial, ...], ...]:
     """The rows of sets 1..K+1, one per free exponent: the distinct nonzero
-    factors of the alignment equations that land in set i, with
-    beta_k = 1/h_den(k), then c_i."""
-    betas = _denominator_betas(K)
+    factors of the alignment equations that land in set i, each the
+    arrival without its coefficient's numerators (free gains of the target
+    set, so beta_k counts as 1/h_den(k)), then c_i."""
     factors: dict[int, dict[Monomial, None]] = {i: {} for i in range(1, K + 2)}
-    for l, k, block, j in alignment_equations(K):
-        factor = _factor(K, l, k, block, betas)
+    for l, block, _ in alignment_equations(K):
+        denominators = Monomial(tuple(p for p in block.coefficient.exponents if p[1] < 0))
+        factor = _gains(K)[block.owner, l] * denominators
         if factor != Monomial.one():
-            factors[j].setdefault(factor)
+            factors[block.target].setdefault(factor)
     for i, distinct in factors.items():
         if len(distinct) + 1 != exponent_slots(K):
             raise CertificateError(f"set {i} has {len(distinct)} gain rows, "
@@ -285,29 +325,9 @@ def build_extended_dimension_sets(K: int, m: int) -> list[DimensionSet]:
     return _build_family(K, m, m + 1, EXTENDED_LABELS)
 
 
-def beta_links(K: int) -> dict[int, tuple[tuple[int, int], tuple[int, int]]]:
-    """(numerator, denominator) links of beta_i = h_num / h_den in the
-    general-K rule: h_{i+2,1}/h_{i,1} for i <= K-2, then h_12/h_{K-1,2};
-    beta_K = 1 has no links."""
-    links = {i: ((i + 2, 1), (i, 1)) for i in range(1, K - 1)}
-    links[K - 1] = ((1, 2), (K - 1, 2))
-    return links
-
-
 def beta_general(K: int) -> dict[int, Monomial]:
-    """Scaling beta_i of the second jamming block, general-K rule."""
-    gains = _gains(K)
-    betas = {i: gains[num] / gains[den] for i, (num, den) in beta_links(K).items()}
-    betas[K] = Monomial.one()
-    return betas
-
-
-def _denominator_betas(K: int) -> dict[int, Monomial]:
-    """beta_i = 1/h_den of beta_links(K), and beta_K = 1: the general rule
-    without its numerators, which are free gains of the target set."""
-    betas = {i: Monomial.gen(gain_name(*den), -1) for i, (_, den) in beta_links(K).items()}
-    betas[K] = Monomial.one()
-    return betas
+    """beta_k, the coefficient of transmitter k's scaled jamming block U~_k."""
+    return {b.owner: b.coefficient for b in blind_table(K).scaled}
 
 
 def expected_base_cardinality(K: int, m: int) -> int:
@@ -319,9 +339,9 @@ def expected_extended_cardinality(K: int, m: int) -> int:
 
 
 def expected_span(K: int, m: int) -> int:
-    """Occupied dimensions at one receiver: (K-1) desired sets + K+1 extended sets."""
-    return (K - 1) * expected_base_cardinality(K, m) \
-        + (K + 1) * expected_extended_cardinality(K, m)
+    """Occupied dimensions at one receiver, one set per decoder block:
+    (K-1) desired sets + K+1 extended sets."""
+    return sum((m + b.top) ** exponent_slots(K) for b in blind_table(K).decoder(1))
 
 
 @dataclass
@@ -384,18 +404,22 @@ def verify_interference_alignment(K: int, m: int,
     base = {i + 1: s for i, s in enumerate(build_base_dimension_sets(K, m))}
     extended = {i + 1: s for i, s in enumerate(build_extended_dimension_sets(K, m))}
 
-    betas = beta_general(K)
+    table = blind_table(K)
+    # name of each scaled block whose beta is overridden -> its new beta
+    replaced: dict[str, Monomial] = {}
     if beta_override:
-        unknown = [k for k in beta_override if k not in betas]
+        unknown = [k for k in beta_override if k not in range(1, K + 1)]
         if unknown:
             raise ParameterError(f"beta_override keys must lie in 1..{K}, got {unknown}")
-        betas = {**betas, **dict(beta_override)}
+        replaced = {b.name: beta_override[b.owner] for b in table.scaled
+                    if b.owner in beta_override}
 
     cardinalities: dict[str, int] = {}
     checks: list[AlignmentCheck] = []
     s = exponent_slots(K)
     exp_base = expected_base_cardinality(K, m)
     exp_ext = expected_extended_cardinality(K, m)
+    exp_span = expected_span(K, m)
     one = Monomial.one()
     for i in range(1, K + 2):
         b, e = base[i], extended[i]
@@ -411,34 +435,32 @@ def verify_interference_alignment(K: int, m: int,
             None, f"{b.label} subset of {e.label}",
             "pass" if shared_members(b, one, e, one) == b.size else "fail"))
 
-    def containment(rx: int, k: int, block: str, j: int) -> None:
-        factor = _factor(K, rx, k, block, betas)
-        # a factor off the lattice (one naming a symbol outside the rows, say)
-        # moves every member out
-        escaped = base[j].size - shared_members(base[j], factor, extended[j], one)
-        ok = escaped == 0
-        what = f"message V{k},{j}" if block == "V" else f"jamming {block}{k}"
-        checks.append(AlignmentCheck(
-            rx, f"rx{rx}: {factor}*{base[j].label} within {extended[j].label} ({what})",
-            "pass" if ok else "fail",
-            "" if ok else f"{escaped} members escape"))
-
     # the extended sets are common to every receiver's span
     ext_images = [(extended[i], one) for i in range(1, K + 2)]
     ext_union = sum(_new_members(image, ext_images[:n])
                     for n, image in enumerate(ext_images))
 
+    messages = {b.name for b in table.messages}
     equations = alignment_equations(K)
     receiver_span: dict[int, int] = {}
     for l in range(1, K + 1):
-        for eq in equations:
-            if eq[0] == l:
-                containment(*eq)
+        for _, block, arrival in (eq for eq in equations if eq[0] == l):
+            if block.name in replaced:
+                arrival = _gains(K)[block.owner, l] * replaced[block.name]
+            j = block.target
+            # an arrival off the lattice (one naming a symbol outside the
+            # rows, say) moves every member out
+            escaped = base[j].size - shared_members(base[j], arrival, extended[j], one)
+            what = "message" if block.name in messages else "jamming"
+            checks.append(AlignmentCheck(
+                l, f"rx{l}: {arrival}*{base[j].label} within {extended[j].label} "
+                   f"({what} {block.name})",
+                "fail" if escaped else "pass", f"{escaped} members escape" if escaped else ""))
 
         # desired sets: pairwise disjoint and clear of every extended set
         own_name = gain_name(l, l)
         own = _gains(K)[l, l]
-        slots = message_slots(K, l)
+        slots = [b.target for b in table.desired(l)]
         for a_idx, ja in enumerate(slots):
             for jb in slots[a_idx + 1:]:
                 ok = not shared_members(base[ja], own, base[jb], own)
@@ -458,14 +480,14 @@ def verify_interference_alignment(K: int, m: int,
             seen.append((base[j], own))
         receiver_span[l] = _one_copy(span)
         checks.append(AlignmentCheck(
-            l, f"rx{l}: span size == {expected_span(K, m)}",
-            "pass" if span == expected_span(K, m) else "fail",
+            l, f"rx{l}: span size == {exp_span}",
+            "pass" if span == exp_span else "fail",
             f"got {span}"))
 
     return AlignmentReport(
         K=K, m=m,
         set_cardinalities=_shared(tuple(cardinalities.items())),
         receiver_span=_shared(tuple(receiver_span.items())),
-        expected_span_size=expected_span(K, m),
+        expected_span_size=exp_span,
         checks=checks,
     )

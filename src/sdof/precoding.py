@@ -4,18 +4,20 @@ Mixing schemes (helper wiretap, partially informed MAC) evaluate the stream
 tables of `pam` slot by slot: every transmitter jams on 1/h_i(t), so all
 jamming collapses onto the all-ones column at the receiver while the
 eavesdropper's jamming matrix stays full rank; the messages fill the other
-receiver dimensions.  Interference scheme:
-precoder columns are products of commuting diagonal generator matrices
-raised to the exponent rows of the box {1..n+1}^Gamma, in lexicographic
-order; each target's generators are the distinct shifts its alignment
-equations need, so multiplying by one shifts one exponent, which proves
-column-space containment exactly: the shifted column sits a fixed stride
-further along the extended box.  Ranks are decided by SVD with a relative
-threshold, unless merging parallel columns and one shifted Cholesky of the
-Gram prove the SVD's count first.  The numeric alignment check builds one
-orthonormal basis of each target's extended matrix, by CholeskyQR2 once the
-certificate proves full column rank (by SVD otherwise), and measures every
-instance's residual outside it.
+receiver dimensions.  Interference scheme, the blocks of
+interference_sets.blind_table(K): precoder columns are products of
+commuting diagonal generator matrices raised to the exponent rows of the
+box {1..n+1}^Gamma, in lexicographic order; each target's generators are
+the distinct shifts its blocks' alignment equations need, so multiplying
+by one shifts one exponent, which proves column-space containment exactly:
+the shifted column sits a fixed stride further along the extended box.
+The stacked matrices, their widths and the block length read the table.
+Ranks are decided by SVD with a relative threshold, unless merging
+parallel columns and one shifted Cholesky of the Gram prove the SVD's
+count first.  The numeric alignment check builds one orthonormal basis of
+each target's extended matrix, by CholeskyQR2 once the certificate proves
+full column rank (by SVD otherwise), and measures every instance's
+residual outside it.
 """
 from __future__ import annotations
 
@@ -29,8 +31,7 @@ from .channel import (ChannelRealization, HelperModel, InterferenceModel,
                       MacPartialModel, TAG_ALPHA, TAG_SEED_VECTOR, key_grid,
                       keyed_gains, substream)
 from .errors import CapacityError, ModeError, ParameterError
-from .interference_sets import (alignment_equations, beta_links, gain_name, message_slots,
-                                unintended_messages)
+from .interference_sets import Block, alignment_equations, blind_table, gain_name
 from .monomial import Monomial
 from .pam import StreamTable, helper_streams, partial_csit_streams
 
@@ -265,24 +266,30 @@ def _stream_arrivals(streams: Callable[..., StreamTable], *args: int
     return table, tuple(coeffs), blocks
 
 
+def _ratio(coeff: Monomial, gains: Mapping[str, np.ndarray],
+           out: np.ndarray | None = None) -> np.ndarray:
+    """In each slot, the product of coeff's power +1 gains over the product
+    of its power -1 gains (the only powers a table holds), each product in
+    name order."""
+    parts = {1: 1.0, -1: 1.0}
+    for name, e in coeff.exponents:
+        parts[e] = parts[e] * gains[name]
+    return np.divide(parts[1], parts[-1], out=out)
+
+
 def _mixing_scheme(realization: ChannelRealization, streams: Callable[..., StreamTable],
                    args: tuple[int, ...], slots: int,
                    constants: Mapping[str, np.ndarray]) -> MixingScheme:
     """The arrival coefficients of the table streams(*args) in the first
     `slots` slots, from h_i(t) toward receiver 1, g_i(t) and the given
-    per-slot constants: in each slot, the product of a coefficient's power
-    +1 gains over the product of its power -1 gains (the only powers a
-    table holds), each product in name order.  Each distinct coefficient
-    is evaluated once."""
+    per-slot constants, each by _ratio.  Each distinct coefficient is
+    evaluated once."""
     table, coeffs, blocks = _stream_arrivals(streams, *args)
     gains = table.gains(lambda i: realization.legit_series(i, 1)[:slots],
                         lambda i: realization.eve_series(i)[:slots], constants)
     columns = np.empty((len(coeffs), slots))
     for out, coeff in zip(columns, coeffs):
-        parts = {1: 1.0, -1: 1.0}
-        for name, e in coeff.exponents:
-            parts[e] = parts[e] * gains[name]
-        np.divide(parts[1], parts[-1], out=out)
+        _ratio(coeff, gains, out=out)
     A_V, A_U, B_V, B_U = (columns[index].T for index in blocks)
     return MixingScheme(realization=realization, message_streams=table.message_streams,
                         A_V=A_V, A_U=A_U, B_V=B_V, B_U=B_U)
@@ -364,58 +371,61 @@ def interference_gamma(K: int) -> int:
 
 
 def interference_slots(K: int, n: int) -> int:
-    """Block length M_n = (K-1) n^Gamma + (K+1) (n+1)^Gamma."""
+    """Block length M_n = (K-1) n^Gamma + (K+1) (n+1)^Gamma, a decoder's width."""
     return desired_columns(K, n) + aligned_jamming_columns(K, n)
+
+
+def _block_columns(K: int, n: int, blocks: Sequence[Block]) -> int:
+    """(n + top)^Gamma columns per block."""
+    return sum((n + b.top) ** interference_gamma(K) for b in blocks)
 
 
 def desired_columns(K: int, n: int) -> int:
     """(K-1) n^Gamma: the columns of a decoder's desired blocks, the
     dimensions each receiver decodes."""
-    return (K - 1) * n ** interference_gamma(K)
+    return _block_columns(K, n, blind_table(K).desired(1))
 
 
 def aligned_jamming_columns(K: int, n: int) -> int:
     """(K+1) (n+1)^Gamma: the columns of a decoder's aligned jamming, the
     bound on every receiver's interference rank."""
-    return (K + 1) * (n + 1) ** interference_gamma(K)
+    return _block_columns(K, n, blind_table(K).aligned)
 
 
-def _symbol(factors: Sequence[tuple[int, int, int]]) -> Monomial:
-    return Monomial(tuple((gain_name(j, k), e) for j, k, e in factors))
+def _link_series(realization: ChannelRealization, K: int) -> dict[str, np.ndarray]:
+    """The per-slot gains of every legitimate link, by gain name."""
+    return {gain_name(j, k): realization.legit_series(j, k)
+            for j in range(1, K + 1) for k in range(1, K + 1)}
 
 
-def _diag(realization: ChannelRealization, factors: Sequence[tuple[int, int, int]]
+def _diag(series: Mapping[str, np.ndarray], factors: Sequence[tuple[str, int]]
           ) -> DiagonalChannelMatrix:
-    entries = np.ones(realization.slots)
-    for (j, k, e) in factors:
-        entries = entries * realization.legit_series(j, k) ** e
-    return DiagonalChannelMatrix(entries=entries, symbol=_symbol(factors))
+    """The product of series[name] ** e over the factors, in their order."""
+    entries = 1.0
+    for name, e in factors:
+        entries = entries * series[name] ** e
+    return DiagonalChannelMatrix(entries=entries, symbol=Monomial(tuple(factors)))
 
 
 @functools.lru_cache(maxsize=None)
-def alignment_instances(K: int) -> tuple[tuple[int, int, int, str], ...]:
+def _instances(K: int) -> tuple[tuple[int, Block, tuple[tuple[str, int], ...], Monomial], ...]:
     """interference_sets.alignment_equations(K) in receiver form, as
-    (target = set, receiver, tx, block): at the receiver, H_{tx,receiver}
-    times the block must lie in the span of H_{min(target, K),receiver}
-    times the target's extended precoder.  Blocks are named by precoder:
-    "P" the message precoder of slot target, "Q" the jamming Q_k = E_k and
-    "Q~" tx's derived jamming block.  Every "Q", and Q~_K = E_{K+1}, needs
-    the shift 1, aligns trivially and is dropped.  Derived once per K."""
-    precoder = {"V": "P", "U": "Q", "U~": "Q~"}
-    rows = [(j, l, k, precoder[block]) for l, k, block, j in alignment_equations(K)]
-    return tuple(row for row in rows if _symbol(_instance_factors(K, *row)) != Monomial.one())
-
-
-def _instance_factors(K: int, target: int, l: int, tx: int, block: str
-                      ) -> list[tuple[int, int, int]]:
-    """The shift one alignment instance needs, as (tx, rx, power) gain
-    factors: H_{tx,l} / H_{min(target, K),l}, times beta_tx = h_num / h_den
-    for a "Q~" block of tx < K.  The order is _diag's per-slot product order."""
-    factors = [(min(target, K), l, -1), (tx, l, 1)]
-    if block == "Q~" and tx < K:
-        num, den = beta_links(K)[tx]
-        factors += [(*den, -1), (*num, 1)]
-    return factors
+    (receiver l, block, factors, shift): at receiver l the block's arrival
+    is the shift times h_{o,l}, the arrival of its target's aligned block
+    (owner o), whose extended precoder must span it.  Aligned blocks align
+    trivially and are dropped.  The factors are the shift's gains in
+    _diag's per-slot product order: h_{o,l}^-1, h_{owner,l}, then the
+    coefficient's power -1 and power +1 gains.  Block by block in table
+    order, then by receiver; derived once per K."""
+    table = blind_table(K)
+    owner = {b.target: b.owner for b in table.aligned}
+    rows = []
+    for l, b, _ in alignment_equations(K):
+        if not b.top:
+            factors = ((gain_name(owner[b.target], l), -1), (gain_name(b.owner, l), 1),
+                       *sorted(b.coefficient.exponents, key=lambda p: p[1]))
+            rows.append((l, b, factors, Monomial(factors)))
+    return tuple(sorted(rows, key=lambda row: (table.blocks.index(row[1]), row[0])))
 
 
 # K = 3 keeps the column order of its original generator table, which fixes
@@ -423,19 +433,19 @@ def _instance_factors(K: int, target: int, l: int, tx: int, block: str
 _THREE_USER_ORDER = {1: (0, 2, 3, 1), 2: (0, 2, 1, 3), 3: (2, 0, 3, 1), 4: (2, 0, 3, 1)}
 
 
-def _generator_factors(K: int, target: int) -> list[list[tuple[int, int, int]]]:
-    """The distinct shifts the target's alignment instances need, "P"
-    instances first, then by tx and receiver; (K-1)^2 of them."""
-    by_symbol: dict[Monomial, list[tuple[int, int, int]]] = {}
-    for q, tx, l in sorted((block == "Q~", tx, l)
-                           for t, l, tx, block in alignment_instances(K) if t == target):
-        factors = _instance_factors(K, target, l, tx, "Q~" if q else "P")
-        by_symbol.setdefault(_symbol(factors), factors)
-    lists = list(by_symbol.values())
+@functools.lru_cache(maxsize=None)
+def _generator_factors(K: int, target: int) -> tuple[tuple[tuple[str, int], ...], ...]:
+    """The distinct shifts the target's instances need, in the order
+    _instances meets them; (K-1)^2 of them."""
+    by_symbol: dict[Monomial, tuple[tuple[str, int], ...]] = {}
+    for _, b, factors, shift in _instances(K):
+        if b.target == target:
+            by_symbol.setdefault(shift, factors)
+    lists = tuple(by_symbol.values())
     if len(lists) != interference_gamma(K):
         raise RuntimeError(f"target {target}: {len(lists)} generators, "
                            f"expected {interference_gamma(K)}")
-    return [lists[i] for i in _THREE_USER_ORDER[target]] if K == 3 else lists
+    return tuple(lists[i] for i in _THREE_USER_ORDER[target]) if K == 3 else lists
 
 
 def build_cj_generators(K: int, realization: ChannelRealization
@@ -444,10 +454,8 @@ def build_cj_generators(K: int, realization: ChannelRealization
     alignment; (K-1)^2 distinct generators per target 1..K+1."""
     if not isinstance(realization.model, InterferenceModel) or realization.model.K != K:
         raise ModeError(f"realization is not an interference({K}) model")
-    if K < 3:
-        raise ParameterError("the alignment construction starts at K = 3")
-    return {target: tuple(_diag(realization, factors)
-                          for factors in _generator_factors(K, target))
+    series = _link_series(realization, K)
+    return {target: tuple(_diag(series, factors) for factors in _generator_factors(K, target))
             for target in range(1, K + 2)}
 
 
@@ -471,11 +479,10 @@ class PrecoderTarget:
 class PrecoderSet:
     """All precoding matrices of the fading interference scheme.
 
-    Target k <= K supplies jamming matrix Q_k = targets[k].extended and the
-    shared message precoder for sub-message slot k (targets[k].base); target
-    K+1 supplies the second jamming block of transmitter K.  The remaining
-    second jamming blocks are derived, diagonally scaled copies of message
-    precoders so that they align one step ahead.
+    Each target j has a base and an extended precoder; qtilde[k] holds the
+    columns of the scaled jamming block U~_k, beta_k per slot times its
+    target's precoder (that precoder itself where beta_k = 1).  A block of
+    interference_sets.blind_table(K) reads its columns through columns().
 
     Every matrix is read-only, so what is computed from a set stays valid as
     long as the set lives; equality and hashing are by identity, so a set
@@ -499,6 +506,14 @@ class PrecoderSet:
     @property
     def block_length(self) -> int:
         return interference_slots(self.K, self.n)
+
+    def columns(self, block: Block) -> np.ndarray:
+        """The precoder a block of the scheme's table sends: qtilde[owner]
+        for a scaled block, else its target's base or extended precoder."""
+        if block in blind_table(self.K).scaled:
+            return self.qtilde[block.owner]
+        target = self.targets[block.target]
+        return target.extended if block.top else target.base
 
 
 def _power_tables(generators: Sequence[DiagonalChannelMatrix], top: int,
@@ -536,7 +551,8 @@ def check_precoder_budget(K: int, n: int) -> None:
     """Refuse a scheme whose precoders exceed DEFAULT_PRECODER_BUDGET matrix
     entries; it needs no channel, so callers check before sampling one."""
     gamma = interference_gamma(K)
-    entries_needed = (K + 1) * interference_slots(K, n) * ((n + 1) ** gamma + n ** gamma)
+    targets = len(blind_table(K).aligned)  # one aligned block per target
+    entries_needed = targets * interference_slots(K, n) * ((n + 1) ** gamma + n ** gamma)
     if entries_needed > DEFAULT_PRECODER_BUDGET:
         raise CapacityError(f"precoders need {entries_needed} matrix entries, "
                             f"over budget {DEFAULT_PRECODER_BUDGET}")
@@ -569,12 +585,14 @@ def build_asymptotic_precoders(K: int, n: int, realization: ChannelRealization
                                       base=extended.take(base_index, axis=1),
                                       extended=extended)
 
-    # second jamming blocks: beta_k times the message precoder of slot k+1
+    # scaled jamming blocks: the coefficient times the target's precoder
+    series = _link_series(realization, K)
     qtilde: dict[int, np.ndarray] = {}
-    for k, (num, den) in beta_links(K).items():
-        entries = realization.legit_series(*num) / realization.legit_series(*den)
-        qtilde[k] = entries[:, None] * targets[k + 1].base
-    qtilde[K] = targets[K + 1].extended
+    for b in blind_table(K).scaled:
+        target = targets[b.target]
+        block = target.extended if b.top else target.base
+        qtilde[b.owner] = (block if b.coefficient == Monomial.one()
+                           else _ratio(b.coefficient, series)[:, None] * block)
 
     return PrecoderSet(K=K, n=n, realization=realization, targets=targets,
                        qtilde=qtilde)
@@ -683,25 +701,24 @@ def verify_alignment_equations(pre: PrecoderSet,
     verdicts: dict[tuple[int, str], tuple[bool, bool]] = {}
     basis = {idx: _span_basis(t.extended, tol) for idx, t in pre.targets.items()}
 
-    for target_idx, l, tx, block in alignment_instances(K):
-        target = pre.targets[target_idx]
-        lhs_plain = target.base if block == "P" else pre.qtilde[tx]
-        lhs = realization.legit_series(tx, l)[:, None] * lhs_plain
-        h = realization.legit_series(min(target_idx, K), l)[:, None]
+    owner = {b.target: b.owner for b in blind_table(K).aligned}
+    for l, b, _, gen in _instances(K):
+        target = pre.targets[b.target]
+        lhs = realization.legit_series(b.owner, l)[:, None] * pre.columns(b)
+        h = realization.legit_series(owner[b.target], l)[:, None]
 
-        gen = _symbol(_instance_factors(K, target_idx, l, tx, block))
         # the generators are derived from these instances, so gen is one
         position = [g.symbol for g in target.generators].index(gen)
         shifted = base_index + (n + 1) ** (gamma - 1 - position)
         exact = np.allclose(lhs, h * target.extended[:, shifted], rtol=1e-9, atol=0.0)
 
-        r, U = basis[target_idx]
+        r, U = basis[b.target]
         z = r[:, None] * lhs / h
         outside = np.linalg.norm(z - U @ (U.T @ z), axis=0)
         cut = tol * max(target.extended.shape) * np.linalg.norm(z, axis=0)
         numeric = bool(np.all(outside <= cut))
 
-        key = (target_idx, str(gen))
+        key = (b.target, str(gen))
         was_exact, was_numeric = verdicts.get(key, (True, True))
         verdicts[key] = (was_exact and exact, was_numeric and numeric)
 
@@ -738,63 +755,19 @@ class SchemeMatrices:
     aligned_jamming_columns: int
 
 
-Blocks = list[tuple[np.ndarray, np.ndarray]]  # (per-slot gain column, precoder block)
-
-
-def _width(blocks: Blocks) -> int:
-    return sum(block.shape[1] for _, block in blocks)
-
-
-def _stacked(blocks: Blocks) -> np.ndarray:
-    """np.hstack([series * block for series, block in blocks]), bit for bit,
-    with each product written straight into its columns; read-only."""
-    out = np.empty((len(blocks[0][1]), _width(blocks)))
+def _stacked(pre: PrecoderSet, blocks: Sequence[Block],
+             series: Callable[[int], np.ndarray]) -> np.ndarray:
+    """np.hstack of each block's precoder times its owner's per-slot gains
+    series(owner), bit for bit, with each product written straight into its
+    columns; read-only."""
+    precoders = [pre.columns(b) for b in blocks]
+    out = np.empty((pre.block_length, sum(p.shape[1] for p in precoders)))
     j = 0
-    for series, block in blocks:
-        np.multiply(series, block, out=out[:, j:j + block.shape[1]])
-        j += block.shape[1]
+    for b, p in zip(blocks, precoders):
+        np.multiply(series(b.owner)[:, None], p, out=out[:, j:j + p.shape[1]])
+        j += p.shape[1]
     out.setflags(write=False)
     return out
-
-
-def _receiver_blocks(pre: PrecoderSet, l: int) -> tuple[Blocks, Blocks, Blocks]:
-    """The blocks arriving at receiver l: (desired, unintended, jamming), the
-    jamming every Q_k, then every Q~_k."""
-    K = pre.K
-
-    def hseries(tx: int) -> np.ndarray:
-        return pre.realization.legit_series(tx, l)[:, None]
-
-    desired = [(hseries(l), pre.targets[j].base) for j in message_slots(K, l)]
-    unintended = [(hseries(k), pre.targets[j].base) for k, j in unintended_messages(K, l)]
-    jamming = [(hseries(k), pre.targets[k].extended) for k in range(1, K + 1)]
-    jamming += [(hseries(k), pre.qtilde[k]) for k in range(1, K + 1)]
-    return desired, unintended, jamming
-
-
-def _receiver_mixing(pre: PrecoderSet, l: int) -> tuple[np.ndarray, int]:
-    """Every block arriving at receiver l, [desired | unintended | jamming],
-    and the desired width: the interference is the column suffix after it."""
-    desired, unintended, jamming = _receiver_blocks(pre, l)
-    return _stacked(desired + unintended + jamming), _width(desired)
-
-
-def _receiver_decoder(pre: PrecoderSet, l: int) -> np.ndarray:
-    """Lambda_l: the desired blocks and the aligned jamming, every Q_k then Q~_K."""
-    desired, _, jamming = _receiver_blocks(pre, l)
-    return _stacked(desired + jamming[:pre.K] + jamming[-1:])
-
-
-def _eavesdropper_mixing(pre: PrecoderSet) -> tuple[np.ndarray, int]:
-    """Every block arriving at the eavesdropper, [messages | jamming], and
-    the message width: the jamming I_E is the column suffix after it."""
-    K = pre.K
-    gseries = {k: pre.realization.eve_series(k)[:, None] for k in range(1, K + 1)}
-    messages = [(gseries[k], pre.targets[j].base)
-                for k in range(1, K + 1) for j in message_slots(K, k)]
-    jamming = [(gseries[k], pre.targets[k].extended) for k in range(1, K + 1)]
-    jamming += [(gseries[k], pre.qtilde[k]) for k in range(1, K + 1)]
-    return _stacked(messages + jamming), _width(messages)
 
 
 def assemble_receiver_and_eve_matrices(pre: PrecoderSet,
@@ -807,20 +780,24 @@ def assemble_receiver_and_eve_matrices(pre: PrecoderSet,
     reads one receiver at a time calls this once per receiver, receivers=(l,)
     with eve=False, and once with receivers=() for the eavesdropper: it then
     holds one receiver's matrices, not all of them."""
-    K = pre.K
+    K, table = pre.K, blind_table(pre.K)
     lambdas: dict[int, np.ndarray] = {}
     interference: dict[int, np.ndarray] = {}
     receive_mixing: dict[int, np.ndarray] = {}
     for l in range(1, K + 1) if receivers is None else receivers:
+        def gains(k: int) -> np.ndarray:
+            return pre.realization.legit_series(k, l)
+
+        desired = table.desired(l)
         if decoders:
-            lambdas[l] = _receiver_decoder(pre, l)
-        receive_mixing[l], width = _receiver_mixing(pre, l)
-        interference[l] = receive_mixing[l][:, width:]
-    if eve:
-        eve_mixing, width = _eavesdropper_mixing(pre)
-    else:
-        eve_mixing, width = np.empty((pre.block_length, 0)), 0
-        eve_mixing.setflags(write=False)
+            lambdas[l] = _stacked(pre, table.decoder(l), gains)
+        # the desired blocks first: the interference is the column suffix
+        receive_mixing[l] = _stacked(
+            pre, desired + tuple(b for b in table.blocks if b not in desired), gains)
+        interference[l] = receive_mixing[l][:, desired_columns(K, pre.n):]
+    # the messages first: the jamming I_E is the column suffix
+    eve_mixing = _stacked(pre, table.blocks if eve else (), pre.realization.eve_series)
+    width = _block_columns(K, pre.n, table.messages) if eve else 0
     return SchemeMatrices(
         K=K, n=pre.n, block_length=pre.block_length,
         decoders=lambdas, interference=interference,

@@ -219,13 +219,18 @@ class TestFadingVerifyMutation:
 
 
 # SHA-256 of the JSON report of each experiment whose report is exact in
-# floating point (no BLAS reduction reaches it), at seed 1: a change that
-# moves one of these reports must say so here
+# floating point (no BLAS reduction reaches it) or holds only integers and
+# booleans (the fading verifier's counts and ranks), at seed 1: a change
+# that moves one of these reports must say so here
 PINNED_REPORTS = {
     ("interference_fixed_verify", "--K=3", "--m=1", "--mutate=true"):
         "f293a7dce7d4f00af24a740456315753677d18c628b685b0f5e22e801289008b",
     ("interference_fixed_verify", "--K=4", "--m=1", "--mutate=true"):
         "5718ea957785bc9a3980b1fe52eca014fd8bfca7466edd670af49cfc2410955b",
+    ("interference_fading_verify", "--K=3", "--n=1", "--mutate=true"):
+        "60071139f5b0eec24a57c69b1f9bf83a730f167da10fd2b66cac0e7955676502",
+    ("interference_fading_verify", "--K=3", "--n=2", "--mutate=true"):
+        "45688878af63b5b6d2c2474e9946292e0dcb150fd85f79a517926311eaeba381",
     ("sdof_table", "--K=3", "--M=2"):
         "6b82984ad6ec188281fa534a25c46f96f0d2ef4ab23957be98e6017c59376d3d",
     ("region", "--K=3"):
@@ -322,6 +327,10 @@ class TestMain:
          "usage error: rank_tol must be in (0, 1)"),
         (["--experiment=mac_partial", "--grid=1,1e2,1e4"],
          "usage error: grid powers must be > 1"),
+        (["--experiment=interference_fading_verify", "--K=2"],
+         "error: construction needs 3 <= K <= 9, got K=2"),
+        (["--experiment=interference_fading_mi", "--K=10"],
+         "error: construction needs 3 <= K <= 9, got K=10"),
     ])
     def test_degenerate_experiment_is_refused(self, overrides, message, tmp_path, capsys):
         config = _region_config(tmp_path, seed=1)

@@ -16,14 +16,14 @@ from sdof import interference_sets
 from sdof.errors import CapacityError, CertificateError, ParameterError
 from sdof.interference_sets import (AlignmentCheck,
                                     AlignmentReport, DimensionSet,
-                                    _denominator_betas, _new_members, _rows,
-                                    beta_general,
+                                    _new_members, _rows,
+                                    alignment_equations, beta_general, blind_table,
                                     build_base_dimension_sets,
                                     build_extended_dimension_sets,
                                     expected_base_cardinality,
                                     expected_extended_cardinality,
                                     expected_span, exponent_slots, gain_name,
-                                    message_slots, shared_members,
+                                    shared_members,
                                     verify_interference_alignment)
 from sdof.monomial import Monomial
 
@@ -123,13 +123,53 @@ class TestVerification:
 
 
 def test_beta_rules_differ_by_an_in_range_shift():
-    # the two published beta conventions for K=3 differ by one free
+    # the set rows count beta_k by its denominator alone, the other
+    # published beta convention for K=3; the two differ by one free
     # generator of the target set, so both keep the shifted exponents in range
-    table = _denominator_betas(3)
     general = beta_general(3)
-    assert table[3] == general[3] == Monomial.one()
-    assert general[1] / table[1] == Monomial.gen("h_31")
-    assert general[2] / table[2] == Monomial.gen("h_12")
+    assert general[3] == Monomial.one()
+    for k, numerator in ((1, "h_31"), (2, "h_12")):
+        denominator = Monomial.from_dict({n: e for n, e in general[k].exponents if e < 0})
+        assert general[k] / denominator == Monomial.gen(numerator)
+        assert Monomial.gen(numerator) in _rows(3)[k]  # a row of set k+1
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: beta_general(2), "needs 3 <= K <= 9, got K=2"),
+    (lambda: beta_general(11), "needs 3 <= K <= 9, got K=11"),
+    (lambda: blind_table(10), "needs 3 <= K <= 9, got K=10"),
+    (lambda: alignment_equations(2), "needs 3 <= K <= 9, got K=2"),
+    (lambda: expected_span(2, 1), "needs 3 <= K <= 9, got K=2"),
+    (lambda: blind_table(3).desired(5), r"transmitter must lie in 1\.\.3, got 5"),
+    (lambda: blind_table(3).decoder(0), r"transmitter must lie in 1\.\.3, got 0"),
+], ids=["beta_general-2", "beta_general-11", "blind_table-10", "alignment_equations-2",
+        "expected_span-2", "desired-5", "decoder-0"])
+def test_a_k_or_transmitter_outside_the_scheme_is_refused(call, message):
+    # K = 2 would let beta_{K-1}'s link overwrite beta_1's, K = 11 would
+    # name h_111 for both (11,1) and (1,11), and transmitter 5 of 3 owns
+    # nothing
+    with pytest.raises(ParameterError, match=message):
+        call()
+
+
+@pytest.mark.parametrize("K,m", [(3, 1), (4, 1), (3, 2)])
+def test_every_claim_factor_is_its_blocks_arrival(K, m):
+    # at receiver l a block of the table arrives on h_{owner,l} times its
+    # coefficient: each other block's containment claim, and each desired
+    # block's disjointness claims, scale its target's base set by that
+    equations = alignment_equations(K)
+    assert isinstance(equations, tuple) and alignment_equations(K) is equations
+    claims = [c.claim for c in verify_interference_alignment(K, m).checks]
+    table = blind_table(K)
+    for l in range(1, K + 1):
+        for b in table.blocks:
+            head = f"rx{l}: {Monomial.gen(gain_name(b.owner, l)) * b.coefficient}*T_{b.target} "
+            if b in table.desired(l):
+                assert all(f"{head}disjoint from T~_{i}" in claims for i in range(1, K + 2))
+            else:
+                kind = "message" if b in table.messages else "jamming"
+                assert f"{head}within T~_{b.target} ({kind} {b.name})" in claims
+    assert sum(" within " in c for c in claims) == len(equations)
 
 
 def test_expected_span_formula():
@@ -193,7 +233,7 @@ def test_derived_patterns_match_the_published_table(K):
 
 def test_an_equation_list_short_of_a_row_is_refused(monkeypatch):
     equations = interference_sets.alignment_equations(4)
-    dropped = next(e for e in equations if e[2] == "V")
+    dropped = next(e for e in equations if e[1] in blind_table(4).messages)
     monkeypatch.setattr(interference_sets, "alignment_equations",
                         lambda K: [e for e in equations if e != dropped])
     monkeypatch.setattr(interference_sets, "_rows", interference_sets._rows.__wrapped__)
@@ -219,6 +259,11 @@ def _reference_set(K, i, top):
         d[f"c_{i}"] = exps[idx]
         members.add(Monomial.from_dict(d))
     return frozenset(members)
+
+
+def _message_slots(K, k):
+    """The sets transmitter k sends messages on: all of 1..K+1 but k, k+1."""
+    return [j for j in range(1, K + 2) if j not in (k, k + 1)]
 
 
 def _reference_verify(K, m, beta_override=None):
@@ -259,7 +304,7 @@ def _reference_verify(K, m, beta_override=None):
         for k in range(1, K + 1):
             if k == l:
                 continue
-            for j in message_slots(K, k):
+            for j in _message_slots(K, k):
                 containment(l, Monomial.gen(gain_name(k, l)), j, j,
                             f"message V{k},{j}")
         for k in range(1, K + 1):
@@ -269,7 +314,7 @@ def _reference_verify(K, m, beta_override=None):
             containment(l, factor, k + 1, k + 1, f"jamming U~{k}")
 
         own = Monomial.gen(gain_name(l, l))
-        slots = message_slots(K, l)
+        slots = _message_slots(K, l)
         desired = {j: frozenset(own * mono for mono in base[j]) for j in slots}
         for a_idx, ja in enumerate(slots):
             for jb in slots[a_idx + 1:]:

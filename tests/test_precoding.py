@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 from unittest import mock
 
@@ -11,12 +12,12 @@ from sdof import pam, precoding
 from sdof.channel import (TAG_ALPHA, HelperModel, InterferenceModel,
                           MacPartialModel, sample_channel)
 from sdof.errors import CapacityError, ModeError, ParameterError
-from sdof.interference_sets import beta_general, message_slots
+from sdof.interference_sets import beta_general, blind_table
 from sdof.monomial import Monomial
 from sdof.precoding import (DEFAULT_RANK_TOL, build_asymptotic_precoders, build_cj_generators,
                             build_helper_fading, build_partial_csit_fading,
-                            _generator_factors, _instance_factors, _symbol,
-                            alignment_instances, assemble_receiver_and_eve_matrices,
+                            _generator_factors, _instances,
+                            assemble_receiver_and_eve_matrices,
                             interference_gamma,
                             interference_slots, mutate_qtilde, numeric_rank,
                             partial_csit_decode, verify_alignment_equations,
@@ -415,7 +416,7 @@ class TestGenerators:
     @pytest.mark.parametrize("K", [3, 4])
     def test_generator_symbols_in_column_order(self, K):
         # the column order fixes the precoders' float bits
-        got = {t: [str(_symbol(f)) for f in _generator_factors(K, t)]
+        got = {t: [str(Monomial(f)) for f in _generator_factors(K, t)]
                for t in range(1, K + 2)}
         assert got == GENERATOR_SYMBOLS[K]
 
@@ -423,12 +424,13 @@ class TestGenerators:
     def test_derived_generators_are_the_required_shifts(self, K):
         # (K-1)^2 distinct shifts per target, and every alignment instance
         # needs one of them; no precoder is built
-        symbols = {t: [_symbol(f) for f in _generator_factors(K, t)]
+        symbols = {t: [Monomial(f) for f in _generator_factors(K, t)]
                    for t in range(1, K + 2)}
         for t, gens in symbols.items():
             assert len(gens) == len(set(gens)) == interference_gamma(K)
-        for instance in alignment_instances(K):
-            assert _symbol(_instance_factors(K, *instance)) in symbols[instance[0]]
+        for _, block, factors, shift in _instances(K):
+            assert Monomial(factors) == shift
+            assert shift in symbols[block.target]
 
     def test_diagonals_commute_pairwise_bitwise(self, precoders_n1):
         gens = precoders_n1.targets[2].generators
@@ -521,10 +523,12 @@ PAPER_INSTANCES = {
 @pytest.mark.parametrize("K, total", [(3, 18), (4, 48), (5, 100), (6, 180), (7, 294),
                                       (8, 448), (9, 648)])
 def test_alignment_instances_are_the_papers_equations(K, total):
-    got = alignment_instances(K)
-    assert isinstance(got, tuple) and alignment_instances(K) is got
+    instances = _instances(K)
+    assert isinstance(instances, tuple) and _instances(K) is instances
+    got = [(b.target, l, b.owner, "Q~" if b in blind_table(K).scaled else "P")
+           for l, b, _, _ in instances]
     assert len(got) == len(set(got)) == total == K * K * (K - 1)
-    assert all(_symbol(_instance_factors(K, *row)) != Monomial.one() for row in got)
+    assert all(shift != Monomial.one() for _, _, _, shift in instances)
     if K in PAPER_INSTANCES:
         want = [(target, *row) for target, rows in PAPER_INSTANCES[K].items() for row in rows]
         assert sorted(got) == sorted(want)
@@ -534,7 +538,7 @@ class TestAlignmentVerification:
     def test_all_sixteen_equations_pass(self, precoders_n1):
         report = verify_alignment_equations(precoders_n1)
         assert len(report.equations) == 16
-        assert len(alignment_instances(3)) == 18
+        assert len(_instances(3)) == 18
         assert report.ok
 
     def test_exact_and_numeric_verdicts_agree(self, precoders_n1):
@@ -632,11 +636,12 @@ def _reference_report(pre, tol=precoding.DEFAULT_RANK_TOL):
     base = [int(np.ravel_multi_index(row, (n + 1,) * gamma))
             for row in itertools.product(range(n), repeat=gamma)]
     verdicts = {}
-    for target, l, tx, block in alignment_instances(K):
+    for l, block, _, gen in _instances(K):
+        target, tx = block.target, block.owner
         t = pre.targets[target]
-        lhs = r.legit_series(tx, l)[:, None] * (t.base if block == "P" else pre.qtilde[tx])
+        lhs = r.legit_series(tx, l)[:, None] * (
+            pre.qtilde[tx] if block.name.startswith("U~") else t.base)
         rhs = r.legit_series(min(target, K), l)[:, None] * t.extended
-        gen = _symbol(_instance_factors(K, target, l, tx, block))
         pos = [g.symbol for g in t.generators].index(gen)
         idx = [b + (n + 1) ** (gamma - 1 - pos) for b in base]
         exact = np.allclose(lhs, rhs[:, idx], rtol=1e-9, atol=0.0)
@@ -741,11 +746,11 @@ class TestGeneralK:
         slots = pre.block_length
         assert set(pre.qtilde) == {1, 2, 3, 4}
         betas = beta_general(4)
-        for target, l, tx, block in alignment_instances(4):
-            if block == "Q~":
+        for l, block, _, shift in _instances(4):
+            if block in blind_table(4).scaled:
+                tx, target = block.owner, block.target
                 ratio = Monomial.gen(f"h_{tx}{l}") / Monomial.gen(f"h_{target}{l}")
-                assert _symbol(_instance_factors(4, target, l, tx, block)) \
-                    == ratio * betas[tx]
+                assert shift == ratio * betas[tx]
         assert pre.qtilde[3].shape == (slots, 1)
         assert pre.qtilde[4].shape == (slots, 512)
 
@@ -775,6 +780,12 @@ def test_general_beta_rule_at_five_users():
                                5: Monomial.one()}
 
 
+# the message precoders each transmitter sends: every target but its own
+# and the next
+MESSAGE_SLOTS = {3: {1: [3, 4], 2: [1, 4], 3: [1, 2]},
+                 4: {1: [3, 4, 5], 2: [1, 4, 5], 3: [1, 2, 5], 4: [1, 2, 3]}}
+
+
 class TestStackedMatrices:
     def test_ranks_n1(self, precoders_n1):
         mats = assemble_receiver_and_eve_matrices(precoders_n1)
@@ -796,17 +807,18 @@ class TestStackedMatrices:
         # views of the full stacks
         pre = request.getfixturevalue(fixture)
         K = pre.K
+        slots = MESSAGE_SLOTS[K]
         mats = assemble_receiver_and_eve_matrices(pre)
         r = pre.realization
         for l in range(1, K + 1):
             h = {k: r.legit_series(k, l)[:, None] for k in range(1, K + 1)}
             unintended = [h[k] * pre.targets[j].base for k in range(1, K + 1) if k != l
-                          for j in message_slots(K, k)]
+                          for j in slots[k]]
             jamming = [h[k] * pre.targets[k].extended for k in range(1, K + 1)]
             jamming += [h[k] * pre.qtilde[k] for k in range(1, K + 1)]
             aligned = [h[k] * pre.targets[k].extended for k in range(1, K + 1)]
             aligned.append(h[K] * pre.qtilde[K])
-            desired = [h[l] * pre.targets[j].base for j in message_slots(K, l)]
+            desired = [h[l] * pre.targets[j].base for j in slots[l]]
             assert np.array_equal(mats.receive_mixing[l],
                                   np.hstack(desired + unintended + jamming))
             assert np.array_equal(mats.interference[l], np.hstack(unintended + jamming))
@@ -817,8 +829,7 @@ class TestStackedMatrices:
         g = {k: r.eve_series(k)[:, None] for k in range(1, K + 1)}
         eve_jam = [g[k] * pre.targets[k].extended for k in range(1, K + 1)]
         eve_jam += [g[k] * pre.qtilde[k] for k in range(1, K + 1)]
-        eve_msg = [g[k] * pre.targets[j].base
-                   for k in range(1, K + 1) for j in message_slots(K, k)]
+        eve_msg = [g[k] * pre.targets[j].base for k in range(1, K + 1) for j in slots[k]]
         assert np.array_equal(mats.eve_mixing, np.hstack(eve_msg + eve_jam))
         assert np.array_equal(mats.eve_jamming, np.hstack(eve_jam))
         assert mats.eve_jamming.base is mats.eve_mixing
@@ -872,6 +883,200 @@ class TestStackedMatrices:
             mats = assemble_receiver_and_eve_matrices(pre)
             assert all(numeric_rank(mats.decoders[l]) == slots for l in (1, 2, 3))
             assert numeric_rank(mats.eve_jamming) == slots
+
+
+# SHA-256 of the bytes of every precoder block and stacked matrix at seed 1:
+# a change that moves one of these must say so here
+PINNED_MATRICES = {
+    (3, 1): {
+        "targets[1].base":
+            "61e1f50ed7a892d9ccae303d75aeb1c1b50b60caf58c212ce5bcc9281e050a0c",
+        "targets[1].extended":
+            "26c511f0ab95672fbb1d8ad0cdfeda60cd494c27a8b265e96054665641a5fc3e",
+        "targets[2].base":
+            "526d168da41fe95e9a7bbd475e0608b8e56048a99a48543aeebcd0cbb684d127",
+        "targets[2].extended":
+            "8cd9df3f65d8a6e88a42787e92ac9e7f60ee553ee13277a3ef9c539c0113a9c9",
+        "targets[3].base":
+            "a5ebc34328cc6ff28f1c24f916b926e19207f3040a721d6ddb21e60f4e4e1e3a",
+        "targets[3].extended":
+            "e4eb2b124911db58fc65394c4637c53b602f4a0dcd7933e37fc3b02849ed07c6",
+        "targets[4].base":
+            "324e7c3f64f6f67c84597413d4ea54465a59a113dcc654033164981f4ed56e10",
+        "targets[4].extended":
+            "fbd2aa489364897910993d8c50905ed87db0b2e7e8f8d013d9251a3f6c75ec46",
+        "qtilde[1]":
+            "1c1bdc097cef416069fa021da61280a40f907e37d046ea0d97adb697af424ba7",
+        "qtilde[2]":
+            "450324c67f0e914f2848f300ac9d0703fb628d528d5ba23ba30bcaea162282f9",
+        "qtilde[3]":
+            "fbd2aa489364897910993d8c50905ed87db0b2e7e8f8d013d9251a3f6c75ec46",
+        "decoders[1]":
+            "c8b5be5bc01f0c7652125b1d5224d41bdb2c1cbc3723ab402143a6f5d7279d7e",
+        "receive_mixing[1]":
+            "1f2ad705b80e92f018ae7c22707fde0d95f0e45738ca4c7badf1ea71c08ad998",
+        "decoders[2]":
+            "7032f21513890e2822924a366556f086382f9bedd3b9e79118dee21646344fb1",
+        "receive_mixing[2]":
+            "aa491f93eae645cc3520bf6ec6b26e853fcc683f9dad7832b4e03fe0a2fdb245",
+        "decoders[3]":
+            "4cb962fef0109b56765f1c63c3ed1d65d30737f8af75f770daf399141c5e5fa2",
+        "receive_mixing[3]":
+            "13a8b16c9bc8281d685d25dd092478d553263cecebd75940116a93f3ba8ebbad",
+        "eve_mixing":
+            "97d5b675f0cc596db5ff6be59e5f6edd4eb940401b56b72f87113f1795e0783a",
+    },
+    (3, 2): {
+        "targets[1].base":
+            "a6f4a72dc870925d6d408a3ec8539ba5903f118d2776e9f461f1da96a7a228c9",
+        "targets[1].extended":
+            "0b758e60afcd8fef43bf480bdc24e013d718315d72112bbf330255bbdbf7e060",
+        "targets[2].base":
+            "7d91eeeba3abaffbbb1c4f9edb9ce368281dd3cbfef12326c8d91224e53c3408",
+        "targets[2].extended":
+            "239ebe7d7ae20f81c5934d47ef3ba896c012262b9ffc180ee5dbfbbb8e30c186",
+        "targets[3].base":
+            "3bdfa2d37b859eaee51501c72faf15d468bc569fe04c525a60a11273699f07b4",
+        "targets[3].extended":
+            "1d310973bca15bc2103b5aba0c110e261fb5d5085a344072eb646f4dcab92593",
+        "targets[4].base":
+            "7f2470b7392853aef8598bf68c9ef4d2fd96659b7b0da9b321b0c54e73f59a21",
+        "targets[4].extended":
+            "55aeed1fcc66e2fe6ba3ee46ba93cc3cd70f3a894bd9347472104d90db73513f",
+        "qtilde[1]":
+            "1aa95c3f3125a7713bcc974d53685b13c88e2d37f7581995a1a9a403ce82ed99",
+        "qtilde[2]":
+            "e48f5898f2a4197528ff99ef9044cbcc7aac0195633e29ca610cf852feaf419c",
+        "qtilde[3]":
+            "55aeed1fcc66e2fe6ba3ee46ba93cc3cd70f3a894bd9347472104d90db73513f",
+        "decoders[1]":
+            "3e6bdd95ea0680ea6d4245b37b468646310e12f43207d3852c6f0fe2e7a0b3b8",
+        "receive_mixing[1]":
+            "2c1d5fabc45058800d05e27ea5618fd21176efde3941d18991ca8f2e82aae779",
+        "decoders[2]":
+            "97bd2449318edbab26d46f4f08dffb4957bb9290d94630bad3ba3b4510955890",
+        "receive_mixing[2]":
+            "c729a3c5aac079503384de2741d707c8ac4dba1db9fdec24bc8a7109f46ee4ce",
+        "decoders[3]":
+            "79b080a40eae5937887eb457fb0188be09f202b9e7d9e008a6654f2abd7005e9",
+        "receive_mixing[3]":
+            "c5f274884f92c27cc82ff4c61ea2196dee9783c6bab5a766d2373f1b9b68106f",
+        "eve_mixing":
+            "885f45a8e9beb3dc1e2b428214bcb509f0c50b02ce06e8b5c0533c0959c57e3e",
+    },
+    (4, 1): {
+        "targets[1].base":
+            "65be16b799633ee547ab6fb4f9785c695dc78e0aadb1a2a97d2971f121aeab8b",
+        "targets[1].extended":
+            "1727213eb62af9d57a0c071359fc5f2216443d2473fc7f7a17aa83cf91bf24ee",
+        "targets[2].base":
+            "9b1c3a23d2f6af3b19df8f87ca42363feaf5c1d39e18adf7e9ca8e8ae7726c5f",
+        "targets[2].extended":
+            "5aefd79b2cb399969f2dcb1190a1715fe54a017c2473d14e1b6da56919440382",
+        "targets[3].base":
+            "6304a74f073ea934d9b6ed6d2e620ba7d3b01fc997c3e983d857e08621eab29a",
+        "targets[3].extended":
+            "9cb982e432c27746d6c2c7f5c9c5e22359c35f7617cef3d9ddf7da8d7e0e0daa",
+        "targets[4].base":
+            "603a033304f3c75a933d7b747cf7467e3cd60417eb18d3d9443d18b04e6f8812",
+        "targets[4].extended":
+            "8f43a967b8a9a0599f8b2c780a02b8e7b6b2859cff5be34d926316b29ec4c83a",
+        "targets[5].base":
+            "dfc1639252b66fa341da9e58f73881cb753a0be89089a6bbdbf366a44619fdc0",
+        "targets[5].extended":
+            "a9d521dea7a2104f19260eca5114b6f96393f4c104f99002496d50f91ff2ea06",
+        "qtilde[1]":
+            "01ee690b47b8eeed07920822067fc2d9ce98b4af6ef4e6226fa9c53fee099e47",
+        "qtilde[2]":
+            "d898070af6d261888344f82ff9a06ff4179cf5544c06aee526549d5369afef3d",
+        "qtilde[3]":
+            "335419f1ab7509be4dcb1d7edec0d13e0bf092c5417668dcb97c59fc29b10c28",
+        "qtilde[4]":
+            "a9d521dea7a2104f19260eca5114b6f96393f4c104f99002496d50f91ff2ea06",
+        "decoders[1]":
+            "986b687e1aea0802e1b92cd2d1310d0f71b9ed793af9e7733c1951ede32f034d",
+        "receive_mixing[1]":
+            "96228ac5f299d0582b33cd89b846e5d056b2cbed449f2f1edab4509b7d4e2a9d",
+        "decoders[2]":
+            "8b3c8026786668aa7e69a3f2813409c14664634be0eddaf71af8f14873af9fb6",
+        "receive_mixing[2]":
+            "2f4a45676bd63e532aaba480a07bcc9ecc3bf59ec495ce55275a20f4482dc1df",
+        "decoders[3]":
+            "68008448d4e7a3ce8717a1af28af3f32eecf5f536a9f35e6485d31f3448b8cdc",
+        "receive_mixing[3]":
+            "41a6638d1eadd39e3bfb0ef21e387eabd44dfa0cc928766c1cba68152f5bfe6d",
+        "decoders[4]":
+            "9aac4b138283d5cbcf23feaa40ef87a97430ad14d81d708b5746dad7f211a905",
+        "receive_mixing[4]":
+            "5e72f4ba706bc82d7676a727ea941d975ae088b0a301abab150fec70cb814308",
+        "eve_mixing":
+            "ced20d7e76a1f5e7d342f41548f06d42f559628f084335edf98eb2340a8b59b5",
+    },
+}
+
+
+def _sha256(a):
+    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+
+
+def _seed_one_precoders(K, n):
+    r = sample_channel(InterferenceModel(K), fixed=False, slots=interference_slots(K, n),
+                       seed=1)
+    return build_asymptotic_precoders(K, n, r)
+
+
+@pytest.mark.parametrize("K, n", list(PINNED_MATRICES))
+def test_precoders_and_stacked_matrices_are_pinned(K, n):
+    # one receiver's matrices at a time: the full K = 4 assembly holds all
+    # of them at once; no BLAS call reaches these bits
+    pre = _seed_one_precoders(K, n)
+    got = {}
+    for j, t in pre.targets.items():
+        got[f"targets[{j}].base"] = _sha256(t.base)
+        got[f"targets[{j}].extended"] = _sha256(t.extended)
+    for k, q in pre.qtilde.items():
+        got[f"qtilde[{k}]"] = _sha256(q)
+    for l in range(1, K + 1):
+        mats = assemble_receiver_and_eve_matrices(pre, (l,), eve=False)
+        got[f"decoders[{l}]"] = _sha256(mats.decoders[l])
+        got[f"receive_mixing[{l}]"] = _sha256(mats.receive_mixing[l])
+    got["eve_mixing"] = _sha256(assemble_receiver_and_eve_matrices(pre, ()).eve_mixing)
+    assert got == PINNED_MATRICES[K, n]
+
+
+@pytest.mark.parametrize("K, n", [(3, 1), (4, 1), (3, 2)])
+def test_interference_fading_matrices_are_the_block_table_per_slot(K, n):
+    # every block's columns at every observer are its arrival (h_{owner,l}
+    # or g_owner times its coefficient), evaluated per slot by
+    # Monomial.evaluate, times its target's base or extended precoder, at
+    # the offset the table's stacking order gives it
+    pre = _seed_one_precoders(K, n)
+    r, table = pre.realization, blind_table(K)
+    values = [{**{f"h_{j}{k}": r.h(j, k, t) for j in range(1, K + 1) for k in range(1, K + 1)},
+               **{f"g_{j}": r.g(j, t) for j in range(1, K + 1)}}
+              for t in range(1, pre.block_length + 1)]
+
+    def assert_blocks(matrix, blocks, gain):
+        start = 0
+        for b in blocks:
+            target = pre.targets[b.target]
+            precoder = target.extended if b.top else target.base
+            arrival = Monomial.gen(gain(b.owner)) * b.coefficient
+            per_slot = np.array([arrival.evaluate(v) for v in values])
+            stop = start + precoder.shape[1]
+            np.testing.assert_allclose(matrix[:, start:stop], per_slot[:, None] * precoder,
+                                       rtol=1e-15, atol=0)
+            start = stop
+        assert start == matrix.shape[1]
+
+    for l in range(1, K + 1):
+        mats = assemble_receiver_and_eve_matrices(pre, (l,), eve=False)
+        desired = table.desired(l)
+        rest = tuple(b for b in table.blocks if b not in desired)
+        assert_blocks(mats.receive_mixing[l], desired + rest, lambda k: f"h_{k}{l}")
+        assert_blocks(mats.decoders[l], table.decoder(l), lambda k: f"h_{k}{l}")
+    eve = assemble_receiver_and_eve_matrices(pre, ()).eve_mixing
+    assert_blocks(eve, table.blocks, lambda k: f"g_{k}")
 
 
 class TestPartialCsitFading:
