@@ -21,6 +21,11 @@ from typing import Callable, Sequence, get_type_hints
 
 import numpy as np
 
+try:
+    import resource
+except ImportError:  # not on every platform: the sidecar then omits its counts
+    resource = None
+
 from . import analysis, converse, interference_sets, pam, precoding
 from .analysis import DEFAULT_POWER_GRID, slope_fit_grid
 from .channel import (GainDistribution, HelperModel, InterferenceModel,
@@ -441,6 +446,8 @@ def _run_mac_partial(cfg: ExperimentConfig) -> ExperimentResult:
 
 
 def _run_entropy_bound(cfg: ExperimentConfig) -> ExperimentResult:
+    if cfg.samples < 1:
+        raise UsageError("entropy_bound needs samples >= 1")
     sweep = converse.floor_entropy_sweep(GainDistribution(), cfg.P, cfg.samples,
                                          seed=cfg.seed)
     canonical = converse.floor_conditional_entropy(0.5, 16)
@@ -567,10 +574,25 @@ def _write_plot(path: str, rows: list[tuple[str, float, float]]) -> None:
             fh.write(f"{series},{_fmt(x)},{_fmt(y)}\n")
 
 
+def _usage_since(before: resource.struct_rusage) -> dict[str, float]:
+    """The process's minor page faults and CPU seconds since the getrusage
+    record before, and its peak resident set in MB (ru_maxrss is in KiB on
+    Linux, in bytes on macOS)."""
+    now = resource.getrusage(resource.RUSAGE_SELF)
+    return {"minor_page_faults": now.ru_minflt - before.ru_minflt,
+            "user_seconds": now.ru_utime - before.ru_utime,
+            "system_seconds": now.ru_stime - before.ru_stime,
+            "max_rss_mb": now.ru_maxrss / (1024.0 ** 2 if sys.platform == "darwin" else 1024.0)}
+
+
 def run(cfg: ExperimentConfig) -> int:
-    """Run one experiment and write its artifacts; returns the exit status."""
+    """Run one experiment and write its artifacts; returns the exit status.
+    The out_json + '.meta.json' sidecar holds what differs from run to run:
+    the wall time and, where the resource module exists, the run's page
+    faults, CPU seconds and the process's peak RSS."""
     _validate(cfg)
     started = time.time()
+    usage = resource.getrusage(resource.RUSAGE_SELF) if resource else None
     result = EXPERIMENTS[cfg.experiment](cfg)
     ok = all(a["status"] == "pass" for a in result.report["assertions"])
     report = {
@@ -583,9 +605,11 @@ def run(cfg: ExperimentConfig) -> int:
     }
     with open(cfg.out_json, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
+    meta = {"wall_seconds": time.time() - started, "finished_unix": time.time()}
+    if usage is not None:
+        meta.update(_usage_since(usage))
     with open(cfg.out_json + ".meta.json", "w", encoding="utf-8") as fh:
-        fh.write(json.dumps({"wall_seconds": time.time() - started,
-                             "finished_unix": time.time()}) + "\n")
+        fh.write(json.dumps(meta) + "\n")
     _write_csv(cfg.out_csv, result.csv_rows)
     _write_plot(cfg.out_plot, result.plot_rows)
     return 0 if ok else 1

@@ -94,6 +94,21 @@ class TestRun:
         assert (tmp_path / f"{name}_plot.csv").exists()
         assert (tmp_path / f"{name}.json.meta.json").exists()
 
+    def test_meta_sidecar_holds_the_runs_resource_usage(self, tmp_path):
+        pytest.importorskip("resource")
+        assert run(fast_config("sdof_table", tmp_path)) == 0
+        meta = json.loads((tmp_path / "sdof_table.json.meta.json").read_text())
+        for key in ("minor_page_faults", "user_seconds", "system_seconds", "max_rss_mb"):
+            assert meta[key] >= 0
+        assert isinstance(meta["minor_page_faults"], int) and meta["max_rss_mb"] > 0
+
+    def test_meta_sidecar_omits_resource_usage_without_the_module(self, tmp_path,
+                                                                   monkeypatch):
+        monkeypatch.setattr(cli, "resource", None)
+        assert run(fast_config("sdof_table", tmp_path)) == 0
+        meta = json.loads((tmp_path / "sdof_table.json.meta.json").read_text())
+        assert sorted(meta) == ["finished_unix", "wall_seconds"]
+
     @pytest.mark.parametrize("name", sorted(FAST_ARGS))
     def test_reports_are_byte_identical_across_reruns(self, name, tmp_path):
         first = fast_config(name, tmp_path, tag="_a")
@@ -331,6 +346,8 @@ class TestMain:
          "error: construction needs 3 <= K <= 9, got K=2"),
         (["--experiment=interference_fading_mi", "--K=10"],
          "error: construction needs 3 <= K <= 9, got K=10"),
+        (["--experiment=entropy_bound", "--samples=0"],
+         "usage error: entropy_bound needs samples >= 1"),
     ])
     def test_degenerate_experiment_is_refused(self, overrides, message, tmp_path, capsys):
         config = _region_config(tmp_path, seed=1)

@@ -215,3 +215,23 @@ def test_the_package_imports_only_the_standard_library_and_numpy():
             found += [f"{path.name}:{node.lineno} {name}" for name in names
                       if name.split(".")[0] not in allowed]
     assert found == []
+
+
+def test_the_package_does_not_tune_the_c_allocator():
+    # speed must come from the package's own allocation pattern, not from
+    # malloc settings that change every other workload of the process
+    package = pathlib.Path(sdof.__file__).resolve().parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        text = path.read_text()
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name.split(".")[0] == "ctypes"]
+        found += [f"{path.name} {word}" for word in ("mallopt", "MALLOC_") if word in text]
+    assert found == []

@@ -1,6 +1,10 @@
 import dataclasses
 import hashlib
 import itertools
+import os
+import platform
+import subprocess
+import sys
 from unittest import mock
 
 import numpy as np
@@ -786,6 +790,18 @@ MESSAGE_SLOTS = {3: {1: [3, 4], 2: [1, 4], 3: [1, 2]},
                  4: {1: [3, 4, 5], 2: [1, 4, 5], 3: [1, 2, 5], 4: [1, 2, 3]}}
 
 
+def _address(a: np.ndarray) -> int:
+    return a.__array_interface__["data"][0]
+
+
+def _is_column_suffix(view: np.ndarray, full: np.ndarray, start: int) -> bool:
+    """view is full[:, start:] in full's memory, not a copy of it."""
+    return (np.shares_memory(view, full)
+            and view.shape == (full.shape[0], full.shape[1] - start)
+            and view.strides == full.strides
+            and _address(view) == _address(full) + start * full.itemsize)
+
+
 class TestStackedMatrices:
     def test_ranks_n1(self, precoders_n1):
         mats = assemble_receiver_and_eve_matrices(precoders_n1)
@@ -804,7 +820,8 @@ class TestStackedMatrices:
         # the construction that stacked every matrix from its own products
         # with np.hstack: the matrices written in place hold the same
         # numbers, and interference[l] and eve_jamming are column-suffix
-        # views of the full stacks
+        # views of the full stacks, starting right after the desired or the
+        # message columns
         pre = request.getfixturevalue(fixture)
         K = pre.K
         slots = MESSAGE_SLOTS[K]
@@ -823,7 +840,8 @@ class TestStackedMatrices:
                                   np.hstack(desired + unintended + jamming))
             assert np.array_equal(mats.interference[l], np.hstack(unintended + jamming))
             assert np.array_equal(mats.decoders[l], np.hstack(desired + aligned))
-            assert mats.interference[l].base is mats.receive_mixing[l]
+            assert _is_column_suffix(mats.interference[l], mats.receive_mixing[l],
+                                     sum(d.shape[1] for d in desired))
             assert mats.receive_mixing[l].flags.c_contiguous
             assert mats.decoders[l].flags.c_contiguous
         g = {k: r.eve_series(k)[:, None] for k in range(1, K + 1)}
@@ -832,7 +850,8 @@ class TestStackedMatrices:
         eve_msg = [g[k] * pre.targets[j].base for k in range(1, K + 1) for j in slots[k]]
         assert np.array_equal(mats.eve_mixing, np.hstack(eve_msg + eve_jam))
         assert np.array_equal(mats.eve_jamming, np.hstack(eve_jam))
-        assert mats.eve_jamming.base is mats.eve_mixing
+        assert _is_column_suffix(mats.eve_jamming, mats.eve_mixing,
+                                 sum(m.shape[1] for m in eve_msg))
         assert mats.eve_mixing.flags.c_contiguous
 
     @pytest.mark.parametrize("fixture", ["precoders_n1", "precoders_k4"], ids=["3", "4"])
@@ -857,6 +876,33 @@ class TestStackedMatrices:
         assert eve.receive_mixing == eve.interference == eve.decoders == {}
         for got, want in ((eve.eve_mixing, full.eve_mixing), (eve.eve_jamming, full.eve_jamming)):
             assert np.array_equal(got, want) and got.strides == want.strides
+
+    @pytest.mark.parametrize("fixture", ["precoders_n1", "precoders_k4"], ids=["3", "4"])
+    @pytest.mark.parametrize("call", [{}, {"receivers": (2,), "eve": False},
+                                      {"receivers": (1, 3), "decoders": False},
+                                      {"receivers": ()}], ids=["full", "one", "mixing", "eve"])
+    def test_one_read_only_buffer_per_call(self, fixture, call, request):
+        # every matrix of a call is carved out of one 1-D buffer: C-contiguous,
+        # at an offset of a multiple of 8 elements, not overlapping another
+        # carved matrix, and no returned array can be made writeable again
+        mats = assemble_receiver_and_eve_matrices(request.getfixturevalue(fixture), **call)
+        carved = [*mats.decoders.values(), *mats.receive_mixing.values(), mats.eve_mixing]
+        returned = carved + [*mats.interference.values(), mats.eve_jamming]
+        buffer = carved[0].base
+        assert buffer.ndim == 1 and not buffer.flags.writeable
+        assert all(a.base is buffer for a in returned)
+        spans = []
+        for a in carved:
+            assert a.flags.c_contiguous
+            offset, rest = divmod(_address(a) - _address(buffer), buffer.itemsize)
+            assert rest == 0 and offset % 8 == 0
+            spans.append((offset, offset + a.size))
+        spans.sort()
+        assert all(end <= start for (_, end), (start, _) in zip(spans, spans[1:]))
+        assert spans[-1][1] <= buffer.size
+        for a in returned:
+            with pytest.raises(ValueError):
+                a.setflags(write=True)
 
     def test_stored_matrices_are_read_only(self, precoders_n1):
         pre = precoders_n1
@@ -883,6 +929,46 @@ class TestStackedMatrices:
             mats = assemble_receiver_and_eve_matrices(pre)
             assert all(numeric_rank(mats.decoders[l]) == slots for l in (1, 2, 3))
             assert numeric_rank(mats.eve_jamming) == slots
+
+
+# One K=3, n=2 verification unit as the fading benchmark runs it: sample,
+# build, verify, assemble every matrix, and certify the 7 ranks; prints the
+# minor page faults per unit over 10 units after 2 warm-up units.
+FAULT_PROBE = """
+import resource
+from sdof import precoding
+from sdof.channel import InterferenceModel, sample_channel
+
+def unit(seed):
+    r = sample_channel(InterferenceModel(3), fixed=False, slots=356, seed=seed)
+    pre = precoding.build_asymptotic_precoders(3, 2, r)
+    precoding.verify_alignment_equations(pre)
+    mats = precoding.assemble_receiver_and_eve_matrices(pre)
+    for m in (*mats.decoders.values(), *mats.interference.values(), mats.eve_jamming):
+        precoding.numeric_rank(m)
+
+for seed in range(2):
+    unit(seed)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for seed in range(100, 110):
+    unit(seed)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 10)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's malloc thresholds")
+def test_a_fading_unit_does_not_fault_its_pages_back_in():
+    # with one matrix allocation per assembly, glibc's dynamic mmap and trim
+    # thresholds rise past the rank certificates' temporaries, which then
+    # stay in the heap; seven allocations per assembly left them at ~1.3 MB,
+    # and every certificate faulted ~1 MB back in (~9,200 faults per unit).
+    # The allocator's own settings stay at their defaults.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(precoding.__file__)))
+    env = {k: v for k, v in os.environ.items() if not k.startswith("MALLOC_")}
+    env["PYTHONPATH"] = src
+    done = subprocess.run([sys.executable, "-c", FAULT_PROBE], env=env,
+                          capture_output=True, text=True, check=True)
+    assert float(done.stdout) < 1000
 
 
 # SHA-256 of the bytes of every precoder block and stacked matrix at seed 1:
