@@ -41,12 +41,13 @@ def gaussian_entropy(A: np.ndarray, P: float, sigma2: float = 1.0) -> float:
     return _gram_entropy(_gram(A), P, sigma2)
 
 
-def _gram(A: np.ndarray) -> np.ndarray:
-    """A·Aᵀ, the power-independent part of gaussian_entropy."""
+def _gram(A: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """A·Aᵀ, the power-independent part of gaussian_entropy; written into
+    out when it is given."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
     if not np.all(np.isfinite(A)):
         raise ParameterError("matrix entries must be finite")
-    return A @ A.T
+    return np.matmul(A, A.T, out=out)
 
 
 def _gram_entropy(gram: np.ndarray, P: float, sigma2: float) -> float:
@@ -242,16 +243,24 @@ GramPair = tuple[np.ndarray, np.ndarray]  # Grams of (everything received, its j
 _SCHEME_GRAMS = weakref.WeakKeyDictionary()
 
 
-def _receiver_grams(pre: PrecoderSet, l: int) -> GramPair:
-    """Receiver l's Grams, from its mixing alone, dropped on return."""
-    mats = assemble_receiver_and_eve_matrices(pre, (l,), eve=False, decoders=False)
-    return _gram(mats.receive_mixing[l]), _gram(mats.interference[l])
-
-
-def _eavesdropper_grams(pre: PrecoderSet) -> GramPair:
-    """The eavesdropper's Grams, from its mixing alone, dropped on return."""
+def _interference_grams(pre: PrecoderSet) -> tuple[dict[int, GramPair], GramPair]:
+    """Every receiver's Grams, then the eavesdropper's, written into one
+    read-only (2K + 2, M_n, M_n) buffer: one allocation instead of one per
+    Gram lets glibc's dynamic mmap and trim thresholds rise past the
+    temporaries of the assembly and the log-dets, which then stay in the
+    heap instead of being faulted back in for every scheme."""
+    K = pre.K
+    grams = np.empty((2 * K + 2, pre.block_length, pre.block_length))
+    for l in range(1, K + 1):
+        mats = assemble_receiver_and_eve_matrices(pre, (l,), eve=False, decoders=False)
+        _gram(mats.receive_mixing[l], out=grams[2 * l - 2])
+        _gram(mats.interference[l], out=grams[2 * l - 1])
+        del mats  # before the next assembly: one receiver's matrices at a time
     mats = assemble_receiver_and_eve_matrices(pre, ())
-    return _gram(mats.eve_mixing), _gram(mats.eve_jamming)
+    _gram(mats.eve_mixing, out=grams[2 * K])
+    _gram(mats.eve_jamming, out=grams[2 * K + 1])
+    grams.setflags(write=False)
+    return {l: (grams[2 * l - 2], grams[2 * l - 1]) for l in range(1, K + 1)}, tuple(grams[2 * K:])
 
 
 def _scheme_grams(scheme) -> tuple[dict[int, GramPair], GramPair]:
@@ -260,8 +269,8 @@ def _scheme_grams(scheme) -> tuple[dict[int, GramPair], GramPair]:
 
     An interference scheme's mixing matrices are assembled one at a time,
     for receiver 1..K and then the eavesdropper, and each is dropped once
-    its two Grams are formed: only the Grams outlive the call, and no
-    decoder is built."""
+    its two Grams are written into the scheme's one Gram buffer: only the
+    Grams outlive the call, and no decoder is built."""
     if not isinstance(scheme, (MixingScheme, PrecoderSet)):
         raise ParameterError(f"no mutual-information rule for {type(scheme).__name__}")
     grams = _SCHEME_GRAMS.get(scheme)
@@ -271,8 +280,7 @@ def _scheme_grams(scheme) -> tuple[dict[int, GramPair], GramPair]:
         legit = {1: (_gram(np.hstack([scheme.A_V, scheme.A_U])), _gram(scheme.A_U))}
         leak = (_gram(np.hstack([scheme.B_V, scheme.B_U])), _gram(scheme.B_U))
     else:
-        legit = {l: _receiver_grams(scheme, l) for l in range(1, scheme.K + 1)}
-        leak = _eavesdropper_grams(scheme)
+        legit, leak = _interference_grams(scheme)
     grams = _SCHEME_GRAMS[scheme] = (legit, leak)
     return grams
 

@@ -53,7 +53,7 @@ _XSHIFT = 16
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK32, _MASK64, _MASK128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
 # Keys hashed per batch: bounds the temporaries whatever the number of keys.
-_CHUNK = 1024
+_CHUNK = 4096
 
 
 def _key_words(k: int) -> list[int]:

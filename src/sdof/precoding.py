@@ -15,9 +15,9 @@ The stacked matrices, their widths and the block length read the table.
 Ranks are decided by SVD with a relative threshold, unless merging
 parallel columns and one shifted Cholesky of the Gram prove the SVD's
 count first.  The numeric alignment check builds one orthonormal basis of
-each target's extended matrix, by CholeskyQR2 once the certificate proves
-full column rank (by SVD otherwise), and measures every instance's
-residual outside it.
+each target's extended matrix, by CholeskyQR passes once the certificate
+proves full column rank (by SVD otherwise), and measures the residual of
+all the target's instances outside it at once.
 """
 from __future__ import annotations
 
@@ -39,7 +39,7 @@ from .pam import StreamTable, helper_streams, partial_csit_streams
 DEFAULT_RANK_TOL = 1e-10
 DEFAULT_PRECODER_BUDGET = 200_000_000  # total matrix entries
 ALPHA_DRAWS = 100  # mixing-coefficient draws before the helper scheme gives up
-_SCAN_ROWS = 128  # rows of G whose cosines _certified_rank holds at once
+_MERGE_COS = 1 - 1e-8  # |cosine| above which _certified_rank merges a column
 
 
 def _equilibrate(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -97,6 +97,52 @@ def _shifted_cholesky_passes(G: np.ndarray, t: float, N: int, tol: float) -> boo
     return True
 
 
+def _key_vectors(m: int) -> np.ndarray:
+    """The three unit rows of _merges' direction keys over m rows: the Weyl
+    sequences frac(i a) - 1/2, i = 1..m, for a = (sqrt 5 - 1) / 2, sqrt 2 - 1
+    and sqrt 3 - 1, normalized; fixed by m alone."""
+    alphas = np.array([0.6180339887498949, 0.41421356237309515, 0.7320508075688772])
+    W = np.modf(np.outer(alphas, np.arange(1, m + 1)))[0] - 0.5
+    return W / np.linalg.norm(W, axis=1)[:, None]
+
+
+def _merges(B: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(j, p): every column j of B whose |cosine| with an earlier column
+    exceeds _MERGE_COS, ascending, and the first such column p; d holds the
+    column norms, and zero columns merge with nothing.
+
+    No c x c Gram is formed.  Each column gets direction keys
+    |w . b_j| / ||b_j||, one per row w of _key_vectors(m).  Unit vectors
+    x, y with |x . y| > 1 - e satisfy ||x - s y|| < sqrt(2 e) for a sign s,
+    so each of their keys differs by less than sqrt(2 e): only pairs whose
+    keys are all that close are candidates, with an allowance of 4 m u in
+    e and 8 m u in the keys (u = eps / 2) for the rounding of the cosines
+    and of the keys.  The condition is necessary, so every pair the rule
+    merges is a candidate.  The candidates are found along the columns
+    sorted by the first key, filtered by the others, and each one's cosine
+    is taken from its exact dot product.  Only each column's smallest
+    partner so far is kept, so memory stays O(c); the time grows with the
+    candidates, one per pair in a cluster of mutually parallel columns."""
+    m, u = len(B), np.finfo(float).eps / 2
+    live = np.flatnonzero(d > 0)
+    keys = np.abs(_key_vectors(m) @ B)[:, live] / d[live]
+    order = np.argsort(keys[0], kind="stable")
+    cols, keys = live[order], keys[:, order]
+    window = np.sqrt(2 * (1 - _MERGE_COS + 4 * m * u)) + 8 * m * u
+    # reach[a] - 1 columns follow sorted column a within the first key's window
+    reach = np.searchsorted(keys[0], keys[0] + window, side="right") - np.arange(len(cols))
+    c = len(d)
+    first = np.full(c, c)  # each column's first merging partner so far; c for none
+    for k in range(1, int(reach.max(initial=1))):  # the pairs k apart in key order
+        a = np.flatnonzero(reach > k)
+        a = a[(np.abs(keys[1:, a] - keys[1:, a + k]) <= window).all(axis=0)]
+        x, y = cols[a], cols[a + k]
+        near = np.abs(np.einsum("ij,ij->j", B[:, x], B[:, y])) / (d[x] * d[y]) > _MERGE_COS
+        np.minimum.at(first, np.maximum(x, y)[near], np.minimum(x, y)[near])
+    j = np.flatnonzero(first < c)
+    return j, first[j]
+
+
 def _certified_rank(B: np.ndarray, tol: float) -> int | None:
     """The rank numeric_rank's SVD would count on the equilibrated B, when
     one merge of parallel columns and one shifted Cholesky prove it; None
@@ -104,30 +150,35 @@ def _certified_rank(B: np.ndarray, tol: float) -> int | None:
 
     Zero rows change no singular value and are dropped first (a zero B has
     rank 0).  Let B then be m x c, N = max(B.shape) as passed in (the SVD's
-    threshold counts the zero rows), G = B^T B, t = trace(G) = ||B||_F^2,
+    threshold counts the zero rows), G = B^T B, t = ||B||_F^2,
     u = eps / 2 and tau = tol N sigma_max(B) the SVD's threshold.
 
-    Merge.  Each column whose |cosine| (from G) with an earlier column
-    exceeds 1 - 1e-8 is merged into the first such column p, which must be
-    kept itself; zero columns are dropped.  The kept set S has r columns.
-    The merge only chooses S; the two bounds below decide.  The cosines
-    are scanned _SCAN_ROWS rows of G at a time.
+    Nothing merged.  When c <= m, the Cholesky of the lower bound below is
+    tried on all of G first; if it succeeds, the rank is c.  Only when it
+    fails are merges looked for.
+
+    Merge.  Each column whose |cosine| with an earlier column exceeds
+    _MERGE_COS is merged into the first such column p, which must be kept
+    itself; zero columns are dropped.  The kept set S has r columns.  The
+    merge only chooses S; the two bounds below decide.  _merges finds the
+    merged columns from direction keys and exact dot products, without G.
 
     Upper bound.  Replacing each merged b_j by alpha_j b_p, alpha_j =
-    G[p, j] / G[p, p], leaves a matrix of rank at most r, so
+    (b_p . b_j) / ||b_p||^2, leaves a matrix of rank at most r, so
     sigma_{r+1}(B) <= ||E||_F, E the columns b_j - alpha_j b_p
     (Eckart-Young and Weyl; any alpha_j would do).  Forming E errs by about
     2u (||b_j|| + |alpha_j| ||b_p||) per column, allowed for as 4u times the
-    norms from G, and its norm by a factor 1 + size(E) u; with those
+    column norms, and its norm by a factor 1 + size(E) u; with those
     allowances the bound must lie below
     tol N sqrt(t / min(m, c)) / 2 <= tau / 2, because
     sigma_max^2 >= ||B||_F^2 / rank(B).
 
-    Lower bound.  Cholesky is tried on G[S, S] - s I with s = (2 tol N)^2 t
-    + 2 (N + r + 2) u t.  If it succeeds, G[S, S] - (s - delta) I is positive
-    definite with delta ~ (r + 1) u t (Rump, "Verification of positive
-    definiteness", BIT 46, 2006; B's unit-norm columns make its underflow
-    term negligible), and forming G added an error of at most
+    Lower bound.  Cholesky is tried on G_S - s I, G_S = B_S^T B_S the Gram
+    of the kept columns alone, with s = (2 tol N)^2 t + 2 (N + r + 2) u t.
+    If it succeeds, G_S - (s - delta) I is positive definite with
+    delta ~ (r + 1) u t (Rump, "Verification of positive definiteness",
+    BIT 46, 2006; B's unit-norm columns make its underflow term
+    negligible), and forming G_S added an error of at most
     gamma_N t ~ N u t, so sigma_min(B_S) > 2 tol N ||B||_F >= 2 tau.
     Deleting columns raises no singular value (interlacing), so
     sigma_r(B) >= sigma_min(B_S) > 2 tau.
@@ -145,38 +196,29 @@ def _certified_rank(B: np.ndarray, tol: float) -> int | None:
     if not nonzero.all():
         B = B[nonzero]
     m, c = B.shape
-    G = B.T @ B
-    t = np.trace(G)
-    d = np.sqrt(np.diag(G))
-    inv = np.divide(1.0, d, out=np.zeros(c), where=d > 0)
-    merged = np.zeros(c, dtype=bool)
-    partner = np.zeros(c, dtype=np.intp)
-    for a in range(1, c, _SCAN_ROWS):  # row j of G against its earlier columns
-        b = min(a + _SCAN_ROWS, c)
-        cos = np.abs(G[a:b, :b - 1])
-        cos *= inv[a:b, None]
-        cos *= inv[:b - 1]
-        near = cos > 1 - 1e-8
-        near &= np.tri(b - a, b - 1, k=a - 1, dtype=bool)
-        merged[a:b] = near.any(axis=1)
-        partner[a:b] = near.argmax(axis=1)
-    kept = (d > 0) & ~merged
+    d2 = np.einsum("ij,ij->j", B, B)
+    t = d2.sum()
+    if c <= m and _shifted_cholesky_passes(B.T @ B, t, N, tol):
+        return c
+    d = np.sqrt(d2)
+    j, p = _merges(B, d)
+    kept = d > 0
+    kept[j] = False
     r = int(np.count_nonzero(kept))
     if r > m:
         return m if _shifted_cholesky_passes(B @ B.T, t, N, tol) else None
-    j = np.flatnonzero(merged)
-    p = partner[j]
-    if not kept[p].all():
+    if r == c or not kept[p].all():  # r == c <= m: its Cholesky failed above
         return None
-    alpha = G[p, j] / G[p, p]
+    alpha = np.einsum("ij,ij->j", B[:, p], B[:, j]) / d2[p]
     E = B[:, j] - alpha * B[:, p]
     bound = (np.linalg.norm(E) * (1 + E.size * u)
              + 4 * u * np.sum(d[j] + np.abs(alpha) * d[p]))
     del E
     if not bound < tol * N * np.sqrt(t / min(m, c)) / 2:
         return None
-    if r < c:
-        G = G[np.ix_(kept, kept)]
+    S = B[:, kept]
+    G = S.T @ S
+    del S  # before the Cholesky, which copies G
     return r if _shifted_cholesky_passes(G, t, N, tol) else None
 
 
@@ -641,19 +683,22 @@ def _span_basis(extended: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarra
     orthonormal basis Q of the span numeric_rank measures.
 
     When _certified_rank proves that B has full column rank, Q is B
-    orthonormalized by CholeskyQR2: Q <- Q L^-T with L = cholesky(Q^T Q),
-    done twice (Fukaya, Nakatsukasa, Yanagisawa and Yamamoto, ScalA 2014;
-    Yamamoto et al., ETNA 44, 2015).  Within its reach, condition numbers
-    well below u^-1/2 (u = eps / 2), Q R = B + dB with ||dB|| = O(u) ||B||,
-    the backward error of the SVD's basis; past it the Cholesky breaks down
-    or Q loses orthogonality.  So Q is accepted only when
+    orthonormalized by CholeskyQR passes, Q <- Q L^-T with
+    L = cholesky(Q^T Q), at most two of them (CholeskyQR2: Fukaya,
+    Nakatsukasa, Yanagisawa and Yamamoto, ScalA 2014; Yamamoto et al.,
+    ETNA 44, 2015).  Within its reach, condition numbers well below u^-1/2
+    (u = eps / 2), Q R = B + dB with ||dB|| = O(u) ||B||, the backward
+    error of the SVD's basis; past it the Cholesky breaks down or Q loses
+    orthogonality.  So Q is accepted only when
     eta = ||Q^T Q - I||_F < tol * max(B.shape) / 100, a hundredth of the
-    relative residual cut of verify_alignment_equations.  That bound
-    suffices: with S the span of Q, Q_S = Q (Q^T Q)^-1/2 and
-    F = Q^T Q - I, ||z - Q Q^T z||^2 = dist(z, S)^2 + ||F Q_S^T z||^2, so
-    the measured residual exceeds the distance by at most eta ||z||, and a
-    verdict can differ from that of an exactly orthonormal basis only for a
-    distance within 1 % below the cut.  Otherwise, and when the rank is not
+    relative residual cut of verify_alignment_equations, and the passes
+    stop at the first Q that meets it; the Q^T Q of that test is the next
+    pass's Gram.  That bound suffices: with S the span of Q,
+    Q_S = Q (Q^T Q)^-1/2 and F = Q^T Q - I,
+    ||z - Q Q^T z||^2 = dist(z, S)^2 + ||F Q_S^T z||^2, so the measured
+    residual exceeds the distance by at most eta ||z||, and a verdict can
+    differ from that of an exactly orthonormal basis only for a distance
+    within 1 % below the cut.  Otherwise, and when the rank is not
     certified full, the thin SVD gives the left singular vectors whose
     singular values numeric_rank keeps.
     """
@@ -661,17 +706,15 @@ def _span_basis(extended: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarra
     B = _scaled(extended, r, c)
     cols = B.shape[1]
     if _certified_rank(B, tol) == cols:
-        Q = B
+        Q, G = B, B.T @ B
         try:
             for _ in range(2):
-                Q = Q @ np.linalg.inv(np.linalg.cholesky(Q.T @ Q)).T
+                Q = Q @ np.linalg.inv(np.linalg.cholesky(G)).T
+                G = Q.T @ Q
+                if np.linalg.norm(G - np.eye(cols)) < tol * max(B.shape) / 100:
+                    return r, Q
         except np.linalg.LinAlgError:
             pass
-        else:
-            F = Q.T @ Q
-            F.flat[::cols + 1] -= 1.0
-            if np.linalg.norm(F) < tol * max(B.shape) / 100:
-                return r, Q
     U, s, _ = np.linalg.svd(B, full_matrices=False)
     return r, U[:, :_kept(s, tol, B.shape)]
 
@@ -687,10 +730,12 @@ def verify_alignment_equations(pre: PrecoderSet,
     and the equilibration's diag(r) are invertible, so that holds iff
     r * lhs / h lies in the span of the equilibrated E; each column of it
     must leave at most tol * max(E.shape) of its norm outside the
-    orthonormal basis _span_basis gives (CholeskyQR2 under the full-rank
+    orthonormal basis _span_basis gives (CholeskyQR under the full-rank
     certificate, else the kept left singular vectors).  That is
     rank([lhs rhs]) == rank(rhs) with one basis per target instead of one
-    rank per instance.
+    rank per instance.  Every instance of a target is written side by side
+    into one lhs and one rhs, so each target takes one exact comparison and
+    one projection; an instance passes when all its columns do.
     Failures are report content, not exceptions; a tol outside (0, 1)
     raises ParameterError.
     """
@@ -699,29 +744,36 @@ def verify_alignment_equations(pre: PrecoderSet,
     realization = pre.realization
     K, n, gamma = pre.K, pre.n, pre.gamma
     base_index = _base_index(n, gamma)
-    verdicts: dict[tuple[int, str], tuple[bool, bool]] = {}
-    basis = {idx: _span_basis(t.extended, tol) for idx, t in pre.targets.items()}
-
     owner = {b.target: b.owner for b in blind_table(K).aligned}
-    for l, b, _, gen in _instances(K):
-        target = pre.targets[b.target]
-        lhs = realization.legit_series(b.owner, l)[:, None] * pre.columns(b)
-        h = realization.legit_series(owner[b.target], l)[:, None]
+    verdicts: dict[tuple[int, str], tuple[bool, bool]] = {}
+    for idx, target in pre.targets.items():
+        instances = [(l, b, gen) for l, b, _, gen in _instances(K) if b.target == idx]
+        starts = np.cumsum([0] + [pre.columns(b).shape[1] for _, b, _ in instances])
+        lhs = np.empty((pre.block_length, starts[-1]))
+        rhs = np.empty_like(lhs)
+        h = [realization.legit_series(owner[idx], l)[:, None] for l, _, _ in instances]
+        symbols = [g.symbol for g in target.generators]
+        for (l, b, gen), hl, a, e in zip(instances, h, starts, starts[1:]):
+            np.multiply(realization.legit_series(b.owner, l)[:, None], pre.columns(b),
+                        out=lhs[:, a:e])
+            # the generators are derived from these instances, so gen is one
+            shifted = base_index + (n + 1) ** (gamma - 1 - symbols.index(gen))
+            np.multiply(hl, target.extended[:, shifted], out=rhs[:, a:e])
+        exact = np.isclose(lhs, rhs, rtol=1e-9, atol=0.0).all(axis=0)
+        del rhs
 
-        # the generators are derived from these instances, so gen is one
-        position = [g.symbol for g in target.generators].index(gen)
-        shifted = base_index + (n + 1) ** (gamma - 1 - position)
-        exact = np.allclose(lhs, h * target.extended[:, shifted], rtol=1e-9, atol=0.0)
-
-        r, U = basis[b.target]
-        z = r[:, None] * lhs / h
+        r, U = _span_basis(target.extended, tol)
+        z = np.multiply(r[:, None], lhs, out=lhs)
+        for hl, a, e in zip(h, starts, starts[1:]):
+            z[:, a:e] /= hl
         outside = np.linalg.norm(z - U @ (U.T @ z), axis=0)
-        cut = tol * max(target.extended.shape) * np.linalg.norm(z, axis=0)
-        numeric = bool(np.all(outside <= cut))
+        numeric = outside <= tol * max(target.extended.shape) * np.linalg.norm(z, axis=0)
 
-        key = (b.target, str(gen))
-        was_exact, was_numeric = verdicts.get(key, (True, True))
-        verdicts[key] = (was_exact and exact, was_numeric and numeric)
+        for (_, _, gen), a, e in zip(instances, starts, starts[1:]):
+            key = (idx, str(gen))
+            was_exact, was_numeric = verdicts.get(key, (True, True))
+            verdicts[key] = (was_exact and bool(exact[a:e].all()),
+                             was_numeric and bool(numeric[a:e].all()))
 
     return FadingAlignmentReport([FadingEquation(t, g, exact, numeric)
                                   for (t, g), (exact, numeric) in sorted(verdicts.items())])

@@ -11,6 +11,7 @@ import gc
 import importlib.util
 import json
 import os
+import subprocess
 import sys
 import tracemalloc
 
@@ -93,3 +94,26 @@ def test_kept_fixed_verify_units_stay_small():
     finally:
         tracemalloc.stop()
     assert retained < 1024, f"{retained:.0f} bytes retained per unit"
+
+
+# One fading_verify and one fixed_verify unit in a fresh process; prints
+# whether numpy.random was imported on the way.
+NO_RANDOM_PROBE = """
+import sys
+sys.path[:0] = [{src!r}, {perfbench!r}]
+import tracing, workloads
+for name, seed in (("fading_verify", 1), ("fixed_verify", 0)):
+    assert workloads.WORKLOADS[name].unit(tracing.Tracer(), seed, workloads.FULL, False).problems == []
+print("numpy.random" in sys.modules)
+"""
+
+
+def test_units_do_not_import_numpy_random():
+    # numpy imports numpy.random lazily, and importing it raises a process's
+    # max RSS by about 6 MB (numpy 2.4), which peak_rss_mb reads: the keyed
+    # draws and the rank certificate's key vector need no numpy generator
+    src = os.path.join(os.path.dirname(PERFBENCH), "src")
+    probe = NO_RANDOM_PROBE.format(src=src, perfbench=PERFBENCH)
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          check=True)
+    assert done.stdout.split() == ["False"]

@@ -325,7 +325,9 @@ def _reference_mc(scheme, P, trials, seed):
     return report
 
 
-@pytest.mark.parametrize("M, seed, trials", [(1, 8, _CHUNK + 1), (1, 2, 700), (2, 5, 2 * _CHUNK + 3)])
+# Fixed trial counts, then counts that cross one and two edges of _CHUNK.
+@pytest.mark.parametrize("M, seed, trials", [(1, 8, 1025), (1, 2, 700), (2, 5, 2051),
+                                             (1, 8, _CHUNK + 1), (2, 5, 2 * _CHUNK + 3)])
 def test_monte_carlo_matches_per_trial_loop(M, seed, trials):
     scheme = pam.build_helper_scheme(M, sample_channel(HelperModel(M), fixed=True, seed=seed), P=1e4)
     for P in (1e4, 1e6):

@@ -148,6 +148,42 @@ class TestNumericRank:
         assert [numeric_rank(mutated.interference[l]) for l in (1, 2, 3)] == [340] * 3
         assert calls == []
 
+    def test_the_reference_unit_factors_only_kept_columns(self, precoders_n2, monkeypatch):
+        # the fading_verify reference unit (K = 3, n = 2, seed 1) runs no
+        # SVD.  Each target's 81 extended columns are factored for their
+        # certificate and for one CholeskyQR pass; each of the 7 ranks forms
+        # one Gram and takes one Cholesky of it, of its kept columns alone:
+        # 324 of the interference matrices' 420, all 356 of the square ones
+        orders, grams, cholesky = [], [], np.linalg.cholesky
+
+        def recording(G):
+            orders.append(len(G))
+            return cholesky(G)
+
+        class GramRecording(np.ndarray):  # records every square product taken of it
+            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+                out = getattr(ufunc, method)(*map(np.asarray, inputs), **kwargs)
+                if ufunc is np.matmul and out.shape[0] == out.shape[-1]:
+                    grams.append(len(out))
+                return out
+
+        svds = _count_svds(monkeypatch)
+        monkeypatch.setattr(np.linalg, "cholesky", recording)
+        assert verify_alignment_equations(precoders_n2).ok
+        assert orders == [81] * 8
+        mats = assemble_receiver_and_eve_matrices(precoders_n2)
+        cases = ([(mats.decoders[l], 356) for l in (1, 2, 3)]
+                 + [(mats.interference[l], 324) for l in (1, 2, 3)] + [(mats.eve_jamming, 356)])
+        for A, want in cases:
+            orders.clear()
+            assert numeric_rank(A) == want
+            assert orders == [want]
+            B = precoding._scaled(A, *precoding._equilibrate(A))
+            assert precoding._certified_rank(B.view(GramRecording), DEFAULT_RANK_TOL) == want
+            assert grams == [want]
+            grams.clear()
+        assert svds == []
+
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(form=st.sampled_from(["square", "tall", "wide"]), r=st.integers(1, 16),
            copies=st.integers(1, 12), extra=st.integers(0, 12),
@@ -250,18 +286,29 @@ class TestNumericRank:
         assert numeric_rank(np.zeros((4, 3))) == 0
         assert calls == []
 
-    def test_the_cosine_scan_does_not_depend_on_its_block(self, precoders_n2, monkeypatch):
-        # the interference matrices merge 96 columns across blocks of 128
-        # rows; scans of other block heights merge the same columns
+    def test_the_kept_set_does_not_depend_on_its_key_vectors(self, precoders_n2, monkeypatch):
+        # the interference matrices merge 96 columns; keys along other
+        # directions find the same merges, and the decoder, which needs
+        # none, is certified before any key is taken
         mats = assemble_receiver_and_eve_matrices(precoders_n2)
         mutated = assemble_receiver_and_eve_matrices(mutate_qtilde(precoders_n2, 1))
-        for A, want in [(mats.interference[1], 324), (mutated.interference[2], 340),
-                        (mats.decoders[3], 356)]:
-            B = precoding._scaled(A, *precoding._equilibrate(A))
+        cases = [(mats.interference[1], 324), (mutated.interference[2], 340),
+                 (mats.decoders[3], 356)]
+        scaled = [precoding._scaled(A, *precoding._equilibrate(A)) for A, _ in cases]
+        merges = [precoding._merges(B, np.linalg.norm(B, axis=0)) for B in scaled]
+        assert [len(j) for j, _ in merges] == [96, 80, 0]
+        for B, (_, want) in zip(scaled, cases):
             assert precoding._certified_rank(B, DEFAULT_RANK_TOL) == want
-            for rows in (1, 7, 500):
-                monkeypatch.setattr(precoding, "_SCAN_ROWS", rows)
-                assert precoding._certified_rank(B, DEFAULT_RANK_TOL) == want
+
+        def other_keys(m):
+            W = np.cos(np.outer([1.0, 2.0, 3.0], np.arange(m)))
+            return W / np.linalg.norm(W, axis=1)[:, None]
+
+        monkeypatch.setattr(precoding, "_key_vectors", other_keys)
+        for B, (_, want), (j, p) in zip(scaled, cases, merges):
+            assert precoding._certified_rank(B, DEFAULT_RANK_TOL) == want
+            j2, p2 = precoding._merges(B, np.linalg.norm(B, axis=0))
+            assert np.array_equal(j, j2) and np.array_equal(p, p2)
 
     @pytest.mark.parametrize("tol", [np.nan, np.inf, 2.0, 1.0, 0.0, -1.0])
     def test_tol_outside_the_unit_interval_is_refused(self, tol, precoders_n1):
@@ -294,6 +341,64 @@ def test_certified_scheme_ranks_are_the_svd_counts(seed):
             s = np.linalg.svd(B, compute_uv=False)
             for tol in (1e-10, 1e-13):
                 assert precoding._certified_rank(B, tol) == precoding._kept(s, tol, A.shape)
+
+
+def _brute_force_merges(B):
+    """The O(c^2) cosine scan that _merges replaces: each column j whose
+    |cosine| from the Gram with an earlier column exceeds 1 - 1e-8, and the
+    first such column."""
+    G = B.T @ B
+    d = np.sqrt(np.diag(G))
+    merged = []
+    for j in range(B.shape[1]):
+        near = [p for p in range(j)
+                if d[p] > 0 and d[j] > 0 and abs(G[p, j]) / (d[p] * d[j]) > 1 - 1e-8]
+        if near:
+            merged.append((j, near[0]))
+    return merged
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(base=st.integers(1, 12), extra=st.integers(0, 20), copies=st.integers(0, 6),
+       tilts=st.lists(st.one_of(st.sampled_from([0.98, 0.995, 1.005, 1.02]),
+                                st.floats(0.25, 4.0).filter(lambda f: abs(f - 1) > 1e-3)),
+                      max_size=6),
+       chain=st.integers(0, 6), zeros=st.integers(0, 2),
+       adversarial=st.sampled_from([None, "tilt", "chain"]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_merges_match_a_brute_force_cosine_scan(base, extra, copies, tilts, chain, zeros,
+                                                adversarial, seed):
+    # orthonormal columns, scaled copies of them, tilts of them by angles
+    # whose 1 - cos is f times 1e-8 (merged below f = 1, kept above; f is
+    # never within 1e-3 of 1, far outside the cosines' rounding), and a
+    # chain of steps of 0.6e-8, whose neighbours merge but whose second
+    # neighbours do not, in random order with random signs and scales.
+    # Adversarial key vectors all lie along the first tilt (or the chain),
+    # so every key of a merged pair differs by as much as the angle allows
+    rng = np.random.default_rng(seed)
+    tilts = tilts[:base]
+    rows = base + 2 + len(tilts) + extra
+    Q = np.linalg.qr(rng.normal(size=(rows, rows)))[0]
+    cols = [Q[:, :base]]
+    cols.append(Q[:, rng.integers(0, base, copies)])
+    for k, f in enumerate(tilts):
+        c = 1 - f * 1e-8
+        cols.append(c * Q[:, k:k + 1] + np.sqrt(1 - c * c) * Q[:, base + 2 + k:base + 3 + k])
+    step = np.arccos(1 - 0.6e-8)
+    angles = step * np.arange(chain)
+    cols.append(np.cos(angles) * Q[:, base:base + 1] + np.sin(angles) * Q[:, base + 1:base + 2])
+    cols.append(np.zeros((rows, zeros)))
+    B = np.hstack(cols)
+    scales = np.where(rng.random(B.shape[1]) < 0.5,
+                      np.ldexp(1.0, rng.integers(-8, 9, B.shape[1])), rng.uniform(0.5, 2.0, B.shape[1]))
+    B = (B * scales * rng.choice([-1.0, 1.0], B.shape[1]))[:, rng.permutation(B.shape[1])]
+    along = Q[:, base + 2] if adversarial == "tilt" and tilts else Q[:, base + 1]
+    d = np.sqrt(np.einsum("ij,ij->j", B, B))
+    with mock.patch.object(precoding, "_key_vectors",
+                           (lambda m: np.array([along] * 3)) if adversarial
+                           else precoding._key_vectors):
+        j, p = precoding._merges(B, d)
+    assert list(zip(j.tolist(), p.tolist())) == _brute_force_merges(B)
 
 
 def _hadamard(n):
@@ -594,7 +699,7 @@ class TestAlignmentVerification:
         monkeypatch.setattr(precoding, "_certified_rank", counting_certificate)
         assert verify_alignment_equations(precoders_n1).ok
         # one certificate of full column rank for each of the 4 extended
-        # matrices, whose CholeskyQR2 bases need no SVD; no rank per instance
+        # matrices, whose CholeskyQR bases need no SVD; no rank per instance
         assert certified == [((66, 16), 16)] * 4
         assert svds == []
         assert ranks == []
@@ -674,7 +779,7 @@ def test_basis_residual_matches_rank_oracle(seed):
 def test_span_basis_verdicts_match_the_svd_basis(k, extra, log_kappa, tol, seed):
     # tall matrices with singular values planted from 1 down to 1 / kappa;
     # columns in the span, and off it by 0.3, 3 and 1000 times the residual
-    # cut: the CholeskyQR2 basis gives the SVD basis's verdicts, and the SVD
+    # cut: the CholeskyQR basis gives the SVD basis's verdicts, and the SVD
     # runs only where the certificate or the orthogonality guard refuses
     rng = np.random.default_rng(seed)
     m = k + extra
@@ -709,14 +814,15 @@ def test_span_basis_verdicts_match_the_svd_basis(k, extra, log_kappa, tol, seed)
         assert svd.call_count == 1
         assert np.array_equal(Q, W)
     if certified and cut / 100 > 1e-13:
-        # CholeskyQR2 keeps orthogonality wherever the certificate holds
+        # CholeskyQR keeps orthogonality wherever the certificate holds
         assert svd.call_count == 0
 
 
 @pytest.mark.parametrize("tol, svds", [(1e-10, 0), (1e-13, 0), (1e-15, 1)])
 def test_the_orthogonality_guard_falls_back_below_its_bound(tol, svds):
     # a 64 x 16 matrix of condition number 1e4, certified full rank at each
-    # tol; CholeskyQR2 is orthonormal to about 1e-15, which passes the guard
+    # tol; one CholeskyQR pass leaves ||Q^T Q - I|| at about 3e-10, above
+    # every guard, and the second about 1e-15, which passes the guard
     # tol * 64 / 100 at 1e-10 and 1e-13 but not at 1e-15: there the SVD runs
     rng = np.random.default_rng(11)
     U = np.linalg.qr(rng.normal(size=(64, 16)))[0]
