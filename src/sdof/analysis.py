@@ -406,20 +406,20 @@ def monte_carlo_error_rate(scheme: PamScheme, P: float | None = None,
     if P is not None and P != scheme.P:
         scheme = scheme.with_power(P)
     report = ErrorRateReport(P=scheme.P, Q=scheme.Q,
-                             n_messages=len(scheme.message_streams),
+                             n_messages=len(scheme.table.messages),
                              trials=trials, errors=0)
     if trials == 0:
         return report
 
     table = receive_decode_table(scheme)
-    n_msg = len(scheme.message_streams)
-    uniforms, noise = _trial_draws(seed, trials, n_msg + len(scheme.jamming_streams))
+    n_msg = len(scheme.table.messages)
+    uniforms, noise = _trial_draws(seed, trials, len(scheme.table.blocks))
 
     Q = scheme.Q
     symbols = np.floor(uniforms * (2 * Q + 1)).astype(int) - Q
     v_true = symbols[:, :n_msg]
     jam_sum = symbols[:, n_msg:].sum(axis=1)
-    coeffs = np.array([scheme.rx_value(s) * scheme.a for s in scheme.message_streams])
+    coeffs = np.array([scheme.rx_value(b) * scheme.a for b in scheme.table.messages])
     noise_std = math.sqrt(scheme.realization.noise_variance)
     y = v_true @ coeffs + scheme.a * jam_sum + noise_std * noise
 

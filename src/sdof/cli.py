@@ -221,7 +221,7 @@ def _run_helper_fading_mi(cfg: ExperimentConfig) -> ExperimentResult:
         realization = sample_channel(HelperModel(M), fixed=False, slots=M + 1,
                                      seed=seed)
         scheme = precoding.build_helper_fading(M, realization)
-        accounting &= Fraction(len(scheme.message_streams), scheme.slots) == target
+        accounting &= Fraction(len(scheme.table.messages), scheme.slots) == target
         slopes, seed_rows, seed_plot = _sweep(cfg.grid, scheme, f"_seed{seed}")
         s_y, s_z = slopes["rx1"], slopes["leak"]
         per_real.append({"seed": seed, "legit_slope": s_y, "leak_slope": s_z,
@@ -261,13 +261,12 @@ def _run_helper_fixed_mc(cfg: ExperimentConfig) -> ExperimentResult:
     for rep in reports:
         scheme_p = scheme.with_power(rep.P)
         point = rep.to_json_dict()
-        # minimum-distance lower bound with the uncertified existence constant
-        point["min_distance_bound"] = {
-            "value": pam.khintchine_groshev_bound(scheme_p.a, scheme_p.Q, M,
-                                                  cfg.delta),
-            "k_delta": pam.K_DELTA,
-            "non_certified": True,
-        }
+        # the uncertified minimum-distance bound, and the measured distance
+        bound = pam.khintchine_groshev_bound(scheme_p.a, scheme_p.Q, M, cfg.delta)
+        point["min_distance_bound"] = {"value": bound, "k_delta": pam.K_DELTA,
+                                       "non_certified": True}
+        distance = float(np.diff(pam.receive_decode_table(scheme_p).unique_values).min())
+        point["min_distance"] = {"value": distance, "ratio_to_bound": distance / bound}
         points.append(point)
         rows.append(rep.to_json_dict())
         plot.append(("error_rate", 0.5 * math.log10(rep.P), rep.rate))
@@ -425,8 +424,8 @@ def _run_mac_partial(cfg: ExperimentConfig) -> ExperimentResult:
 
     fixed = sample_channel(MacPartialModel(K, m), fixed=True, seed=cfg.seed)
     fixed_scheme = pam.build_partial_csit_fixed(K, m, fixed)
-    eve_classes = {fixed_scheme.eve_coeffs[s] for s in fixed_scheme.streams}
-    structure_ok = (len(fixed_scheme.message_streams) == m * (K - 1)
+    eve_classes = {interference_sets.arrival(b, None) for b in fixed_scheme.table.blocks}
+    structure_ok = (len(fixed_scheme.table.messages) == m * (K - 1)
                     and len(eve_classes) == K)
 
     report = {

@@ -10,6 +10,8 @@ so all interference at a legitimate receiver collapses into the K+1
 extended sets while the K-1 desired sets stay disjoint from everything.
 blind_table(K) is the one statement of this block layout: the set rows,
 the verifier's claims, and the fading precoders and matrices all read it.
+Its type, BlockTable, and the one arrival rule, arrival(), state the
+helper and MAC schemes of `pam` too, as tables of single streams.
 
 As in real interference alignment, a set is the image of the integer box
 {1..top}^s, s = K(K-1) + 2, under its rows R_1..R_s, `Monomial`s over the
@@ -57,9 +59,23 @@ _MAX_K = 9
 BASE_LABELS = {i: f"T_{i}" for i in range(1, _MAX_K + 2)}
 EXTENDED_LABELS = {i: f"T~_{i}" for i in range(1, _MAX_K + 2)}
 
+MESSAGE, JAMMING = "message", "jamming"  # the two roles a block plays
 
-def gain_name(tx: int, rx: int) -> str:
-    return f"h_{tx}{rx}"
+
+def gain_name(tx: int, rx: int | None) -> str:
+    """Transmitter tx's gain to receiver rx 1..9, h_<tx><rx> with rx after
+    tx's leading digit (h_110: tx 10 to rx 1), or to the eavesdropper (rx
+    None), g_<tx>.  Products of gains are taken in name order, and this
+    keeps one receiver's gains in the order of their transmitters' strings."""
+    if rx is None:
+        return f"g_{tx}"
+    return f"h_{str(tx)[0]}{rx}{str(tx)[1:]}"
+
+
+@functools.lru_cache(maxsize=None)
+def gain(tx: int, rx: int | None) -> Monomial:
+    """The generator of gain_name(tx, rx), built once."""
+    return Monomial.gen(gain_name(tx, rx))
 
 
 def _check_km(K: int, m: int) -> None:
@@ -69,40 +85,57 @@ def _check_km(K: int, m: int) -> None:
 
 
 class Block(NamedTuple):
-    """One block of a scheme: transmitter `owner` sends the precoder of set
-    `target` over the exponent box {1..n+top} (top 0: the base box, 1: the
-    extended box), scaled by `coefficient`.  At receiver l it arrives on
-    h_{owner,l} * coefficient, at the eavesdropper on g_owner * coefficient."""
+    """One block of a scheme: transmitter `owner` sends a message or jamming
+    block (its `role`) scaled by `coefficient`, the precoder of set `target`
+    over the exponent box {1..n+top} (top 0: the base box, 1: the extended
+    box), or with no target a single stream: one column, no seed, no box."""
 
     name: str
     owner: int
-    target: int
-    top: int
+    role: str
     coefficient: Monomial
+    target: int | None = None
+    top: int = 0
 
 
-@dataclass(frozen=True, eq=False)
+def arrival(block: Block, receiver: int | None) -> Monomial:
+    """Where a block lands (Xie & Ulukus, IEEE Trans. IT 2014): coefficient
+    times h_{owner,l} at receiver l, or g_owner at the eavesdropper (None)."""
+    return block.coefficient * gain(block.owner, receiver)
+
+
 class BlockTable:
     """A scheme's blocks, in stacking order, and the groups its consumers
-    read.  Receiver l decodes its desired blocks, the messages of
-    transmitter l, against the aligned jamming; every other block must
-    arrive inside the arrival of its target's aligned block."""
+    read, each read off the blocks once, when the table is built.
+    Transmitters are numbered 1..K.  Receiver l decodes its desired blocks,
+    the messages of transmitter l, against the aligned jamming, the blocks
+    over an extended box; every other block must arrive inside the arrival
+    of its target's aligned block.  The scaled blocks are the jamming sent
+    on another transmitter's set."""
 
-    K: int
-    blocks: tuple[Block, ...]    # the messages, then every U_k, then every U~_k
-    messages: tuple[Block, ...]  # transmitter by transmitter
-    scaled: tuple[Block, ...]    # U~_1..U~_K
-    aligned: tuple[Block, ...]   # the blocks over an extended box, one per target
+    def __init__(self, blocks: tuple[Block, ...]) -> None:
+        self.blocks = blocks
+        self.K = max(b.owner for b in blocks)
+        self.messages = tuple(b for b in blocks if b.role == MESSAGE)
+        self.jamming = tuple(b for b in blocks if b.role == JAMMING)
+        self.aligned = tuple(b for b in blocks if b.top)
+        self.scaled = tuple(b for b in self.jamming if b.target not in (None, b.owner))
+        desired = {l: tuple(b for b in self.messages if b.owner == l)
+                   for l in range(1, self.K + 1)}
+        self._receivers = {l: (d, d + self.aligned) for l, d in desired.items()}
+
+    def _receiver(self, l: int) -> tuple[tuple[Block, ...], tuple[Block, ...]]:
+        if l not in self._receivers:
+            raise ParameterError(f"transmitter must lie in 1..{self.K}, got {l}")
+        return self._receivers[l]
 
     def desired(self, l: int) -> tuple[Block, ...]:
         """The blocks receiver l decodes: the messages of transmitter l."""
-        if not 1 <= l <= self.K:
-            raise ParameterError(f"transmitter must lie in 1..{self.K}, got {l}")
-        return tuple(b for b in self.messages if b.owner == l)
+        return self._receiver(l)[0]
 
     def decoder(self, l: int) -> tuple[Block, ...]:
         """Receiver l's decoder: its desired blocks, then the aligned jamming."""
-        return self.desired(l) + self.aligned
+        return self._receiver(l)[1]
 
 
 @functools.lru_cache(maxsize=None)
@@ -115,40 +148,31 @@ def blind_table(K: int) -> BlockTable:
     for k <= K-2 and h_12/h_{K-1,2} for k = K-1; U~_K is T~_{K+1} itself."""
     if not (3 <= K <= _MAX_K):
         raise ParameterError(f"construction needs 3 <= K <= {_MAX_K}, got K={K}")
-    gains, one = _gains(K), Monomial.one()
-    messages = tuple(Block(f"V{k},{j}", k, j, 0, one)
+    one = Monomial.one()
+    messages = tuple(Block(f"V{k},{j}", k, MESSAGE, one, j)
                      for k in range(1, K + 1) for j in range(1, K + 2) if j not in (k, k + 1))
-    jamming = tuple(Block(f"U{k}", k, k, 1, one) for k in range(1, K + 1))
-    betas = [gains[k + 2, 1] / gains[k, 1] for k in range(1, K - 1)]
-    betas.append(gains[1, 2] / gains[K - 1, 2])
-    scaled = tuple(Block(f"U~{k}", k, k + 1, 0, beta) for k, beta in enumerate(betas, 1))
-    scaled += (Block(f"U~{K}", K, K + 1, 1, one),)
-    blocks = messages + jamming + scaled
-    return BlockTable(K, blocks, messages, scaled, tuple(b for b in blocks if b.top))
+    jamming = tuple(Block(f"U{k}", k, JAMMING, one, k, 1) for k in range(1, K + 1))
+    betas = [gain(k + 2, 1) / gain(k, 1) for k in range(1, K - 1)]
+    betas.append(gain(1, 2) / gain(K - 1, 2))
+    scaled = tuple(Block(f"U~{k}", k, JAMMING, beta, k + 1) for k, beta in enumerate(betas, 1))
+    scaled += (Block(f"U~{K}", K, JAMMING, one, K + 1, 1),)
+    return BlockTable(messages + jamming + scaled)
 
 
 @functools.lru_cache(maxsize=None)
 def alignment_equations(K: int) -> tuple[tuple[int, Block, Monomial], ...]:
     """The scheme's alignment equations as (receiver l, block, arrival):
-    every block but the desired ones arrives at receiver l on
-    h_{owner,l} * coefficient, which must carry the base set T_j of its
-    target j into the extended set T~_j.  Receiver by receiver, each in
-    table order; derived once per K."""
-    table, gains = blind_table(K), _gains(K)
-    return tuple((l, b, gains[b.owner, l] * b.coefficient)
+    every block but the desired ones arrives at receiver l, and its arrival
+    must carry the base set T_j of its target j into the extended set
+    T~_j.  Receiver by receiver, each in table order; derived once per K."""
+    table = blind_table(K)
+    return tuple((l, b, arrival(b, l))
                  for l in range(1, K + 1) for b in table.blocks if b not in table.desired(l))
 
 
 def exponent_slots(K: int) -> int:
     """Number of free exponents per set: K(K-1) + 2 (including the constant)."""
     return K * (K - 1) + 2
-
-
-@functools.lru_cache(maxsize=None)
-def _gains(K: int) -> dict[tuple[int, int], Monomial]:
-    """The gain h_kl of every (tx k, rx l), built once per K."""
-    return {(k, l): Monomial.gen(gain_name(k, l))
-            for k in range(1, K + 1) for l in range(1, K + 1)}
 
 
 @functools.lru_cache(maxsize=None)
@@ -160,7 +184,7 @@ def _rows(K: int) -> tuple[tuple[Monomial, ...], ...]:
     factors: dict[int, dict[Monomial, None]] = {i: {} for i in range(1, K + 2)}
     for l, block, _ in alignment_equations(K):
         denominators = Monomial(tuple(p for p in block.coefficient.exponents if p[1] < 0))
-        factor = _gains(K)[block.owner, l] * denominators
+        factor = gain(block.owner, l) * denominators
         if factor != Monomial.one():
             factors[block.target].setdefault(factor)
     for i, distinct in factors.items():
@@ -404,15 +428,13 @@ def verify_interference_alignment(K: int, m: int,
     base = {i + 1: s for i, s in enumerate(build_base_dimension_sets(K, m))}
     extended = {i + 1: s for i, s in enumerate(build_extended_dimension_sets(K, m))}
 
-    table = blind_table(K)
-    # name of each scaled block whose beta is overridden -> its new beta
-    replaced: dict[str, Monomial] = {}
-    if beta_override:
-        unknown = [k for k in beta_override if k not in range(1, K + 1)]
-        if unknown:
-            raise ParameterError(f"beta_override keys must lie in 1..{K}, got {unknown}")
-        replaced = {b.name: beta_override[b.owner] for b in table.scaled
-                    if b.owner in beta_override}
+    table, beta_override = blind_table(K), beta_override or {}
+    unknown = [k for k in beta_override if k not in range(1, K + 1)]
+    if unknown:
+        raise ParameterError(f"beta_override keys must lie in 1..{K}, got {unknown}")
+    # each scaled block whose beta is overridden, by name, on its new beta
+    replaced = {b.name: b._replace(coefficient=beta_override[b.owner])
+                for b in table.scaled if b.owner in beta_override}
 
     cardinalities: dict[str, int] = {}
     checks: list[AlignmentCheck] = []
@@ -440,38 +462,35 @@ def verify_interference_alignment(K: int, m: int,
     ext_union = sum(_new_members(image, ext_images[:n])
                     for n, image in enumerate(ext_images))
 
-    messages = {b.name for b in table.messages}
     equations = alignment_equations(K)
     receiver_span: dict[int, int] = {}
     for l in range(1, K + 1):
-        for _, block, arrival in (eq for eq in equations if eq[0] == l):
+        for _, block, lands in (eq for eq in equations if eq[0] == l):
             if block.name in replaced:
-                arrival = _gains(K)[block.owner, l] * replaced[block.name]
+                lands = arrival(replaced[block.name], l)
             j = block.target
             # an arrival off the lattice (one naming a symbol outside the
             # rows, say) moves every member out
-            escaped = base[j].size - shared_members(base[j], arrival, extended[j], one)
-            what = "message" if block.name in messages else "jamming"
+            escaped = base[j].size - shared_members(base[j], lands, extended[j], one)
             checks.append(AlignmentCheck(
-                l, f"rx{l}: {arrival}*{base[j].label} within {extended[j].label} "
-                   f"({what} {block.name})",
+                l, f"rx{l}: {lands}*{base[j].label} within {extended[j].label} "
+                   f"({block.role} {block.name})",
                 "fail" if escaped else "pass", f"{escaped} members escape" if escaped else ""))
 
         # desired sets: pairwise disjoint and clear of every extended set
-        own_name = gain_name(l, l)
-        own = _gains(K)[l, l]
+        own = gain(l, l)
         slots = [b.target for b in table.desired(l)]
         for a_idx, ja in enumerate(slots):
             for jb in slots[a_idx + 1:]:
                 ok = not shared_members(base[ja], own, base[jb], own)
                 checks.append(AlignmentCheck(
-                    l, f"rx{l}: {own_name}*{base[ja].label} disjoint from "
-                       f"{own_name}*{base[jb].label}",
+                    l, f"rx{l}: {own}*{base[ja].label} disjoint from "
+                       f"{own}*{base[jb].label}",
                     "pass" if ok else "fail"))
             for i in range(1, K + 2):
                 ok = not shared_members(base[ja], own, extended[i], one)
                 checks.append(AlignmentCheck(
-                    l, f"rx{l}: {own_name}*{base[ja].label} disjoint from {extended[i].label}",
+                    l, f"rx{l}: {own}*{base[ja].label} disjoint from {extended[i].label}",
                     "pass" if ok else "fail"))
 
         span, seen = ext_union, list(ext_images)

@@ -1,15 +1,15 @@
 """PAM signalling for the fixed-gain alignment schemes.
 
-Each scheme is stated once, as a `StreamTable`: its message streams V and
-jamming streams U, each stream's transmitter and its transmit coefficient,
-a `Monomial` over the gain and constant generators.  Every transmitter jams
-on 1/h_i, so at the legitimate receiver all jamming arrives on coefficient
-exactly 1, one dimension, while at the eavesdropper it fans out over g_i/h_i
-and saturates its signal space.  The builders here realize a table by PAM;
+Each scheme is one `BlockTable` of streams, message V or jamming U, each on
+a `Monomial` coefficient.  Every transmitter jams on 1/h_i1, so at the
+legitimate receiver all jamming arrives on coefficient exactly 1, one
+dimension, while at the eavesdropper it fans out over g_i/h_i1 and
+saturates its signal space.  The builders here realize a table by PAM;
 those of `precoding` realize the same tables slot by slot for fading gains.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Mapping
@@ -19,6 +19,7 @@ import numpy as np
 from .channel import (ChannelRealization, HelperModel, MacPartialModel, TAG_ALPHA, key_grid,
                       keyed_gains)
 from .errors import CapacityError, ModeError, ParameterError
+from .interference_sets import JAMMING, MESSAGE, Block, BlockTable, arrival, gain, gain_name
 from .monomial import Monomial
 
 DEFAULT_DECODE_BUDGET = 10_000_000
@@ -27,110 +28,76 @@ DEFAULT_DECODE_BUDGET = 10_000_000
 K_DELTA = 1.0
 
 
-@dataclass(frozen=True)
-class StreamTable:
-    """A scheme's streams, each with its owner and transmit coefficient.
-
-    A stream arrives at a receiver with its transmit coefficient times its
-    owner's gain to that receiver, the channel law of Xie & Ulukus (IEEE
-    Trans. IT 2014): ``arrivals("h")`` gives the legitimate receiver's
-    coefficients and ``arrivals("g")`` the eavesdropper's.
-    """
-
-    message_streams: tuple[str, ...]
-    jamming_streams: tuple[str, ...]
-    owner: Mapping[str, int]
-    tx_coeffs: Mapping[str, Monomial]
-
-    @property
-    def streams(self) -> tuple[str, ...]:
-        return self.message_streams + self.jamming_streams
-
-    def arrivals(self, gain: str) -> dict[str, Monomial]:
-        """Each stream's coefficient at the receiver whose gain from
-        transmitter i is named gain_i."""
-        return {s: self.tx_coeffs[s] * Monomial.gen(f"{gain}_{self.owner[s]}")
-                for s in self.streams}
-
-    def gains(self, h: Callable[[int], object], g: Callable[[int], object],
-              constants: Mapping[str, object]) -> dict[str, object]:
-        """The value of every generator the arrivals name: h(i) and g(i) for
-        each transmitter i, and the given constants."""
-        values = dict(constants)
-        for i in set(self.owner.values()):
-            values[f"h_{i}"], values[f"g_{i}"] = h(i), g(i)
-        return values
+def _jamming(transmitters: int) -> tuple[Block, ...]:
+    """Jamming U_i on 1/h_i1 from each transmitter i: 1 at the receiver."""
+    return tuple(Block(f"U{i}", i, JAMMING, gain(i, 1).inverse())
+                 for i in range(1, transmitters + 1))
 
 
-def _jamming_aligned(messages: Mapping[str, tuple[int, Monomial]], transmitters: int
-                     ) -> StreamTable:
-    """The message streams, as stream -> (owner, transmit coefficient), plus
-    one jamming stream U_i on 1/h_i from every transmitter i."""
-    jamming = {f"U{i}": (i, Monomial.gen(f"h_{i}", -1)) for i in range(1, transmitters + 1)}
-    streams = {**messages, **jamming}
-    return StreamTable(message_streams=tuple(messages), jamming_streams=tuple(jamming),
-                       owner={s: i for s, (i, _) in streams.items()},
-                       tx_coeffs={s: c for s, (_, c) in streams.items()})
-
-
-def helper_streams(M: int) -> StreamTable:
+@functools.lru_cache(maxsize=None)
+def helper_streams(M: int) -> BlockTable:
     """Helper wiretap scheme: the legitimate transmitter sends message V_k
-    on alpha_k, k = 2..M+1, and transmitter j = 1..M+1 jams U_j on 1/h_j.
-    At the receiver V_k arrives on h_1 alpha_k, at the eavesdropper on
+    on alpha_k, k = 2..M+1, and transmitter j = 1..M+1 jams U_j on 1/h_j1.
+    At the receiver V_k arrives on h_11 alpha_k, at the eavesdropper on
     g_1 alpha_k."""
-    return _jamming_aligned({f"V{k}": (1, Monomial.gen(f"alpha_{k}")) for k in range(2, M + 2)},
-                            M + 1)
+    return BlockTable(tuple(Block(f"V{k}", 1, MESSAGE, Monomial.gen(f"alpha_{k}"))
+                            for k in range(2, M + 2)) + _jamming(M + 1))
 
 
-def partial_csit_streams(K: int, m_informed: int) -> StreamTable:
+@functools.lru_cache(maxsize=None)
+def partial_csit_streams(K: int, m_informed: int) -> BlockTable:
     """Partially informed MAC scheme: informed transmitter i sends V_ij on
-    g_j/(h_j g_i) for every j != i, and every transmitter i jams U_i on
-    1/h_i.  At the eavesdropper V_ij arrives on g_j/h_j, exactly underneath
-    U_j."""
-    return _jamming_aligned({
-        f"V{i}_{j}": (i, Monomial.from_dict({f"g_{j}": 1, f"h_{j}": -1, f"g_{i}": -1}))
-        for i in range(1, m_informed + 1) for j in range(1, K + 1) if j != i
-    }, K)
+    g_j/(h_j1 g_i) for every j != i, and every transmitter i jams U_i on
+    1/h_i1.  At the eavesdropper V_ij arrives on g_j/h_j1, exactly
+    underneath U_j."""
+    return BlockTable(tuple(Block(f"V{i}_{j}", i, MESSAGE,
+                                  gain(j, None) / (gain(j, 1) * gain(i, None)))
+                            for i in range(1, m_informed + 1)
+                            for j in range(1, K + 1) if j != i) + _jamming(K))
+
+
+def stream_gains(table: BlockTable, gain_value: Callable[[int, int | None], object],
+                 constants: Mapping[str, object]) -> dict[str, object]:
+    """The value of every generator a stream table's arrivals name: the
+    constants, and gain_value(i, rx) for each transmitter i toward the
+    receiver (rx 1) and the eavesdropper (rx None)."""
+    return {**constants, **{gain_name(i, rx): gain_value(i, rx)
+                            for i in range(1, table.K + 1) for rx in (1, None)}}
 
 
 @dataclass(frozen=True)
-class PamScheme(StreamTable):
+class PamScheme:
     """A stream table realized by PAM, with its coefficient values.
 
-    The constellation is the 2Q+1 points a*{-Q..Q}.  ``rx_coeffs`` and
-    ``eve_coeffs`` are the table's arrivals at the legitimate receiver and
-    the eavesdropper.  ``values`` maps generator names (h_i, g_i, alpha_k)
-    to their sampled numeric values.
+    The constellation is the 2Q+1 points a*{-Q..Q}.  ``values`` maps
+    generator names (the gains and alpha_k) to their sampled numeric values.
     """
 
-    model: HelperModel | MacPartialModel
+    table: BlockTable
     realization: ChannelRealization
     P: float
     delta: float
     Q: int
     a: float
     gamma: float
-    rx_coeffs: Mapping[str, Monomial]
-    eve_coeffs: Mapping[str, Monomial]
     values: Mapping[str, float]
 
-    def rx_value(self, stream: str) -> float:
+    def rx_value(self, stream: Block) -> float:
         """Numeric receive coefficient of one stream at the legitimate receiver."""
-        return self.rx_coeffs[stream].evaluate(self.values)
+        return arrival(stream, 1).evaluate(self.values)
 
     def with_power(self, P: float, delta: float | None = None) -> "PamScheme":
         """Same coefficients and gains, parameters re-derived for a new power."""
         delta = self.delta if delta is None else delta
         # receive dimensions: the messages and the aligned jamming
-        Q, a, gamma = _pam_params(P, len(self.message_streams) + 1, delta, self._peak_sums())
+        Q, a, gamma = _pam_params(P, len(self.table.messages) + 1, delta, self._peak_sums())
         return replace(self, P=P, delta=delta, Q=Q, a=a, gamma=gamma)
 
     def _peak_sums(self) -> list[float]:
         """Per transmitter, the sum of |coefficient| over its streams."""
         sums: dict[int, float] = {}
-        for s in self.streams:
-            tx = self.owner[s]
-            sums[tx] = sums.get(tx, 0.0) + abs(self.tx_coeffs[s].evaluate(self.values))
+        for b in self.table.blocks:
+            sums[b.owner] = sums.get(b.owner, 0.0) + abs(b.coefficient.evaluate(self.values))
         return [sums[tx] for tx in sorted(sums)]
 
 
@@ -161,15 +128,13 @@ def khintchine_groshev_bound(a: float, Q: int, M: int, delta: float) -> float:
     return K_DELTA * a / ((M + 1) * Q) ** (M + delta)
 
 
-def _pam_scheme(table: StreamTable, realization: ChannelRealization, P: float, delta: float,
+def _pam_scheme(table: BlockTable, realization: ChannelRealization, P: float, delta: float,
                 constants: Mapping[str, float]) -> PamScheme:
-    # placeholders: with_power derives (Q, a, gamma) from the coefficient tables
+    # placeholders: with_power derives (Q, a, gamma) from the coefficients
     return PamScheme(
-        table.message_streams, table.jamming_streams, table.owner, table.tx_coeffs,
-        model=realization.model, realization=realization,
-        P=P, delta=delta, Q=0, a=0.0, gamma=0.0,
-        rx_coeffs=table.arrivals("h"), eve_coeffs=table.arrivals("g"),
-        values=table.gains(realization.h, realization.g, constants),
+        table, realization, P=P, delta=delta, Q=0, a=0.0, gamma=0.0,
+        values=stream_gains(table, lambda i, rx: realization.g(i) if rx is None
+                            else realization.h(i, rx), constants),
     ).with_power(P)
 
 
@@ -230,7 +195,7 @@ class ReceiveTable:
         Q = self.scheme.Q
         msgs = np.stack([p - Q for p in parts[:-1]], axis=-1) if len(parts) > 1 \
             else np.empty(np.shape(flat) + (0,), dtype=int)
-        jam_span = len(self.scheme.jamming_streams) * Q
+        jam_span = len(self.scheme.table.jamming) * Q
         return msgs, parts[-1] - jam_span
 
 
@@ -238,8 +203,8 @@ def receive_decode_table(scheme: PamScheme,
                          budget: int = DEFAULT_DECODE_BUDGET) -> ReceiveTable:
     """Enumerate the receive constellation, or fail on the point budget."""
     Q = scheme.Q
-    n_msg = len(scheme.message_streams)
-    jam_span = len(scheme.jamming_streams) * Q
+    n_msg = len(scheme.table.messages)
+    jam_span = len(scheme.table.jamming) * Q
     shape = (2 * Q + 1,) * n_msg + (2 * jam_span + 1,)
     points = int(np.prod([int(s) for s in shape], dtype=object))
     if points > budget:
@@ -247,7 +212,7 @@ def receive_decode_table(scheme: PamScheme,
             f"receive constellation has {points} points, over the budget {budget}; "
             "shrink Q or the stream count"
         )
-    coeffs = [scheme.rx_value(s) for s in scheme.message_streams]
+    coeffs = [scheme.rx_value(b) for b in scheme.table.messages]
     axes = [np.arange(-Q, Q + 1) * (scheme.a * c) for c in coeffs]
     axes.append(np.arange(-jam_span, jam_span + 1) * scheme.a)
     values = np.zeros(shape)

@@ -32,9 +32,10 @@ from .channel import (ChannelRealization, HelperModel, InterferenceModel,
                       MacPartialModel, TAG_ALPHA, TAG_SEED_VECTOR, key_grid,
                       keyed_gains, substream)
 from .errors import CapacityError, ModeError, ParameterError
-from .interference_sets import Block, alignment_equations, blind_table, gain_name
+from .interference_sets import (Block, BlockTable, alignment_equations, arrival, blind_table,
+                                gain_name)
 from .monomial import Monomial
-from .pam import StreamTable, helper_streams, partial_csit_streams
+from .pam import helper_streams, partial_csit_streams, stream_gains
 
 DEFAULT_RANK_TOL = 1e-10
 DEFAULT_PRECODER_BUDGET = 200_000_000  # total matrix entries
@@ -118,35 +119,55 @@ def _merges(B: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     keys are all that close are candidates, with an allowance of 4 m u in
     e and 8 m u in the keys (u = eps / 2) for the rounding of the cosines
     and of the keys.  The condition is necessary, so every pair the rule
-    merges is a candidate.  The candidates are found along the columns
-    sorted by the first key, filtered by the others, and each one's cosine
-    is taken from its exact dot product.  Only each column's smallest
-    partner so far is kept, so memory stays O(c); the time grows with the
-    candidates, one per pair in a cluster of mutually parallel columns."""
+    merges is a candidate, and each column's candidates lie in its window,
+    a run of the columns sorted by the first key.  Each candidate pair is
+    filtered by the other keys, and its cosine taken from its exact dot
+    product.  A column is first paired with the earliest column of its run
+    of overlapping windows, when its window holds it: if they merge, that
+    is its first partner, and only the other columns are paired with the
+    rest of their window.  So a cluster of mutually parallel columns costs
+    time linear in its size, and memory stays O(c)."""
     m, u = len(B), np.finfo(float).eps / 2
     live = np.flatnonzero(d > 0)
     keys = np.abs(_key_vectors(m) @ B)[:, live] / d[live]
     order = np.argsort(keys[0], kind="stable")
     cols, keys = live[order], keys[:, order]
     window = np.sqrt(2 * (1 - _MERGE_COS + 4 * m * u)) + 8 * m * u
-    # reach[a] - 1 columns follow sorted column a within the first key's window
-    reach = np.searchsorted(keys[0], keys[0] + window, side="right") - np.arange(len(cols))
+    # sorted column a's window is the sorted columns lo[a] .. hi[a] - 1, and
+    # a run of overlapping windows starts where lo[a] == a
+    positions = np.arange(len(cols))
+    hi = np.searchsorted(keys[0], keys[0] + window, side="right")
+    lo = np.searchsorted(hi, positions, side="right")
+    starts = np.flatnonzero(lo == positions)
+    least = np.repeat(np.minimum.reduceat(cols, starts), np.diff(np.append(starts, len(cols))))
     c = len(d)
     first = np.full(c, c)  # each column's first merging partner so far; c for none
-    for k in range(1, int(reach.max(initial=1))):  # the pairs k apart in key order
-        a = np.flatnonzero(reach > k)
-        a = a[(np.abs(keys[1:, a] - keys[1:, a + k]) <= window).all(axis=0)]
-        x, y = cols[a], cols[a + k]
+
+    def pair(a: np.ndarray, b: np.ndarray) -> None:
+        """Record the merges among the sorted columns a[i], b[i]."""
+        near = (np.abs(keys[1:, a] - keys[1:, b]) <= window).all(axis=0)
+        x, y = cols[a[near]], cols[b[near]]
         near = np.abs(np.einsum("ij,ij->j", B[:, x], B[:, y])) / (d[x] * d[y]) > _MERGE_COS
         np.minimum.at(first, np.maximum(x, y)[near], np.minimum(x, y)[near])
+
+    at = np.empty(c, dtype=np.intp)
+    at[cols] = positions
+    b = np.flatnonzero(least < cols)
+    held = b[(lo[b] <= at[least[b]]) & (at[least[b]] < hi[b])]
+    pair(at[least[held]], held)
+    b = b[first[cols[b]] != least[b]]
+    for k in range(1, int(np.maximum(hi[b] - b, b - lo[b] + 1).max(initial=1))):
+        ahead, behind = b[hi[b] > b + k], b[lo[b] <= b - k]
+        pair(np.concatenate([ahead + k, behind - k]), np.concatenate([ahead, behind]))
     j = np.flatnonzero(first < c)
     return j, first[j]
 
 
-def _certified_rank(B: np.ndarray, tol: float) -> int | None:
+def _certified_rank(B: np.ndarray, tol: float, gram: np.ndarray | None = None) -> int | None:
     """The rank numeric_rank's SVD would count on the equilibrated B, when
     one merge of parallel columns and one shifted Cholesky prove it; None
-    when they cannot, and the SVD decides.
+    when they cannot, and the SVD decides.  A caller that keeps B's Gram
+    B^T B passes it as gram: the first Cholesky then shifts a copy of it.
 
     Zero rows change no singular value and are dropped first (a zero B has
     rank 0).  Let B then be m x c, N = max(B.shape) as passed in (the SVD's
@@ -194,11 +215,11 @@ def _certified_rank(B: np.ndarray, tol: float) -> int | None:
     if not nonzero.any():
         return 0
     if not nonzero.all():
-        B = B[nonzero]
+        B, gram = B[nonzero], None
     m, c = B.shape
     d2 = np.einsum("ij,ij->j", B, B)
     t = d2.sum()
-    if c <= m and _shifted_cholesky_passes(B.T @ B, t, N, tol):
+    if c <= m and _shifted_cholesky_passes(B.T @ B if gram is None else gram.copy(), t, N, tol):
         return c
     d = np.sqrt(d2)
     j, p = _merges(B, d)
@@ -261,15 +282,15 @@ class MixingScheme:
     """Stacked per-slot coefficients of a jamming-aligned vector scheme: a
     `pam` stream table's arrivals, evaluated slot by slot.
 
-    Every transmitter jams on 1/h_i(t), so all jamming lands on the all-ones
-    column at the receiver (A_U is all ones) and on g_i(t)/h_i(t) at the
-    eavesdropper (B_U).  A_V / B_V carry the message streams, one column
-    each, at the receiver and the eavesdropper.  Rows are slots.  Equality
-    and hashing are by identity, so a scheme can key a weak memo.
+    Every transmitter jams on 1/h_i1(t), so all jamming lands on the
+    all-ones column at the receiver (A_U is all ones) and on g_i(t)/h_i1(t)
+    at the eavesdropper (B_U).  A_V / B_V carry the message streams, one
+    column each, at the receiver and the eavesdropper.  Rows are slots.
+    Equality and hashing are by identity, so a scheme can key a weak memo.
     """
 
     realization: ChannelRealization
-    message_streams: tuple[str, ...]
+    table: BlockTable
     A_V: np.ndarray
     A_U: np.ndarray
     B_V: np.ndarray
@@ -293,20 +314,16 @@ class MixingScheme:
 
 
 @functools.lru_cache(maxsize=None)
-def _stream_arrivals(streams: Callable[..., StreamTable], *args: int
-                     ) -> tuple[StreamTable, tuple[Monomial, ...], list[list[int]]]:
-    """The stream table streams(*args), its distinct arrival coefficients
-    and, for the message and the jamming streams at receiver 1 and then at
-    the eavesdropper, the position of each stream's coefficient among them;
-    derived once per table, and only read."""
-    table = streams(*args)
+def _stream_arrivals(table: BlockTable) -> tuple[tuple[Monomial, ...], list[list[int]]]:
+    """The stream table's distinct arrivals and, for the message and the
+    jamming streams at receiver 1 and then at the eavesdropper, the position
+    of each stream's arrival among them; derived once per table."""
     coeffs: dict[Monomial, int] = {}
     blocks = []
-    for gain in ("h", "g"):
-        arrivals = table.arrivals(gain)
-        for group in (table.message_streams, table.jamming_streams):
-            blocks.append([coeffs.setdefault(arrivals[s], len(coeffs)) for s in group])
-    return table, tuple(coeffs), blocks
+    for receiver in (1, None):
+        for group in (table.messages, table.jamming):
+            blocks.append([coeffs.setdefault(arrival(b, receiver), len(coeffs)) for b in group])
+    return tuple(coeffs), blocks
 
 
 def _ratio(coeff: Monomial, gains: Mapping[str, np.ndarray],
@@ -320,22 +337,20 @@ def _ratio(coeff: Monomial, gains: Mapping[str, np.ndarray],
     return np.divide(parts[1], parts[-1], out=out)
 
 
-def _mixing_scheme(realization: ChannelRealization, streams: Callable[..., StreamTable],
-                   args: tuple[int, ...], slots: int,
+def _mixing_scheme(realization: ChannelRealization, table: BlockTable, slots: int,
                    constants: Mapping[str, np.ndarray]) -> MixingScheme:
-    """The arrival coefficients of the table streams(*args) in the first
-    `slots` slots, from h_i(t) toward receiver 1, g_i(t) and the given
-    per-slot constants, each by _ratio.  Each distinct coefficient is
-    evaluated once."""
-    table, coeffs, blocks = _stream_arrivals(streams, *args)
-    gains = table.gains(lambda i: realization.legit_series(i, 1)[:slots],
-                        lambda i: realization.eve_series(i)[:slots], constants)
+    """The arrival coefficients of the stream table in the first `slots`
+    slots, from h_i1(t), g_i(t) and the given per-slot constants, each by
+    _ratio.  Each distinct coefficient is evaluated once."""
+    coeffs, blocks = _stream_arrivals(table)
+    gains = stream_gains(table, lambda i, rx: (realization.eve_series(i) if rx is None else
+                                               realization.legit_series(i, rx))[:slots],
+                         constants)
     columns = np.empty((len(coeffs), slots))
     for out, coeff in zip(columns, coeffs):
         _ratio(coeff, gains, out=out)
     A_V, A_U, B_V, B_U = (columns[index].T for index in blocks)
-    return MixingScheme(realization=realization, message_streams=table.message_streams,
-                        A_V=A_V, A_U=A_U, B_V=B_V, B_U=B_U)
+    return MixingScheme(realization=realization, table=table, A_V=A_V, A_U=A_U, B_V=B_V, B_U=B_U)
 
 
 def build_helper_fading(M: int, realization: ChannelRealization) -> MixingScheme:
@@ -359,7 +374,7 @@ def build_helper_fading(M: int, realization: ChannelRealization) -> MixingScheme
             break
     else:
         raise RuntimeError(f"no full-rank mixing matrix after {ALPHA_DRAWS} draws")
-    return _mixing_scheme(realization, helper_streams, (M,), slots,
+    return _mixing_scheme(realization, helper_streams(M), slots,
                           {f"alpha_{k}": row for k, row in enumerate(alphas, 2)})
 
 
@@ -377,7 +392,7 @@ def build_partial_csit_fading(K: int, m_informed: int,
     slots = m_informed * (K - 1) + 1
     if realization.slots < slots:
         raise ModeError(f"need at least {slots} slots, got {realization.slots}")
-    return _mixing_scheme(realization, partial_csit_streams, (K, m_informed), slots, {})
+    return _mixing_scheme(realization, partial_csit_streams(K, m_informed), slots, {})
 
 
 def zero_force_decode(observations: Sequence[float],
@@ -693,7 +708,8 @@ def _span_basis(extended: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarra
     eta = ||Q^T Q - I||_F < tol * max(B.shape) / 100, a hundredth of the
     relative residual cut of verify_alignment_equations, and the passes
     stop at the first Q that meets it; the Q^T Q of that test is the next
-    pass's Gram.  That bound suffices: with S the span of Q,
+    pass's Gram, and the first pass's, B^T B, is the one the certificate
+    factors (shifted, in a copy).  That bound suffices: with S the span of Q,
     Q_S = Q (Q^T Q)^-1/2 and F = Q^T Q - I,
     ||z - Q Q^T z||^2 = dist(z, S)^2 + ||F Q_S^T z||^2, so the measured
     residual exceeds the distance by at most eta ||z||, and a verdict can
@@ -705,8 +721,8 @@ def _span_basis(extended: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarra
     r, c = _equilibrate(extended)
     B = _scaled(extended, r, c)
     cols = B.shape[1]
-    if _certified_rank(B, tol) == cols:
-        Q, G = B, B.T @ B
+    Q, G = B, B.T @ B if cols <= len(B) else None  # a wide B lacks full column rank
+    if _certified_rank(B, tol, G) == cols:
         try:
             for _ in range(2):
                 Q = Q @ np.linalg.inv(np.linalg.cholesky(G)).T

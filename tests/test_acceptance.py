@@ -50,7 +50,7 @@ def test_criterion_1_helper_fading_sdof():
             assert abs(s_y - M) <= slope_tol, (M, seed, s_y)
             assert abs(s_z) <= slope_tol, (M, seed, s_z)
             # M message dimensions over M+1 slots: exact accounting
-            assert Fraction(len(scheme.message_streams), scheme.slots) == target
+            assert Fraction(len(scheme.table.messages), scheme.slots) == target
     _report("1 helper fading s.d.o.f.", started, 60,
             f"worst slope deviation {worst:.4f}")
 

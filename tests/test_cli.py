@@ -5,9 +5,11 @@ import json
 import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from sdof import cli
+from sdof import cli, pam
+from sdof.channel import HelperModel, sample_channel
 from sdof.analysis import MC_TRIAL_BUDGET
 from sdof.cli import ExperimentConfig, main, parse_config, print_schema, run
 from sdof.errors import UsageError
@@ -326,6 +328,24 @@ class TestMain:
                      f"--trials={MC_TRIAL_BUDGET + 1}"]) == 2
         assert "Monte Carlo trials exceed the budget" in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
+
+    def test_min_distance_is_the_least_gap_of_the_constellation(self, tmp_path):
+        # the P = 1e4 cell of helper_fixed_mc against a scan of every pair
+        # of noiseless receive values, each summed as the decoder's table sums it
+        config = _region_config(tmp_path, seed=3)
+        main(["run", config, "--experiment=helper_fixed_mc", "--M=1", "--trials=10",
+              "--grid=1e4,1e5,1e6"])
+        report = json.loads((tmp_path / "r.json").read_text())
+        point = report["points"][0]
+        realization = sample_channel(HelperModel(1), fixed=True, seed=3)
+        s = pam.build_helper_scheme(1, realization, P=1e4, delta=report["delta"])
+        jam = len(s.table.jamming) * s.Q
+        values = np.array([0.0 + v * (s.a * s.rx_value(s.table.messages[0])) + u * s.a
+                           for v in range(-s.Q, s.Q + 1) for u in range(-jam, jam + 1)])
+        gaps = np.abs(values[:, None] - values[None, :])
+        least = gaps[gaps > 0].min()
+        bound = point["min_distance_bound"]["value"]
+        assert point["min_distance"] == {"value": least, "ratio_to_bound": least / bound}
 
     @pytest.mark.parametrize("overrides, message", [
         (["--experiment=helper_fixed_mc", "--trials=0"],

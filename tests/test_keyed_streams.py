@@ -303,7 +303,7 @@ def test_sample_channel_matches_per_draw_loop(model, fixed, seed):
 def _reference_mc(scheme, P, trials, seed):
     """monte_carlo_error_rate as the per-trial loop: one generator per trial."""
     scheme = scheme.with_power(P)
-    n_msg, n_jam = len(scheme.message_streams), len(scheme.jamming_streams)
+    n_msg, n_jam = len(scheme.table.messages), len(scheme.table.jamming)
     uniforms = np.empty((trials, n_msg + n_jam))
     noise = np.empty(trials)
     for t in range(trials):
@@ -313,7 +313,7 @@ def _reference_mc(scheme, P, trials, seed):
     Q = scheme.Q
     symbols = np.floor(uniforms * (2 * Q + 1)).astype(int) - Q
     v_true = symbols[:, :n_msg]
-    coeffs = np.array([scheme.rx_value(s) * scheme.a for s in scheme.message_streams])
+    coeffs = np.array([scheme.rx_value(b) * scheme.a for b in scheme.table.messages])
     y = (v_true @ coeffs + scheme.a * symbols[:, n_msg:].sum(axis=1)
          + math.sqrt(scheme.realization.noise_variance) * noise)
     table = pam.receive_decode_table(scheme)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from sdof.channel import HelperModel, MacPartialModel, sample_channel
 from sdof.errors import CapacityError, ModeError, ParameterError
+from sdof.interference_sets import arrival
 from sdof.monomial import Monomial
 from sdof.pam import (build_helper_scheme, build_partial_csit_fixed, decode_indices,
                       khintchine_groshev_bound, receive_decode_table)
@@ -19,22 +20,26 @@ def helper1():
     return build_helper_scheme(1, r, P=1e6, delta=0.05)
 
 
+def _arrivals(scheme, receiver):
+    """Each stream's arrival at the receiver (1) or the eavesdropper (None), by name."""
+    return {b.name: arrival(b, receiver) for b in scheme.table.blocks}
+
+
 def _peak_inputs(scheme):
     """Per transmitter, the largest |input| over all symbol assignments:
     a Q times the sum of |tx coefficient| over the transmitter's streams."""
     peak = {}
-    for s in scheme.streams:
-        tx = scheme.owner[s]
-        coeff = abs(scheme.tx_coeffs[s].evaluate(scheme.values))
-        peak[tx] = peak.get(tx, 0.0) + scheme.a * scheme.Q * coeff
+    for b in scheme.table.blocks:
+        coeff = abs(b.coefficient.evaluate(scheme.values))
+        peak[b.owner] = peak.get(b.owner, 0.0) + scheme.a * scheme.Q * coeff
     return peak
 
 
 def _noiseless(scheme, messages, jam_sum):
     """Receive value of message symbols and a jamming-symbol sum: every
     jamming stream arrives on coefficient 1."""
-    return scheme.a * (sum(scheme.rx_value(s) * v
-                           for s, v in zip(scheme.message_streams, messages)) + jam_sum)
+    return scheme.a * (sum(scheme.rx_value(b) * v
+                           for b, v in zip(scheme.table.messages, messages)) + jam_sum)
 
 
 def _decode(scheme, y):
@@ -47,30 +52,31 @@ def _decode(scheme, y):
 class TestHelperScheme:
     def test_receiver_table_aligns_all_jamming(self, helper1):
         # every jamming stream arrives with coefficient exactly 1 (symbolic)
-        assert helper1.rx_coeffs["U1"] == Monomial.one()
-        assert helper1.rx_coeffs["U2"] == Monomial.one()
-        assert helper1.rx_coeffs["V2"] == Monomial.from_dict({"h_1": 1, "alpha_2": 1})
+        rx = _arrivals(helper1, 1)
+        assert rx["U1"] == Monomial.one()
+        assert rx["U2"] == Monomial.one()
+        assert rx["V2"] == Monomial.from_dict({"h_11": 1, "alpha_2": 1})
 
     def test_all_jamming_aligned_for_any_m(self):
         for M in (0, 1, 2, 3):
             r = sample_channel(HelperModel(M), fixed=True, seed=M)
             s = build_helper_scheme(M, r)
-            assert all(s.rx_coeffs[f"U{j}"] == Monomial.one()
+            assert all(_arrivals(s, 1)[f"U{j}"] == Monomial.one()
                        for j in range(1, M + 2))
 
     def test_eavesdropper_jamming_coeffs_distinct(self):
         r = sample_channel(HelperModel(2), fixed=True, seed=12)
         s = build_helper_scheme(2, r)
-        coeffs = [s.eve_coeffs[f"U{j}"] for j in (1, 2, 3)]
+        coeffs = [_arrivals(s, None)[f"U{j}"] for j in (1, 2, 3)]
         assert len(set(coeffs)) == 3
-        values = [s.eve_coeffs[f"U{j}"].evaluate(s.values) for j in (1, 2, 3)]
+        values = [c.evaluate(s.values) for c in coeffs]
         assert len(set(values)) == 3
 
     def test_degenerate_no_helpers(self):
         r = sample_channel(HelperModel(0), fixed=True, seed=1)
         s = build_helper_scheme(0, r)
-        assert s.message_streams == ()
-        assert s.jamming_streams == ("U1",)
+        assert s.table.messages == ()
+        assert [b.name for b in s.table.jamming] == ["U1"]
 
     def test_rejects_fading_realization(self):
         r = sample_channel(HelperModel(1), fixed=False, slots=2, seed=1)
@@ -164,8 +170,8 @@ class TestDecoding:
         r = sample_channel(HelperModel(M), fixed=True, seed=17)
         scheme = build_helper_scheme(M, r, P=P)
         Q = scheme.Q
-        v = [data.draw(st.integers(-Q, Q)) for _ in scheme.message_streams]
-        u = [data.draw(st.integers(-Q, Q)) for _ in scheme.jamming_streams]
+        v = [data.draw(st.integers(-Q, Q)) for _ in scheme.table.messages]
+        u = [data.draw(st.integers(-Q, Q)) for _ in scheme.table.jamming]
         msgs, jam = _decode(scheme, [_noiseless(scheme, v, sum(u))])
         assert msgs.tolist() == [v]
         assert jam.tolist() == [sum(u)]
@@ -176,7 +182,7 @@ class TestDecoding:
         # (v=0, u=1) and (v=1, u=-2), and 0.5 sits midway between two points
         rigged = dataclasses.replace(
             helper1, Q=1, a=1.0,
-            values={**helper1.values, "h_1": 3.0, "alpha_2": 1.0})
+            values={**helper1.values, "h_11": 3.0, "alpha_2": 1.0})
         msgs, jam = _decode(rigged, [1.0, 0.5])
         assert msgs.tolist() == [[0], [0]]
         assert jam.tolist() == [1, 0]
@@ -190,35 +196,35 @@ class TestPartialCsitFixed:
     def test_stream_counts_and_eve_classes(self):
         r = sample_channel(MacPartialModel(3, 2), fixed=True, seed=6)
         s = build_partial_csit_fixed(3, 2, r)
-        assert len(s.message_streams) == 4
-        assert len(s.jamming_streams) == 3
+        assert len(s.table.messages) == 4
+        assert len(s.table.jamming) == 3
         # the eavesdropper resolves exactly K coefficient classes
-        assert len({s.eve_coeffs[x] for x in s.streams}) == 3
+        assert len(set(_arrivals(s, None).values())) == 3
 
     def test_messages_hide_under_matching_jamming(self):
         r = sample_channel(MacPartialModel(3, 2), fixed=True, seed=6)
-        s = build_partial_csit_fixed(3, 2, r)
+        eve = _arrivals(build_partial_csit_fixed(3, 2, r), None)
         for i in (1, 2):
             for j in (1, 2, 3):
                 if j == i:
                     continue
-                assert s.eve_coeffs[f"V{i}_{j}"] == s.eve_coeffs[f"U{j}"]
+                assert eve[f"V{i}_{j}"] == eve[f"U{j}"]
 
     def test_all_informed_matches_full_scheme_shape(self):
         r = sample_channel(MacPartialModel(3, 3), fixed=True, seed=2)
         s = build_partial_csit_fixed(3, 3, r)
-        assert len(s.message_streams) == 3 * 2
+        assert len(s.table.messages) == 3 * 2
 
     def test_single_informed_looks_like_helper_scheme(self):
         r = sample_channel(MacPartialModel(3, 1), fixed=True, seed=2)
         s = build_partial_csit_fixed(3, 1, r)
-        assert len(s.message_streams) == 2
-        assert all(s.rx_coeffs[f"U{j}"] == Monomial.one() for j in (1, 2, 3))
+        assert len(s.table.messages) == 2
+        assert all(_arrivals(s, 1)[f"U{j}"] == Monomial.one() for j in (1, 2, 3))
 
     def test_receiver_jamming_aligned_and_power_held(self):
         r = sample_channel(MacPartialModel(3, 2), fixed=True, seed=6)
         s = build_partial_csit_fixed(3, 2, r)
-        assert all(s.rx_coeffs[f"U{j}"] == Monomial.one() for j in (1, 2, 3))
+        assert all(_arrivals(s, 1)[f"U{j}"] == Monomial.one() for j in (1, 2, 3))
         peak = _peak_inputs(s)
         assert set(peak) == {1, 2, 3}
         assert all(p <= math.sqrt(s.P) * (1 + 1e-12) for p in peak.values())
@@ -240,3 +246,54 @@ def test_with_power_rederives_parameters(helper1):
     assert boosted.Q == math.floor((1e8) ** (0.95 / 4.1))
     assert boosted.gamma == pytest.approx(helper1.gamma)
     assert boosted.a == pytest.approx(boosted.gamma * 1e4 / boosted.Q)
+
+
+# float.hex of (a, gamma) and of every message stream's receive coefficient
+# (rx_value, in table order; each jamming stream's is exactly 1), at the
+# builders' defaults P = 1e6, delta = 0.05 on the fixed gains of the seed.
+# At (10, 2), seed 1 cannot tell h_1 from h_10 in a product's name order,
+# and seed 2 can.
+PINNED_SCHEMES = {
+    (HelperModel(1), 1): (24, '0x1.a4242a657a61fp+4', '0x1.42ab229bc2578p-1',
+        ['0x1.abb973df81c8ep+0']),
+    (HelperModel(2), 1): (8, '0x1.c444b19afc1dcp+5', '0x1.cf1f6e301cca8p-2',
+        ['0x1.abb973df81c8ep+0', '0x1.777c6a61bee09p+0']),
+    (HelperModel(3), 1): (5, '0x1.80ac13965607bp+5', '0x1.ec6160c06e1e5p-3',
+        ['0x1.abb973df81c8ep+0', '0x1.777c6a61bee09p+0', '0x1.d2aa8850433d6p+1']),
+    (HelperModel(9), 1): (1, '0x1.2ba8521b8e422p+6', '0x1.32d96a9b316aap-4',
+        ['0x1.abb973df81c8ep+0', '0x1.777c6a61bee09p+0', '0x1.d2aa8850433d6p+1',
+         '0x1.b6d5586ef2122p+1', '-0x1.5dfe4a27a1b29p+1', '0x1.c1de57c8bd4eep+1',
+         '-0x1.7b24f52a0e39cp+0', '-0x1.c8be4cb2f19d2p+1', '0x1.3c0459ad2bc2ap+1']),
+    (MacPartialModel(3, 1), 1): (8, '0x1.cea032e78d26fp+5', '0x1.d9ba92558e7dep-2',
+        ['-0x1.07d818a5bbab8p+0', '0x1.01d37e45d02f9p+1']),
+    (MacPartialModel(3, 2), 1): (3, '0x1.ac351810c4ab8p+5', '0x1.48dd000ce0c54p-3',
+        ['-0x1.07d818a5bbab8p+0', '0x1.01d37e45d02f9p+1', '-0x1.f0c7359f1e4f6p-1',
+         '-0x1.f452660f75a79p+0']),
+    (MacPartialModel(3, 3), 1): (2, '0x1.4127d20c9380ap+6', '0x1.48dd000ce0c54p-3',
+        ['-0x1.07d818a5bbab8p+0', '0x1.01d37e45d02f9p+1', '-0x1.f0c7359f1e4f6p-1',
+         '-0x1.f452660f75a79p+0', '0x1.fc5fa2c857375p-2', '-0x1.05f9b0efa01c5p-1']),
+    (MacPartialModel(10, 2), 1): (1, '0x1.95ee3ba075c04p+5', '0x1.9fac453ff5814p-5',
+        ['-0x1.07d818a5bbab8p+0', '0x1.01d37e45d02f9p+1', '-0x1.b3d4761dd7fc7p-2',
+         '0x1.c9136c760610ep-2', '-0x1.6f9fb52ca1a5bp-1', '0x1.679f9c85919b6p+0',
+         '-0x1.2ca3027c334dfp+1', '-0x1.33376fd45a372p+1', '-0x1.031a75e6b8beep+0',
+         '-0x1.f0c7359f1e4f6p-1', '-0x1.f452660f75a79p+0', '0x1.a6df6525c257bp-2',
+         '-0x1.bb7ca7fd8d111p-2', '0x1.64b1c0966f8e8p-1', '-0x1.5cee8bd48407bp+0',
+         '0x1.23b2e3401726cp+1', '0x1.2a153c8e65691p+1', '0x1.f6cce44632d0dp-1']),
+    (MacPartialModel(10, 2), 2): (1, '0x1.7f29551f6fa0bp+5', '0x1.885b79fb53963p-5',
+        ['-0x1.b7a66a1e9fcd5p+2', '-0x1.05a0399951b6cp+2', '-0x1.6f5e65a479a29p+1',
+         '0x1.39644e49b512bp+2', '0x1.38359f76ac3b9p+2', '0x1.085d35ad6e232p+3',
+         '0x1.180e2786d5bd3p+1', '-0x1.ef89b59167ce8p+0', '0x1.5516ddb622b8dp+1',
+         '-0x1.2a20c5c851cc5p-3', '0x1.30ae0134b1617p-1', '0x1.abd2e9f1457f9p-2',
+         '-0x1.6cf6e1cb00bd1p-1', '-0x1.6b966389a4affp-1', '-0x1.33de58612f7b7p+0',
+         '-0x1.46245425ee9eap-2', '0x1.208adeb557d42p-2', '-0x1.8d3848773aa66p-2']),
+}
+
+
+@pytest.mark.parametrize("model, seed", sorted(PINNED_SCHEMES, key=repr), ids=repr)
+def test_scheme_floats_are_pinned(model, seed):
+    r = sample_channel(model, fixed=True, seed=seed)
+    s = (build_helper_scheme(model.M, r) if isinstance(model, HelperModel)
+         else build_partial_csit_fixed(model.K, model.m_informed, r))
+    assert (s.Q, s.a.hex(), s.gamma.hex(),
+            [s.rx_value(b).hex() for b in s.table.messages]) == PINNED_SCHEMES[model, seed]
+    assert all(s.rx_value(b) == 1.0 for b in s.table.jamming)
